@@ -27,9 +27,10 @@ from .errors import (
     FlowInversionError,
     InvalidArgumentError,
 )
-from .measures import DensityTable, Measure, build_table
+from .measures import DensityTable, Measure, _leggauss, build_table
 
-_V_BISECT_ITERS = 52        # 2^-52 ~ 2e-16 relative height resolution
+_V_NEWTON_MAX = 60          # monotone Newton needs about a dozen steps
+_V_STEP_RTOL = 2.2e-16      # stop once a step is below this share of v^2
 _PSI_BISECT_TOL = 1e-13
 _CAUCHY_BOUND_SLACK = 1e-9  # slack on |G| <= 1/sqrt(t)
 
@@ -99,21 +100,48 @@ class FlowKernel:
 def flow_v(kernel: FlowKernel, u) -> np.ndarray:
     """Height function: the unique v >= 0 with I(u, v) = 1/t, or 0.
 
-    Strict monotonicity of I in v makes bisection on (0, sqrt(t)] safe;
-    iteration count fixes the relative resolution at ~2e-16.
+    Solved by Newton's method in s = v^2.  With a_j = (u - x_j)^2,
+    1/I(u, s) = 1 / sum_j w_j / (a_j + s) is a weighted harmonic mean of the
+    affine maps a_j + s, hence concave and increasing in s.  Newton on the
+    concave equation 1/I = t, started below its root, climbs monotonically
+    to the root: each tangent lies above the curve, so no step overshoots.
+    The start s0 = max(0, max_j(w_j t - a_j)) is such a lower bound -- at s0
+    one term alone already reaches 1/t -- and it keeps every term
+    w_j / (a_j + s) <= 1/t, so u on an atom or a node (I(u, 0) = +inf)
+    needs no special case.  Where I(u, 0) <= 1/t the first step is not
+    positive and v stays 0.  Iteration stops once a step falls below
+    2.2e-16 relative to s.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     t = kernel.t
-    target = 1.0 / t
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, math.sqrt(t))
-    inside = kernel.integral_I(u, lo) > target  # +inf on supp nu is fine
-    for _ in range(_V_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        above = kernel.integral_I(u, mid) > target
-        lo = np.where(inside & above, mid, lo)
-        hi = np.where(inside & ~above, mid, hi)
-    v = np.where(inside, 0.5 * (lo + hi), 0.0)
+    x, w = kernel.nodes, kernel.weights
+    wt = w * t
+    flat = u.ravel()
+    s = np.empty(flat.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, flat.size, 512):
+            sl = slice(lo, min(lo + 512, flat.size))
+            a = np.subtract.outer(flat[sl], x)
+            np.multiply(a, a, out=a)          # (u - x)^2, fixed per chunk
+            work = np.subtract(wt, a)
+            sk = np.maximum(np.max(work, axis=1), 0.0)
+            for _ in range(_V_NEWTON_MAX):
+                np.add(a, sk[:, None], out=work)
+                np.reciprocal(work, out=work)
+                I = work @ w
+                np.multiply(work, work, out=work)
+                M2 = work @ w
+                step = (t * I - 1.0) * I / M2
+                active = step > _V_STEP_RTOL * sk
+                if not np.any(active):
+                    break
+                sk = np.where(active, sk + step, sk)
+            else:
+                raise ConsistencyError(
+                    "flow height Newton solve did not converge in %d steps"
+                    % _V_NEWTON_MAX)
+            s[sl] = sk
+    v = np.sqrt(s).reshape(u.shape)
     if np.any(v > math.sqrt(t) * (1.0 + 1e-12)):
         raise ConsistencyError("flow height exceeded sqrt(t)")
     return v
@@ -365,21 +393,23 @@ def flow_cauchy(kernel: FlowKernel, x) -> np.ndarray:
 
 
 def region_integral(kernel: FlowKernel, region: Tuple[float, float],
-                    integrand, nodes: int = 256) -> float:
+                    integrand, nodes: int = 256):
     """Integral over one region in the u variable with square-root endpoint
     substitutions: s = sqrt(u - g) (resp. sqrt(h - u)) on each half.
 
     integrand(u) must be vectorized; heights vanish like sqrt at the region
-    ends so the substituted integrand is smooth there.
+    ends so the substituted integrand is smooth there.  A scalar integrand
+    (values of shape (m,)) gives a float; a stacked one (shape (k, m))
+    gives the k integrals as an array, from one evaluation per half.
     """
     g, h = region
     mid = 0.5 * (g + h)
-    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
+    x_gl, w_gl = _leggauss(nodes)
     total = 0.0
     for left in (True, False):
         smax = math.sqrt(mid - g) if left else math.sqrt(h - mid)
         s = 0.5 * smax * (x_gl + 1.0)
         w = 0.5 * smax * w_gl
         u = (g + s * s) if left else (h - s * s)
-        total += float(np.sum(w * 2.0 * s * integrand(u)))
-    return total
+        total = total + np.sum(w * 2.0 * s * integrand(u), axis=-1)
+    return float(total) if np.ndim(total) == 0 else total

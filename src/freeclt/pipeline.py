@@ -172,19 +172,23 @@ def clt_density_flow(mu: Measure, n: int, points_per_region: int = 1401,
                                   edge_orders="fit", expected_mass=None))
 
     # moments in the u variable: spectrally accurate with sqrt endpoint
-    # substitutions, valid for both soft (+1/2) and singular (-1/2) edges
-    def quotient_u(u: np.ndarray, power: int) -> np.ndarray:
+    # substitutions, valid for both soft (+1/2) and singular (-1/2) edges;
+    # mass, mean and second moment share one height solve per node
+    def quotient_moments_u(u: np.ndarray) -> np.ndarray:
         v = np.maximum(flow_v(kernel, u), 1e-300)
         psi = u + t * kernel.integral_J(u, v)
         a = psi - (psi - u) / t
         p = (v / t) / (a * a + (v / t) ** 2) / np.pi
-        return psi ** power * p * psi_derivative(kernel, u, v)
+        dpsi = psi_derivative(kernel, u, v)
+        return np.stack([psi ** k * p * dpsi for k in (0, 1, 2)])
 
     mass = mean = second = 0.0
     for reg in curve.regions:
-        mass += region_integral(kernel, reg, lambda u: quotient_u(u, 0), moment_nodes)
-        mean += region_integral(kernel, reg, lambda u: quotient_u(u, 1), moment_nodes)
-        second += region_integral(kernel, reg, lambda u: quotient_u(u, 2), moment_nodes)
+        m0, m1, m2 = region_integral(kernel, reg, quotient_moments_u,
+                                     moment_nodes)
+        mass += float(m0)
+        mean += float(m1)
+        second += float(m2)
     for a in atoms:
         mass += a.w
         mean += a.w * a.x

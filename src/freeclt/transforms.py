@@ -8,6 +8,7 @@ boundary values via p(x) = -Im G(x + i0) / pi.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -35,6 +36,9 @@ _TABLE_NODES = 4096       # quadrature size for transforms of tabulated parts
 _ATOM_SCAN_EPS = 1e-4     # imaginary offset for the atom-detection sweep
 _ATOM_SCAN_THRESHOLD = 0.2  # eps*|G| level that flags a point-mass candidate
 _COMPANION_MASS_TOL = 2e-6  # recovered-component mass budget
+_COMPANION_TAU = 1e-7       # default density threshold for the support scan
+_COMPANION_GRID = 801       # default inversion grid for the companion table
+_COMPANION_LOCK = threading.Lock()
 
 
 def sqrt_upper(w):
@@ -381,15 +385,30 @@ def _scan_companion_atoms(g_nu: Callable[[np.ndarray], np.ndarray],
     return tuple(merged)
 
 
-def companion_measure(mu: Measure, tau: float = 1e-7,
-                      grid_points: int = 801) -> Measure:
+def companion_measure(mu: Measure, tau: float = _COMPANION_TAU,
+                      grid_points: int = _COMPANION_GRID) -> Measure:
     """Recover the measure nu with 1/G_mu(z) = z - G_nu(z).
 
     Requires mu standardized (mean 0, variance 1); nu then has total mass 1
     and mean equal to the third moment of mu.  Purely atomic mu is handled in
     closed form; otherwise atoms of nu are detected by a near-axis sweep and
     the continuous part is recovered by extrapolated boundary inversion.
+
+    nu does not depend on the power, so with the default tau and
+    grid_points it is recovered once per (frozen) mu instance and memoized
+    on it; every power, row or ladder of the same seed object reuses it.
     """
+    if tau != _COMPANION_TAU or grid_points != _COMPANION_GRID:
+        return _recover_companion(mu, tau, grid_points)
+    with _COMPANION_LOCK:  # report rows of one seed may run in threads
+        cached = mu.__dict__.get("_companion_cache")
+        if cached is None:
+            cached = _recover_companion(mu, tau, grid_points)
+            object.__setattr__(mu, "_companion_cache", cached)
+    return cached
+
+
+def _recover_companion(mu: Measure, tau: float, grid_points: int) -> Measure:
     if not mu.is_standardized(1e-6):
         raise InvalidArgumentError(
             "companion recovery requires a standardized measure")

@@ -45,6 +45,45 @@ def semicircle():
         {"density": {"family": "semicircle", "params": {"variance": 1.0}}})
 
 
+def _mixture_spec():
+    """Atom of weight 0.2 at 0 plus 0.8 x a 401-point tabulated semicircle of
+    variance 1.25, standardized on construction."""
+    var = 1.25
+    r = 2.0 * math.sqrt(var)
+    x = np.linspace(-r, r, 401)
+    p = 0.8 * np.sqrt(np.maximum(4.0 * var - x * x, 0.0)) \
+        / (2.0 * math.pi * var)
+    return {"atoms": [{"x": 0.0, "w": 0.2}],
+            "density": {"table": [[float(a), float(b)] for a, b in zip(x, p)]},
+            "standardize": True}
+
+
+UNIFORM_SPEC = {"density": {"family": "uniform",
+                            "params": {"a": -math.sqrt(3.0),
+                                       "b": math.sqrt(3.0)}}}
+ARCSINE_SPEC = {"density": {"family": "arcsine",
+                            "params": {"a": -SQRT2, "b": SQRT2}}}
+MIXTURE_SPEC = _mixture_spec()
+
+
+@pytest.fixture(scope="session")
+def uniform():
+    """Uniform seed on [-sqrt(3), sqrt(3)]."""
+    return make_measure(UNIFORM_SPEC)
+
+
+@pytest.fixture(scope="session")
+def arcsine():
+    """Arcsine seed on [-sqrt(2), sqrt(2)]."""
+    return make_measure(ARCSINE_SPEC)
+
+
+@pytest.fixture(scope="session")
+def mixture():
+    """Atom + table mixture seed (see MIXTURE_SPEC)."""
+    return make_measure(MIXTURE_SPEC)
+
+
 BERNOULLI_SPEC = {"atoms": [{"x": -1.0, "w": 0.5}, {"x": 1.0, "w": 0.5}]}
 ASYM_SPEC = {"atoms": [{"x": -SQRT2, "w": 1.0 / 3.0},
                        {"x": 1.0 / SQRT2, "w": 2.0 / 3.0}]}

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from freeclt import (
+    ConsistencyError,
     FlowKernel,
     InvalidArgumentError,
+    companion_measure,
     flow_cauchy,
     flow_curve,
     flow_density,
@@ -20,6 +22,7 @@ from freeclt import (
     psi_derivative,
     region_integral,
 )
+from freeclt import flow
 
 from conftest import semicircle_density
 
@@ -98,6 +101,46 @@ class TestHeightFunction:
             FlowKernel(two_atoms, -1.0)
 
 
+class TestHeightNewtonSolve:
+    """The monotone Newton solve in s = v^2, checked where I(u, 0) = +inf,
+    on an ac kernel, and off the regions."""
+
+    @pytest.fixture(scope="class")
+    def uniform_kernel(self, uniform):
+        return FlowKernel(companion_measure(uniform), 0.75)
+
+    @pytest.mark.parametrize("u", [-1.0, 1.0])
+    def test_exactly_on_an_atom(self, two_atoms, u):
+        # 0.5/(4 + s) + 0.5/s = 1/t  <=>  s^2 + (4 - t) s - 2t = 0
+        t = 0.7
+        b = 4.0 - t
+        root = 0.5 * (-b + math.sqrt(b * b + 8.0 * t))
+        v = flow_v(FlowKernel(two_atoms, t), np.array([u]))
+        assert abs(v[0] ** 2 - root) < 1e-13
+
+    def test_threshold_identity_on_ac_kernel(self, uniform_kernel):
+        t = uniform_kernel.t
+        for g, h in flow_region(uniform_kernel):
+            u = np.linspace(g, h, 401)[1:-1]
+            v = flow_v(uniform_kernel, u)
+            assert np.all(v > 0.0)
+            residual = uniform_kernel.integral_I(u, v) * t - 1.0
+            assert np.max(np.abs(residual)) < 1e-12
+
+    def test_zero_outside_regions_on_ac_kernel(self, uniform_kernel):
+        regions = flow_region(uniform_kernel)
+        lo, hi = regions[0][0], regions[-1][1]
+        u = np.concatenate([np.linspace(lo - 2.0, lo, 50, endpoint=False),
+                            np.linspace(hi, hi + 2.0, 51)[1:]])
+        assert np.all(flow_v(uniform_kernel, u) == 0.0)
+
+    def test_iteration_cap_raises(self, uniform_kernel, monkeypatch):
+        monkeypatch.setattr(flow, "_V_NEWTON_MAX", 1)
+        (g, h), = flow_region(uniform_kernel)
+        with pytest.raises(ConsistencyError):
+            flow_v(uniform_kernel, np.linspace(g, h, 11)[1:-1])
+
+
 class TestImageMap:
     def test_psi_strictly_increasing_on_curve(self, two_atoms):
         kernel = FlowKernel(two_atoms, 0.9)
@@ -160,3 +203,14 @@ class TestRegionsAndMass:
 
         assert region_integral(kernel, region, mass_integrand) \
             == pytest.approx(1.0, abs=1e-10)
+
+    def test_region_integral_of_stacked_integrand(self, delta0):
+        kernel = FlowKernel(delta0, 1.0)
+        region, = flow_region(kernel)
+        scalar = region_integral(kernel, region, lambda u: u * u)
+        stacked = region_integral(kernel, region,
+                                  lambda u: np.stack([np.ones_like(u), u * u]))
+        assert isinstance(scalar, float)
+        assert stacked.shape == (2,)
+        assert stacked[0] == pytest.approx(2.0, abs=1e-13)
+        assert stacked[1] == scalar == pytest.approx(2.0 / 3.0, abs=1e-13)

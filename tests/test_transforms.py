@@ -14,6 +14,7 @@ from freeclt import (
     cauchy,
     cauchy_derivative,
     companion_measure,
+    convergence_report,
     find_support_interval,
     make_measure,
     reciprocal_cauchy,
@@ -22,7 +23,9 @@ from freeclt import (
     stieltjes_invert,
 )
 
-from conftest import semicircle_density, SQRT2
+from freeclt import transforms
+
+from conftest import MIXTURE_SPEC, semicircle_density, SQRT2
 
 RNG = np.random.default_rng(1202)
 
@@ -215,3 +218,39 @@ class TestCompanionMeasure:
             {"atoms": [{"x": 0.0, "w": 0.5}, {"x": 2.0, "w": 0.5}]})
         with pytest.raises(InvalidArgumentError):
             companion_measure(shifted)
+
+
+class TestCompanionReuse:
+    """The companion does not depend on the power: with the default
+    settings it is recovered once per seed object and then reused."""
+
+    @pytest.fixture()
+    def recoveries(self, monkeypatch):
+        calls = []
+        recover = transforms._recover_companion
+
+        def counting(*args):
+            calls.append(args)
+            return recover(*args)
+
+        monkeypatch.setattr(transforms, "_recover_companion", counting)
+        return calls
+
+    def test_report_ladder_recovers_once(self, recoveries):
+        mu = make_measure(MIXTURE_SPEC)  # fresh instance, nothing cached
+        report = convergence_report(mu, (4, 8, 16))
+        assert sorted(report.rows) == [4, 8, 16]
+        assert len(recoveries) == 1
+
+    def test_same_object_for_same_seed(self, recoveries):
+        mu = make_measure(MIXTURE_SPEC)
+        assert companion_measure(mu) is companion_measure(mu)
+        assert len(recoveries) == 1
+
+    def test_non_default_tau_bypasses_cache(self, recoveries):
+        mu = make_measure(MIXTURE_SPEC)
+        cached = companion_measure(mu)
+        other = companion_measure(mu, tau=2e-7)
+        assert other is not cached
+        assert companion_measure(mu, tau=2e-7) is not other
+        assert len(recoveries) == 3
