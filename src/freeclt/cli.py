@@ -14,8 +14,7 @@ functional where finiteness was required.
 
 All outputs are deterministic for a fixed configuration: CSV densities
 are written with 17 significant digits, report JSON is key-sorted, and
-no timestamps are embedded.  The environment variable FREECLT_THREADS
-caps worker threads for sweeps and reports.
+no timestamps are embedded.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -45,7 +42,7 @@ from .errors import (
     InversionError,
     QuadratureError,
 )
-from .measures import Measure, make_measure, measure_from_json
+from .measures import Measure, measure_from_json
 from .pipeline import (
     CltDensity,
     clt_density_flow,
@@ -61,9 +58,9 @@ from .functionals import (
     CHI_SEMICIRCLE,
     TOL_CHI,
     TOL_GAP,
+    _report_rows,
     convergence_report,
     free_entropy,
-    free_fisher,
     report_row,
 )
 
@@ -79,18 +76,6 @@ _SOLVER_ERRORS = (FixedPointError, InversionError, QuadratureError,
 
 
 # -- config parsing -----------------------------------------------------------
-
-def _load_measure(spec: str) -> Measure:
-    text = spec.strip()
-    if text.startswith("{"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpecError(f"inline measure spec is not valid JSON: "
-                                   f"{exc}") from exc
-        return make_measure(payload)
-    return measure_from_json(spec)
-
 
 def _parse_grid(text: str) -> np.ndarray:
     try:
@@ -170,24 +155,10 @@ def _write_density_csv(path: str, x: np.ndarray, p: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _worker_cap(n_jobs: int) -> int:
-    env = os.environ.get("FREECLT_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise InvalidArgumentError(
-                f"FREECLT_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise InvalidArgumentError("FREECLT_THREADS must be >= 1")
-        return max(1, min(cap, n_jobs))
-    return max(1, min(4, os.cpu_count() or 1, n_jobs))
-
-
 # -- subcommands ----------------------------------------------------------------
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    mu = _load_measure(args.measure)
+    mu = measure_from_json(args.measure)
     x = _parse_grid(args.grid) if args.grid else default_grid()
     dens = _density_for(mu, args.n, args.method)
     _write_density_csv(args.out, x, dens.density(x))
@@ -200,7 +171,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    mu = _load_measure(args.measure)
+    mu = measure_from_json(args.measure)
     n_list = sorted(set(_parse_int_list(args.n, "--n")))
     p_list = _parse_float_list(args.p, "--p")
     x = _parse_grid(args.grid) if args.grid else default_grid()
@@ -208,35 +179,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     prefix = args.csv_prefix if args.csv_prefix else str(
         out.with_suffix("")) + "_density"
 
-    def one(n: int):
-        dens = _density_for(mu, n, args.method)
-        return n, dens, report_row(mu, n, p_list, dens=dens)
-
-    workers = _worker_cap(len(n_list))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, n_list))
-    else:
-        results = [one(n) for n in n_list]
-
-    rows = []
-    for n, dens, row in sorted(results, key=lambda r: r[0]):
-        csv_path = f"{prefix}_n{n}.csv"
+    results = _report_rows(
+        mu, n_list, p_list, lambda m, n: _density_for(m, n, args.method))
+    for dens, row in results:
+        csv_path = f"{prefix}_n{row['n']}.csv"
         _write_density_csv(csv_path, x, dens.density(x))
-        rows.append(row)
         print(f"wrote {csv_path}")
-    prev = -math.inf
-    for row in rows:
-        if row["chi"] < prev - 1e-12 and "chi_not_monotone" not in row["flags"]:
-            row["flags"].append("chi_not_monotone")
-        prev = max(prev, row["chi"])
-    _write_json(args.out, {"rows": rows})
+    _write_json(args.out, {"rows": [row for _, row in results]})
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_functionals(args: argparse.Namespace) -> int:
-    mu = _load_measure(args.measure)
+    mu = measure_from_json(args.measure)
     n_list = _parse_int_list(args.n, "--n")
     p_list = _parse_float_list(args.p, "--p")
     report = convergence_report(mu, n_list, p_list)
@@ -258,7 +213,7 @@ def _cmd_functionals(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    mu = _load_measure(args.measure)
+    mu = measure_from_json(args.measure)
     n_list = sorted(set(_parse_int_list(args.n, "--n")))
     rows = [cross_check(mu, n) for n in n_list]
     if args.out:
@@ -331,31 +286,30 @@ def _verify_properties(mu: Measure, n_sample: Sequence[int]):
     yield ("subordination_residual", worst_res <= 1e-12,
            f"worst residual {worst_res:.2e} at 50 random points (tol 1e-12)")
 
+    rows = {}
     for n, dens in densities.items():
         if dens.atoms:
             yield (f"max_entropy_n{n}", None,
                    "skipped: power carries an atom, entropy undefined")
             continue
-        chi = free_entropy(dens.tables)
-        yield (f"max_entropy_n{n}", chi.value <= CHI_SEMICIRCLE + TOL_CHI,
-               f"chi = {chi.value:.7f} <= {CHI_SEMICIRCLE:.7f} + {TOL_CHI}")
-        phi = free_fisher(dens.tables)
-        if phi.divergent:
+        row = rows[n] = report_row(mu, n, (), dens=dens)
+        chi = row["chi"]
+        yield (f"max_entropy_n{n}", chi <= CHI_SEMICIRCLE + TOL_CHI,
+               f"chi = {chi:.7f} <= {CHI_SEMICIRCLE:.7f} + {TOL_CHI}")
+        if "phi_divergent" in row["flags"]:
             yield (f"log_sobolev_n{n}", None,
                    "skipped: Fisher information divergent (inequality "
                    "vacuous)")
         else:
-            gap = chi.value - 0.5 * math.log(
-                2.0 * math.pi * math.e / phi.value)
+            gap = row["gap"]
             yield (f"log_sobolev_n{n}", gap >= -TOL_GAP,
                    f"gap = {gap:+.3e} >= -{TOL_GAP}")
 
-    atomless = [n for n, d in densities.items() if not d.atoms]
-    if atomless:
-        n0 = atomless[0]
-        tab = densities[n0].tables
-        base = free_entropy(tab).value
-        shift = free_entropy(tuple(t.dilated(2.0) for t in tab)).value
+    if rows:
+        n0 = min(rows)
+        base = rows[n0]["chi"]
+        shift = free_entropy(
+            tuple(t.dilated(2.0) for t in densities[n0].tables)).value
         err = abs(shift - base - math.log(2.0))
         yield ("entropy_dilation_law", err <= 1e-4,
                f"|chi(D_2 p) - chi(p) - log 2| = {err:.2e} at n={n0} "
@@ -363,7 +317,7 @@ def _verify_properties(mu: Measure, n_sample: Sequence[int]):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    mu = _load_measure(args.measure)
+    mu = measure_from_json(args.measure)
     n_sample = sorted(set(_parse_int_list(args.n, "--n"))) if args.n else [2, 4, 8]
     failed = 0
     for name, ok, detail in _verify_properties(mu, n_sample):

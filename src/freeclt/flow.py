@@ -27,7 +27,8 @@ from .errors import (
     FlowInversionError,
     InvalidArgumentError,
 )
-from .measures import DensityTable, Measure, _leggauss, build_table
+from .measures import (DensityTable, Measure, _chebyshev_extrema, _leggauss,
+                       build_table)
 
 _V_NEWTON_MAX = 60          # monotone Newton needs about a dozen steps
 _V_STEP_RTOL = 2.2e-16      # stop once a step is below this share of v^2
@@ -275,18 +276,13 @@ class FlowCurve:
         return psi_derivative(self.kernel, self.u, self.v)
 
 
-def _chebyshev_closed(a: float, b: float, n: int) -> np.ndarray:
-    k = np.arange(n)
-    return np.sort(0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * k / (n - 1)))
-
-
 def flow_curve(kernel: FlowKernel, points_per_region: int = 1401,
                refine_passes: int = 3) -> FlowCurve:
     """Sample the curve on each region, refining where the image is sparse."""
     regions = flow_region(kernel)
     us, vs, ps, ridx = [], [], [], []
     for k, (g, h) in enumerate(regions):
-        u = _chebyshev_closed(g, h, points_per_region)
+        u = _chebyshev_extrema(g, h, points_per_region)
         v = flow_v(kernel, u)
         v[0] = v[-1] = 0.0  # exact at region ends
         psi = flow_psi(kernel, u, v)

@@ -12,11 +12,10 @@ of returning quadrature noise.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -385,8 +384,10 @@ def log_sobolev_gap(obj: TableLike) -> ExtendedReal:
     """chi - (1/2) log(2 pi e / Phi): nonnegative by the free log-Sobolev
     inequality, zero exactly at the semicircle.  Infinite Phi makes the
     inequality vacuous; the gap is then reported as +infinity."""
-    chi = free_entropy(obj)
-    phi = free_fisher(obj)
+    return _gap(free_entropy(obj), free_fisher(obj))
+
+
+def _gap(chi: ExtendedReal, phi: ExtendedReal) -> ExtendedReal:
     if phi.divergent:
         return ExtendedReal(math.inf, True,
                             diagnosis="Fisher information divergent; "
@@ -419,16 +420,12 @@ def _report_row(mu, n: int, p_list: Sequence[float],
         flags.append("sup_grid_dependent")
     chi = free_entropy(tables)
     phi = free_fisher(tables)
+    gap = _gap(chi, phi)
     if phi.divergent:
-        flags.append("phi_divergent")
-        gap_val = math.inf
-        flags.append("gap_vacuous")
-    else:
-        gap_val = chi.value - 0.5 * math.log(
-            2.0 * math.pi * math.e / phi.value)
+        flags.extend(("phi_divergent", "gap_vacuous"))
     if chi.value > CHI_SEMICIRCLE + TOL_CHI:
         flags.append("chi_above_semicircle_bound")
-    if not phi.divergent and gap_val < -TOL_GAP:
+    if not phi.divergent and gap.value < -TOL_GAP:
         flags.append("gap_negative")
     lp_values = {str(p): float(lp_distance(tables, p)) for p in p_list}
     if any(math.isinf(v) for v in lp_values.values()):
@@ -439,7 +436,7 @@ def _report_row(mu, n: int, p_list: Sequence[float],
         "lp": lp_values,
         "chi": float(chi.value),
         "phi": float(phi.value),
-        "gap": float(gap_val),
+        "gap": float(gap.value),
         "flags": flags,
     }
 
@@ -451,19 +448,22 @@ def report_row(mu, n: int, p_list: Sequence[float] = (0.6, 1.0, 2.0),
     return _report_row(mu, int(n), [float(p) for p in p_list], dens=dens)
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("FREECLT_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise InvalidArgumentError(
-                f"FREECLT_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise InvalidArgumentError("FREECLT_THREADS must be >= 1")
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
+def _report_rows(mu, ns: Sequence[int], ps: Sequence[float],
+                 density: Callable[..., CltDensity]
+                 ) -> List[Tuple[CltDensity, dict]]:
+    """(density, row) for each power of ``ns`` (ascending), the density
+    taken from ``density(mu, n)``; a row whose entropy falls below an
+    earlier row's is flagged ``chi_not_monotone`` rather than raised."""
+    out = []
+    prev_chi = -math.inf
+    for n in ns:
+        dens = density(mu, n)
+        row = _report_row(mu, n, ps, dens=dens)
+        if row["chi"] < prev_chi - 1e-12:
+            row["flags"].append("chi_not_monotone")
+        prev_chi = max(prev_chi, row["chi"])
+        out.append((dens, row))
+    return out
 
 
 def convergence_report(mu, n_list: Iterable[int],
@@ -471,9 +471,8 @@ def convergence_report(mu, n_list: Iterable[int],
                        ) -> ConvergenceReport:
     """Convergence metrics for each power in ``n_list``.
 
-    Rows are computed independently (in parallel when allowed) and
-    assembled in ascending order; entropy monotonicity violations are
-    flagged on the offending row rather than raised.
+    Rows are computed in ascending order; entropy monotonicity
+    violations are flagged on the offending row rather than raised.
     """
     ns = sorted({int(n) for n in n_list})
     if not ns:
@@ -483,17 +482,5 @@ def convergence_report(mu, n_list: Iterable[int],
     ps = [float(p) for p in p_list]
     if any(p <= 0.5 for p in ps):
         raise InvalidArgumentError("L^p distance requires p > 1/2")
-
-    workers = _worker_count(len(ns))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda n: _report_row(mu, n, ps), ns))
-    else:
-        rows = [_report_row(mu, n, ps) for n in ns]
-
-    prev_chi = -math.inf
-    for row in rows:  # already in ascending n
-        if row["chi"] < prev_chi - 1e-12:
-            row["flags"].append("chi_not_monotone")
-        prev_chi = max(prev_chi, row["chi"])
-    return ConvergenceReport({row["n"]: row for row in rows})
+    rows = _report_rows(mu, ns, ps, clt_density_flow)
+    return ConvergenceReport({row["n"]: row for _, row in rows})

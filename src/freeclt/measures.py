@@ -12,10 +12,9 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy import integrate as _sciint
 from scipy.interpolate import CubicSpline
 
 from .errors import (
@@ -621,84 +620,3 @@ def standardize(m: Measure) -> Measure:
     if abs(mu) <= 1e-14 and abs(var - 1.0) <= 1e-14:
         return m
     return dilate(translate(m, -mu), 1.0 / math.sqrt(var))
-
-
-def _quad_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                tol: float) -> Tuple[float, float]:
-    # Substitute s = sqrt(x - end) at both ends; absorbs any integrable
-    # algebraic endpoint behavior with exponent > -1.
-    mid = 0.5 * (lo + hi)
-    total, err = 0.0, 0.0
-    for left in (True, False):
-        end = lo if left else hi
-        width = abs(mid - end)
-        smax = math.sqrt(width)
-
-        def g(s, end=end, left=left):
-            x = end + s * s if left else end - s * s
-            return f(x) * 2.0 * s
-
-        val, e = _sciint.quad(g, 0.0, smax, epsabs=0.5 * tol, epsrel=1e-12,
-                              limit=200)
-        total += val
-        err += abs(e)
-    return total, err
-
-
-def integrate(m: Measure, kernel: Callable, singular_points: Sequence[float] = (),
-              tol: float = TOL_QUAD) -> float:
-    """Integral of kernel against the measure.
-
-    The kernel must be finite on the support except at declared singular
-    points; an undeclared singularity raises QuadratureError.  Atom
-    contributions are summed in ascending location order.
-    """
-    def probe(x: float):
-        try:
-            v = kernel(x)
-        except (ZeroDivisionError, FloatingPointError, OverflowError):
-            return math.nan
-        return v
-
-    total = 0.0
-    is_complex = False
-    for a in m.atoms:  # atoms are kept sorted ascending
-        val = probe(a.x)
-        if not np.all(np.isfinite([np.real(val), np.imag(val)])):
-            raise QuadratureError("kernel not finite at atom x=%g" % a.x)
-        is_complex = is_complex or bool(np.iscomplexobj(val))
-        total += a.w * val
-    if m.ac is None:
-        return complex(total) if is_complex else float(total)
-
-    lo, hi = m.ac.support
-    dens = m.ac.density
-    singular = sorted(float(s) for s in singular_points)
-    for end in (lo, hi):
-        val = probe(end)
-        if not np.all(np.isfinite([np.real(val), np.imag(val)])) and \
-                not any(abs(end - s) < 1e-12 for s in singular):
-            raise QuadratureError(
-                "kernel singular at support endpoint x=%g; declare it" % end)
-
-    breaks = [lo] + [s for s in singular if lo < s < hi] + [hi]
-
-    def run(fn) -> float:
-        out, err = 0.0, 0.0
-        for p_lo, p_hi in zip(breaks, breaks[1:]):
-            v, e = _quad_panel(fn, p_lo, p_hi, tol)
-            out += v
-            err += e
-        if not np.isfinite(out) or err > max(tol * 10.0, 1e-12 * abs(out)):
-            raise QuadratureError("quadrature residual %.3g exceeds tolerance"
-                                  % err, residual=err)
-        return out
-
-    probe = kernel(0.5 * (lo + hi))
-    if np.iscomplexobj(probe):
-        re = run(lambda x: dens(x)[0] * np.real(kernel(x)))
-        im = run(lambda x: dens(x)[0] * np.imag(kernel(x)))
-        return complex(total) + complex(re, im)
-    ac_val = run(lambda x: dens(x)[0] * kernel(x))
-    result = total + ac_val
-    return complex(result) if is_complex else float(result)

@@ -400,7 +400,7 @@ def companion_measure(mu: Measure, tau: float = _COMPANION_TAU,
     """
     if tau != _COMPANION_TAU or grid_points != _COMPANION_GRID:
         return _recover_companion(mu, tau, grid_points)
-    with _COMPANION_LOCK:  # report rows of one seed may run in threads
+    with _COMPANION_LOCK:  # library callers may share one seed across threads
         cached = mu.__dict__.get("_companion_cache")
         if cached is None:
             cached = _recover_companion(mu, tau, grid_points)

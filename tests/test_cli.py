@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from freeclt.cli import main
+from freeclt import convergence_report, functionals, make_measure
+from freeclt.cli import _jsonable, main
 
 from conftest import ASYM_SPEC, BERNOULLI_SPEC, SEMICIRCLE_SPEC
 from conftest import kesten_density
@@ -103,6 +104,50 @@ class TestSweepCommand:
             assert csv_path.read_text().splitlines()[0] == "x,density"
         sup = [r["sup_dist"] for r in payload["rows"]]
         assert sup[0] > sup[1]
+
+
+class TestReportRows:
+    """`sweep` and `convergence_report` share one row builder."""
+
+    def test_chi_not_monotone_flagged_against_running_maximum(
+            self, tmp_path, monkeypatch):
+        chis = {2: 1.0, 4: 0.5, 8: 0.7, 16: 1.1}
+
+        def fake_row(mu, n, p_list, dens=None):
+            return {"n": n, "chi": chis[n], "flags": []}
+
+        monkeypatch.setattr(functionals, "_report_row", fake_row)
+        expected = [[], ["chi_not_monotone"], ["chi_not_monotone"], []]
+        rep = convergence_report(make_measure(BERNOULLI_SPEC), list(chis))
+        assert [r["flags"] for r in rep.to_dict()["rows"]] == expected
+        out = tmp_path / "report.json"
+        assert main(["sweep", "--measure", INLINE_BERN, "--n", "2,4,8,16",
+                     "--grid=-2:2:5", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["flags"] for r in rows] == expected
+
+    def test_sweep_rows_equal_convergence_report(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["sweep", "--measure", json.dumps(ASYM_SPEC),
+                     "--n", "16,2,4", "--grid=-2:2:5", "--out",
+                     str(out)]) == 0
+        report = convergence_report(make_measure(ASYM_SPEC), (2, 4, 16))
+        assert json.loads(out.read_text())["rows"] == \
+            _jsonable(report.to_dict())["rows"]
+
+    def test_power_one_allowed_in_sweep_only(self, tmp_path):
+        spec = json.dumps(SEMICIRCLE_SPEC)
+        assert main(["sweep", "--measure", spec, "--n", "1,4", "--p", "1",
+                     "--grid=-2:2:5", "--out",
+                     str(tmp_path / "sweep.json")]) == 0
+        assert main(["functionals", "--measure", spec, "--n", "1,4",
+                     "--out", str(tmp_path / "fun.json")]) == 1
+
+    def test_small_lp_exponent_fails_before_any_csv(self, tmp_path):
+        code = main(["sweep", "--measure", INLINE_BERN, "--n", "4,8",
+                     "--p", "0.4", "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompareCommand:

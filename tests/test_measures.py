@@ -17,7 +17,6 @@ from freeclt import (
     build_table,
     dilate,
     fit_edge_order,
-    integrate,
     make_measure,
     measure_from_json,
     standardize,
@@ -184,12 +183,3 @@ class TestMomentMaps:
         delta = make_measure({"atoms": [{"x": 2.0, "w": 1.0}]})
         with pytest.raises(DegenerateMeasureError):
             standardize(delta)
-
-    def test_integrate_against_semicircle(self, semicircle):
-        # fourth moment of the standard semicircle law is the Catalan number 2
-        val = integrate(semicircle, lambda x: x ** 4)
-        assert val == pytest.approx(2.0, abs=1e-9)
-
-    def test_integrate_against_atoms(self, bernoulli):
-        val = integrate(bernoulli, lambda x: np.cos(x))
-        assert val == pytest.approx(math.cos(1.0), abs=1e-14)
