@@ -35,11 +35,13 @@ from .errors import (
 )
 from .measures import Atom, DensityTable, Measure, build_table, dilate
 from .transforms import (
+    EdgeBracket,
     InversionSchedule,
+    _bisect_edge,
+    _support_scan,
     cauchy,
     cauchy_derivative,
     companion_measure,
-    find_support_interval,
     stieltjes_invert,
 )
 from .flow import (
@@ -58,6 +60,8 @@ TOL_FIXED_POINT = 1e-13
 _PICARD_DAMPING = 0.8
 _PICARD_MAX = 400
 _NEWTON_MAX = 60
+_SNAP_WINDOW = 0.02         # largest move from a threshold edge to a fold edge
+_PROBE_POINTS = 257         # cross-route comparison grid
 
 
 def default_grid() -> np.ndarray:
@@ -273,6 +277,32 @@ def _refine_edge(coarse: float, candidates: np.ndarray, window: float) -> float:
     return coarse
 
 
+def _snap_from_bracket(bracket: EdgeBracket, candidates: np.ndarray,
+                       window: float) -> Optional[float]:
+    """The candidate that _refine_edge would return for every point of the
+    scan bracket, or None when the bracket alone does not decide it.
+
+    candidates must be distinct.  A bisected edge p lies in [lo, hi], the
+    closed bracket.  If exactly one candidate c is near the bracket (inside
+    it or within window of an end) and c is within window of both ends, then
+    |c - p| <= window, while every other candidate lies outside the bracket
+    and farther than window from both ends, hence from p.  So c is the
+    nearest candidate to any such p and passes the window test; rounded
+    differences keep both inequalities, since rounding is monotone.
+    """
+    inner, outer = bracket
+    if outer is None:
+        return None
+    lo, hi = min(inner, outer), max(inner, outer)
+    d_lo = np.abs(candidates - lo)
+    d_hi = np.abs(candidates - hi)
+    near = np.flatnonzero((d_lo <= window) | (d_hi <= window)
+                          | ((candidates >= lo) & (candidates <= hi)))
+    if near.size == 1 and d_lo[near[0]] <= window and d_hi[near[0]] <= window:
+        return float(candidates[near[0]])
+    return None
+
+
 def _phi_factory(mu: Measure, n: int):
     frac = (n - 1.0) / n
 
@@ -419,17 +449,24 @@ def clt_density_subordination(mu: Measure, n: int, grid_points: int = 801,
     # n = 2; scan a bit wider to be safe for n = 1-adjacent cases
     seed_lo, seed_hi = mu.support()
     span = 2.0 + max(abs(seed_lo), abs(seed_hi)) + 1.0
-    interval = find_support_interval(boundary_density, -span, span, tau=tau,
-                                     scan_points=2001)
-    if interval is None:
+    brackets = _support_scan(boundary_density, -span, span, tau, 2001)
+    if brackets is None:
         raise ConsistencyError("no continuous part found for the power")
     # threshold detection locates a bounded edge well but overshoots a
     # power-law singular edge (the off-support skin decays too slowly);
     # snap each edge to the nearest critical value of the real fold map,
-    # which pins it to machine precision
-    cands = _edge_candidates(mu, n)
-    a = _refine_edge(interval[0], cands, window=0.02)
-    b = _refine_edge(interval[1], cands, window=0.02)
+    # which pins it to machine precision.  The scan bracket usually decides
+    # the snap by itself; the threshold is bisected only when it does not.
+    cands = np.unique(_edge_candidates(mu, n))
+
+    def edge(bracket: EdgeBracket) -> float:
+        snapped = _snap_from_bracket(bracket, cands, _SNAP_WINDOW)
+        if snapped is not None:
+            return snapped
+        coarse = _bisect_edge(boundary_density, bracket, tau)
+        return _refine_edge(coarse, cands, _SNAP_WINDOW)
+
+    a, b = edge(brackets[0]), edge(brackets[1])
     k = np.arange(grid_points)
     x = np.sort(0.5 * (a + b) - 0.5 * (b - a)
                 * np.cos(np.pi * (k + 0.5) / grid_points))
@@ -451,14 +488,19 @@ def clt_density_subordination(mu: Measure, n: int, grid_points: int = 801,
 
 # -- consistency and structure checks ----------------------------------------
 
-def cross_check(mu: Measure, n: int, probe_points: int = 257) -> dict:
+def cross_check(mu: Measure, n: int, probe_points: int = _PROBE_POINTS) -> dict:
     """Compare the two routes pointwise; they share no numerics.
 
     Returns sup and mean absolute density differences on a probe grid plus
     the moment gaps.  Raises nothing by itself; callers decide thresholds.
     """
-    d1 = clt_density_flow(mu, n)
-    d2 = clt_density_subordination(mu, n)
+    return _compare_densities(clt_density_flow(mu, n),
+                              clt_density_subordination(mu, n), probe_points)
+
+
+def _compare_densities(d1: CltDensity, d2: CltDensity,
+                       probe_points: int = _PROBE_POINTS) -> dict:
+    """The cross_check report for two densities of the same power."""
     lo = min(d1.support()[0], d2.support()[0]) - 0.05
     hi = max(d1.support()[1], d2.support()[1]) + 0.05
     x = np.linspace(lo, hi, probe_points)
@@ -475,7 +517,7 @@ def cross_check(mu: Measure, n: int, probe_points: int = 257) -> dict:
             weight &= ~(np.abs(x - bb) < 0.02)
     diff = np.abs(p1 - p2)
     return {
-        "n": n,
+        "n": d1.n,
         "sup_diff": float(np.max(diff[weight])),
         "mean_diff": float(np.mean(diff)),
         "mass_diff": abs(d1.mass - d2.mass),

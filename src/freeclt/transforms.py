@@ -101,9 +101,14 @@ def _atoms_cauchy(atoms: Sequence[Atom], z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _table_cauchy(tab: DensityTable, z: np.ndarray) -> np.ndarray:
-    # Subtract the density value at the projected real part so that the
-    # quadrature integrand stays bounded when z approaches the support.
+def _table_cauchy(tab: DensityTable, z: np.ndarray,
+                  derivative: bool = False) -> np.ndarray:
+    """Cauchy transform of a tabulated part, or its z-derivative.
+
+    Subtracts the density value at the projected real part so that the
+    quadrature integrand stays bounded when z approaches the support; the
+    subtracted constant is added back in closed form.
+    """
     a, b = tab.support
     xq, jac = gauss_theta_nodes(a, b, _TABLE_NODES)
     pq = tab.density(xq)
@@ -115,25 +120,14 @@ def _table_cauchy(tab: DensityTable, z: np.ndarray) -> np.ndarray:
         sl = slice(lo, min(lo + 256, flat.size))
         zz = flat[sl, None]
         diff = pq[None, :] - pstar[sl, None]
-        out[sl] = np.sum(jac[None, :] * diff / (zz - xq[None, :]), axis=1)
-    out += pstar * np.log((flat - a) / (flat - b))
-    return out.reshape(z.shape)
-
-
-def _table_cauchy_derivative(tab: DensityTable, z: np.ndarray) -> np.ndarray:
-    a, b = tab.support
-    xq, jac = gauss_theta_nodes(a, b, _TABLE_NODES)
-    pq = tab.density(xq)
-    flat = z.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    xstar = np.clip(flat.real, a, b)
-    pstar = tab.density(xstar)
-    for lo in range(0, flat.size, 256):
-        sl = slice(lo, min(lo + 256, flat.size))
-        zz = flat[sl, None]
-        diff = pq[None, :] - pstar[sl, None]
-        out[sl] = -np.sum(jac[None, :] * diff / (zz - xq[None, :]) ** 2, axis=1)
-    out += pstar * (1.0 / (flat - a) - 1.0 / (flat - b))
+        if derivative:
+            out[sl] = -np.sum(jac[None, :] * diff / (zz - xq[None, :]) ** 2, axis=1)
+        else:
+            out[sl] = np.sum(jac[None, :] * diff / (zz - xq[None, :]), axis=1)
+    if derivative:
+        out += pstar * (1.0 / (flat - a) - 1.0 / (flat - b))
+    else:
+        out += pstar * np.log((flat - a) / (flat - b))
     return out.reshape(z.shape)
 
 
@@ -174,7 +168,7 @@ def cauchy_derivative(m: Measure, z):
     elif isinstance(ac, UniformFamily):
         out = out + (1.0 / (z_arr - ac.a) - 1.0 / (z_arr - ac.b)) / (ac.b - ac.a)
     elif isinstance(ac, DensityTable):
-        out = out + _table_cauchy_derivative(ac, z_arr)
+        out = out + _table_cauchy(ac, z_arr, derivative=True)
     return out if out.ndim else complex(out)
 
 
@@ -324,6 +318,42 @@ def _bisect_to_threshold(f: Callable[[float], float], inner: float,
 
 _EDGE_LADDER = (1e-7, 1e-9, 1e-11)
 
+# (inner, outer): adjacent scan points with the density above tau at inner
+# and not above it at outer; outer is None when inner is a scan end point
+EdgeBracket = Tuple[float, Optional[float]]
+
+
+def _support_scan(boundary_density: Callable[[np.ndarray, float], np.ndarray],
+                  scan_lo: float, scan_hi: float, tau: float,
+                  scan_points: int) -> Optional[Tuple[EdgeBracket, EdgeBracket]]:
+    """Scan-grid brackets of the left and right threshold crossings, or None
+    when the ladder-minimum density never exceeds tau on the grid."""
+    grid = np.linspace(scan_lo, scan_hi, scan_points)
+    vals = np.min([np.asarray(boundary_density(grid, e)) for e in _EDGE_LADDER],
+                  axis=0)
+    above = np.nonzero(vals > tau)[0]
+    if above.size == 0:
+        return None
+    i0, i1 = above[0], above[-1]
+    left = (grid[i0], None if i0 == 0 else grid[i0 - 1])
+    right = (grid[i1], None if i1 == len(grid) - 1 else grid[i1 + 1])
+    return left, right
+
+
+def _bisect_edge(boundary_density: Callable[[np.ndarray, float], np.ndarray],
+                 bracket: EdgeBracket, tau: float) -> float:
+    """Threshold crossing inside a scan bracket, by single-point bisection
+    of the ladder-minimum density; an open bracket returns its inner point."""
+    inner, outer = bracket
+    if outer is None:
+        return float(inner)
+
+    def f(x: float) -> float:
+        pt = np.array([x])
+        return min(float(boundary_density(pt, e)[0]) for e in _EDGE_LADDER)
+
+    return float(_bisect_to_threshold(f, inner, outer, tau))
+
 
 def find_support_interval(boundary_density: Callable[[np.ndarray, float], np.ndarray],
                           scan_lo: float, scan_hi: float, tau: float = 1e-7,
@@ -337,21 +367,11 @@ def find_support_interval(boundary_density: Callable[[np.ndarray, float], np.nda
     much as ~0.2; the ladder minimum kills the tail while leaving on-support
     values intact.
     """
-    grid = np.linspace(scan_lo, scan_hi, scan_points)
-    vals = np.min([np.asarray(boundary_density(grid, e)) for e in _EDGE_LADDER],
-                  axis=0)
-    above = np.nonzero(vals > tau)[0]
-    if above.size == 0:
+    brackets = _support_scan(boundary_density, scan_lo, scan_hi, tau,
+                             scan_points)
+    if brackets is None:
         return None
-    i0, i1 = above[0], above[-1]
-
-    def f(x: float) -> float:
-        pt = np.array([x])
-        return min(float(boundary_density(pt, e)[0]) for e in _EDGE_LADDER)
-
-    left = grid[i0] if i0 == 0 else _bisect_to_threshold(f, grid[i0], grid[i0 - 1], tau)
-    right = grid[i1] if i1 == len(grid) - 1 else _bisect_to_threshold(f, grid[i1], grid[i1 + 1], tau)
-    return float(left), float(right)
+    return tuple(_bisect_edge(boundary_density, br, tau) for br in brackets)
 
 
 def _scan_companion_atoms(g_nu: Callable[[np.ndarray], np.ndarray],

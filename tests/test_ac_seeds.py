@@ -1,20 +1,40 @@
-"""End-to-end flow-route powers of seeds with an absolutely continuous part:
-the uniform and arcsine families and the atom + table mixture.
+"""End-to-end powers of seeds with an absolutely continuous part: the uniform
+and arcsine families and the atom + table mixture.
 
 Each power is gated at the moment tolerances of acceptance criterion 12 and
-at the maximum-entropy bound.  Only the flow route is exercised here.
+at the maximum-entropy bound.  The uniform and arcsine powers also go through
+the subordination route and are gated at the cross-route bound of criterion
+06 against the flow route; the mixture stays flow-only, because the
+subordination route does not yet finish on table seeds.
 """
 
 import pytest
 
-from freeclt import CHI_SEMICIRCLE, TOL_CHI, clt_density_flow, free_entropy
+from freeclt import (
+    CHI_SEMICIRCLE,
+    TOL_CHI,
+    clt_density_flow,
+    clt_density_subordination,
+    free_entropy,
+)
+from freeclt.pipeline import _compare_densities
 
 
 @pytest.fixture(scope="module")
-def ac_powers(uniform, arcsine, mixture):
-    seeds = {"uniform": uniform, "arcsine": arcsine, "mixture": mixture}
+def ac_seeds(uniform, arcsine, mixture):
+    return {"uniform": uniform, "arcsine": arcsine, "mixture": mixture}
+
+
+@pytest.fixture(scope="module")
+def ac_powers(ac_seeds):
     return {(name, n): clt_density_flow(mu, n)
-            for name, mu in seeds.items() for n in (4, 64)}
+            for name, mu in ac_seeds.items() for n in (4, 64)}
+
+
+def _assert_moments(dens):
+    assert abs(dens.mass - 1.0) < 1e-8
+    assert abs(dens.mean) < 1e-8
+    assert abs(dens.variance - 1.0) < 1e-7
 
 
 @pytest.mark.parametrize("n", [4, 64])
@@ -23,8 +43,16 @@ def test_flow_power_of_ac_seed(ac_powers, seed, n):
     dens = ac_powers[(seed, n)]
     assert dens.path == "flow"
     assert dens.atoms == ()  # the mixture's atom (w = 0.2) dies at n >= 2
-    assert abs(dens.mass - 1.0) < 1e-8
-    assert abs(dens.mean) < 1e-8
-    assert abs(dens.variance - 1.0) < 1e-7
+    _assert_moments(dens)
     chi = free_entropy(dens.tables).value
     assert chi <= CHI_SEMICIRCLE + TOL_CHI
+
+
+@pytest.mark.parametrize("n", [4, 64])
+@pytest.mark.parametrize("seed", ["uniform", "arcsine"])
+def test_subordination_power_of_ac_seed(ac_seeds, ac_powers, seed, n):
+    dens = clt_density_subordination(ac_seeds[seed], n)
+    assert dens.path == "subordination"
+    assert dens.atoms == ()
+    _assert_moments(dens)
+    assert _compare_densities(ac_powers[(seed, n)], dens)["sup_diff"] < 5e-4

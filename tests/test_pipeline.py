@@ -21,6 +21,8 @@ from freeclt import (
     support_check,
     tail_bound_check,
 )
+from freeclt import transforms
+from freeclt.pipeline import _snap_from_bracket
 
 from conftest import (
     SQRT2,
@@ -194,3 +196,68 @@ class TestEmittedDensities:
     def test_density_vanishes_outside_support(self, bernoulli):
         dens = clt_density_flow(bernoulli, 4)
         assert np.all(dens.density(np.array([-3.0, 2.4, 5.0])) == 0.0)
+
+
+class TestEdgeSnap:
+    """The subordination route snaps each support edge to a fold-map critical
+    value straight from the scan bracket, and bisects the threshold only when
+    the bracket leaves the snap ambiguous."""
+
+    W = 0.02
+
+    @pytest.fixture()
+    def bisections(self, monkeypatch):
+        calls = []
+        real = transforms._bisect_to_threshold
+
+        def spy(f, inner, outer, tau, *args, **kwargs):
+            calls.append((inner, outer))
+            return real(f, inner, outer, tau, *args, **kwargs)
+
+        monkeypatch.setattr(transforms, "_bisect_to_threshold", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_fair_coin_edges_need_no_bisection(self, bernoulli, bisections, n):
+        (a, b), = clt_density_subordination(bernoulli, n).intervals()
+        assert bisections == []
+        edge = 2.0 * math.sqrt((n - 1) / n)
+        assert abs(a + edge) < 1e-14
+        assert abs(b - edge) < 1e-14
+
+    @pytest.mark.parametrize("bracket", [(1.0, 1.003), (1.003, 1.0)])
+    def test_single_candidate_in_bracket_is_taken(self, bracket):
+        cands = np.array([-1.5, 1.0015, 2.5])
+        assert _snap_from_bracket(bracket, cands, self.W) == 1.0015
+
+    def test_single_candidate_near_both_ends_is_taken(self):
+        cands = np.array([-1.5, 1.01, 2.5])
+        assert _snap_from_bracket((1.0, 1.003), cands, self.W) == 1.01
+
+    def test_two_candidates_in_window_fall_back(self):
+        cands = np.array([0.995, 1.0015, 2.5])
+        assert _snap_from_bracket((1.0, 1.003), cands, self.W) is None
+
+    @pytest.mark.parametrize("c", [1.0 - 0.019, 1.003 + 0.019])
+    def test_candidate_near_one_end_only_falls_back(self, c):
+        cands = np.array([-1.5, c])
+        assert _snap_from_bracket((1.0, 1.003), cands, self.W) is None
+
+    def test_scan_boundary_edge_falls_back(self):
+        cands = np.array([1.0])
+        assert _snap_from_bracket((1.0, None), cands, self.W) is None
+
+    def test_ambiguous_three_atom_edge_is_bisected(self, bisections):
+        # three_atom_spec(np.random.default_rng(5)) of the benchmark: at
+        # n = 16 its left fold edge -2.25469 lies 0.011 from the atom image
+        # -2.26580, so both are inside the window and the bracket decides
+        # nothing; the bisected edge still snaps to the fold edge
+        mu = make_measure({"atoms": [
+            {"x": -2.0870975210149507, "w": 0.14320100721856932},
+            {"x": -0.5664510557772742, "w": 0.2354358874615645},
+            {"x": 0.6956276780718659, "w": 0.6213631053198662}]})
+        (a, b), = clt_density_subordination(mu, 16).intervals()
+        assert len(bisections) == 1
+        assert all(x < -2.25 for x in bisections[0])  # the left edge
+        assert a == pytest.approx(-2.254685811031692, abs=1e-13)
+        assert b == pytest.approx(1.692353428015041, abs=1e-13)
