@@ -12,17 +12,16 @@ of returning quadrature noise.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from .errors import DivergenceError, InvalidArgumentError, QuadratureError
-from .measures import DensityTable, SemicircleFamily, _leggauss
+from .measures import (DensityTable, SemicircleFamily, _leggauss,
+                       gauss_theta_nodes)
 from .pipeline import CltDensity, clt_density_flow
 
 __all__ = [
@@ -140,6 +139,14 @@ def lp_distance(obj: TableLike, p: float) -> float:
     densities need not be integrable; the convergence statement being
     checked also starts there).
 
+    The supports' endpoints split the line into panels, and each panel is
+    cut again at the sign changes of the difference, so that |difference|^p
+    is smooth inside every piece.  Each piece is halved and each half is
+    integrated from its outer end in s, with x = end +/- s^2, which keeps
+    endpoint power laws (singular density edges, root contact) smooth.
+    All halves are integrated together by a vectorised adaptive
+    Gauss-Kronrod rule (``_gk21_integrals``).
+
     Returns ``math.inf`` when the distance does not exist: a density edge
     with power-law exponent ``alpha < 0`` makes ``|difference|**p``
     non-integrable as soon as ``p * alpha <= -1``.
@@ -154,63 +161,151 @@ def lp_distance(obj: TableLike, p: float) -> float:
                 return math.inf
     bps = _diff_breakpoints(tables)
 
-    def diff(x: float) -> float:
-        return float(_density_sum(tables, np.array([x]))[0]
-                     - _REFERENCE.density(np.array([x]))[0])
+    def diff(x: np.ndarray) -> np.ndarray:
+        return _density_sum(tables, x) - _REFERENCE.density(x)
 
-    total = 0.0
+    def diff_at(x: float) -> float:
+        return float(diff(np.array([x]))[0])
+
+    ends, signs, widths = [], [], []
     for lo, hi in zip(bps, bps[1:]):
         if hi - lo < 1e-14:
             continue
         # split the panel at sign changes so |diff|^p is smooth inside
         scan = np.linspace(lo, hi, 257)[1:-1]
-        vals = _density_sum(tables, scan) - _REFERENCE.density(scan)
+        vals = diff(scan)
         cuts = [lo]
         for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-            cuts.append(float(brentq(diff, scan[i], scan[i + 1], xtol=1e-14)))
+            cuts.append(float(brentq(diff_at, scan[i], scan[i + 1],
+                                     xtol=1e-14)))
         cuts.append(hi)
         for a, b in zip(cuts, cuts[1:]):
             if b - a < 1e-14:
                 continue
-            total += _panel_power_integral(diff, a, b, p)
-    return float(total ** (1.0 / p))
+            mid = 0.5 * (a + b)
+            for end, sign in ((a, 1.0), (b, -1.0)):
+                ends.append(end)
+                signs.append(sign)
+                widths.append(math.sqrt(abs(mid - end)))
+    ends_a = np.array(ends)[:, None]
+    signs_a = np.array(signs)[:, None]
+    # deep refinement rounds nodes next to an end onto it, where a singular
+    # density is infinite; such nodes are moved one ulp inside
+    inner_a = np.nextafter(ends_a, ends_a + signs_a)
+
+    def integrand(owner: np.ndarray, s: np.ndarray) -> np.ndarray:
+        end = ends_a[owner]
+        x = end + signs_a[owner] * s * s
+        x = np.where(x == end, inner_a[owner], x)
+        return 2.0 * s * np.abs(diff(x.ravel()).reshape(s.shape)) ** p
+
+    val, err = _gk21_integrals(integrand, np.array(widths))
+    bad = ~np.isfinite(val) | (err > 1e-8 + 1e-6 * np.abs(val))
+    if np.any(bad):
+        raise QuadratureError("L^p panel integral did not converge",
+                              residual=float(np.max(err[bad])))
+    return float(np.sum(val) ** (1.0 / p))
 
 
-def _panel_power_integral(diff, a: float, b: float, p: float) -> float:
-    """Integral of |diff|^p over [a, b] where the integrand is smooth in
-    the open panel; endpoint power-law behavior (singular density edges,
-    root contact) is regularized by a square-root substitution at each
-    end."""
-    mid = 0.5 * (a + b)
-    total = 0.0
-    for lo, sign in ((a, 1.0), (b, -1.0)):
-        s_max = math.sqrt(abs(mid - lo))
+# Gauss-Kronrod 21-point rule on [-1, 1], constants of QUADPACK's qk21:
+# Kronrod abscissae (every second one, from index 1, is a Gauss node) with
+# their Kronrod weights, and the weights of the embedded 10-point Gauss rule.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208977260417, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_GK_X = np.concatenate((-_XGK[:-1], _XGK[::-1]))
+_GK_WK = np.concatenate((_WGK[:-1], _WGK[::-1]))
+_GK_WG = np.zeros(21)
+_GK_WG[1:10:2] = _WG
+_GK_WG[11:20:2] = _WG[::-1]
+_GK_EPSABS = 1e-12
+_GK_EPSREL = 1e-10
+_GK_LIMIT = 200           # subintervals per integral, as quad's limit=200
+_EPMACH = np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
 
-        def g(s: float) -> float:
-            return 2.0 * s * abs(diff(lo + sign * s * s)) ** p
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, err = quad(g, 0.0, s_max, limit=200,
-                            epsabs=1e-12, epsrel=1e-10)
-        if not math.isfinite(val) or err > 1e-8 + 1e-6 * abs(val):
-            raise QuadratureError(
-                "L^p panel integral did not converge", residual=float(err))
-        total += val
-    return total
+def _gk21_integrals(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    widths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrals of ``f(k, .)`` over ``[0, widths[k]]`` for every k at once,
+    with their error estimates.
+
+    ``f(owner, s)`` evaluates integrand ``owner[i]`` at the row ``s[i]`` of
+    an ``(intervals, 21)`` array.  Each interval gets QUADPACK's qk21 value
+    and error estimate.  An integral whose summed error is above
+    ``max(epsabs, epsrel * |value|)`` bisects those of its intervals whose
+    error is above an equal share of that tolerance, largest first, until
+    it converges or holds ``_GK_LIMIT`` intervals.  So every refinement
+    level makes a single call to ``f``.
+    """
+    count = widths.size
+    owner = np.arange(count)
+    lo = np.zeros(count)
+    hi = np.asarray(widths, dtype=float)
+    val, err = _gk21_rule(f, owner, lo, hi)
+    while True:
+        tot_val = np.bincount(owner, val, minlength=count)
+        tot_err = np.bincount(owner, err, minlength=count)
+        pieces = np.bincount(owner, minlength=count)
+        tol = np.maximum(_GK_EPSABS, _GK_EPSREL * np.abs(tot_val))
+        room = np.where(tot_err > tol, _GK_LIMIT - pieces, 0)
+        split = np.nonzero((room[owner] > 0)
+                           & (err > tol[owner] / pieces[owner]))[0]
+        if split.size == 0:
+            return tot_val, tot_err
+        # largest errors first within each integral, at most its room
+        split = split[np.lexsort((-err[split], owner[split]))]
+        first = np.searchsorted(owner[split], owner[split])
+        split = split[np.arange(split.size) - first < room[owner[split]]]
+        keep = np.ones(owner.size, dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_owner = np.concatenate((owner[split], owner[split]))
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        new_val, new_err = _gk21_rule(f, new_owner, new_lo, new_hi)
+        owner = np.concatenate((owner[keep], new_owner))
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        val = np.concatenate((val[keep], new_val))
+        err = np.concatenate((err[keep], new_err))
+
+
+def _gk21_rule(f, owner: np.ndarray, lo: np.ndarray, hi: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """qk21 value and error estimate on each interval ``[lo[i], hi[i]]``."""
+    centr = 0.5 * (lo + hi)
+    hlgth = 0.5 * (hi - lo)
+    fv = f(owner, centr[:, None] + hlgth[:, None] * _GK_X[None, :])
+    resk = fv @ _GK_WK
+    resg = fv @ _GK_WG
+    resabs = np.abs(fv) @ _GK_WK * hlgth
+    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _GK_WK * hlgth
+    err = np.abs((resk - resg) * hlgth)
+    scale = (resasc != 0.0) & (err != 0.0)
+    err[scale] = resasc[scale] * np.minimum(
+        1.0, (200.0 * err[scale] / resasc[scale]) ** 1.5)
+    floor = resabs > _UFLOW / (50.0 * _EPMACH)
+    err[floor] = np.maximum(50.0 * _EPMACH * resabs[floor], err[floor])
+    return resk * hlgth, err
 
 
 # -- free entropy --------------------------------------------------------------
-
-def _theta_nodes(a: float, b: float, n: int):
-    """Gauss-Legendre nodes of x = c + r cos(theta); jac absorbs sin(theta)."""
-    t, wt = _leggauss(n)
-    theta = 0.5 * np.pi * (t + 1.0)
-    w = 0.5 * np.pi * wt
-    c = 0.5 * (a + b)
-    r = 0.5 * (b - a)
-    return c + r * np.cos(theta), r * np.sin(theta) * w
-
 
 def _pl_log_moments(c: np.ndarray, h: float) -> Tuple[np.ndarray, ...]:
     """Exact integrals M_pq(c) = II xi^p zeta^q log|c + xi - zeta| over the
@@ -373,7 +468,8 @@ def free_fisher(obj: TableLike) -> ExtendedReal:
                     math.inf, True,
                     diagnosis=(f"{side} endpoint exponent {order:g}: cubed "
                                "density is not integrable"))
-        x, jac = _theta_nodes(tab.support[0], tab.support[1], _FISHER_NODES)
+        x, jac = gauss_theta_nodes(tab.support[0], tab.support[1],
+                                   _FISHER_NODES)
         total += float(np.sum(jac * tab.density(x) ** 3))
     return ExtendedReal((4.0 * math.pi ** 2 / 3.0) * total, False)
 
@@ -413,13 +509,22 @@ def _report_row(mu, n: int, p_list: Sequence[float],
         dens = clt_density_flow(mu, n)
     tables = dens.tables
     flags: List[str] = []
-    if dens.atoms:
-        flags.append("atoms_excluded")
     sup, grid_dep = sup_distance(tables, flagged=True)
+    if dens.atoms:
+        # sup and L^p are taken over the ac part; chi and Phi of a law
+        # with an atom are -infinity and +infinity
+        flags.append("atoms_excluded")
+        chi = ExtendedReal(-math.inf, True,
+                           diagnosis="power keeps an atom: free entropy "
+                                     "is -infinity")
+        phi = ExtendedReal(math.inf, True,
+                           diagnosis="power keeps an atom: Fisher "
+                                     "information is +infinity")
+    else:
+        chi = free_entropy(tables)
+        phi = free_fisher(tables)
     if grid_dep:
         flags.append("sup_grid_dependent")
-    chi = free_entropy(tables)
-    phi = free_fisher(tables)
     gap = _gap(chi, phi)
     if phi.divergent:
         flags.extend(("phi_divergent", "gap_vacuous"))

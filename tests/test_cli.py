@@ -80,6 +80,20 @@ class TestFunctionalsCommand:
                      "--n", "2,4", "--require-finite", "--out", str(out)])
         assert code == 3
 
+    def test_atom_row_fails_require_finite(self, tmp_path):
+        # the asymmetric coin keeps an atom at n = 2 only
+        out = tmp_path / "fun.json"
+        spec = json.dumps(ASYM_SPEC)
+        assert main(["functionals", "--measure", spec, "--n", "2,4",
+                     "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert (rows[0]["chi"], rows[0]["phi"]) == ("-inf", "inf")
+        assert math.isfinite(rows[1]["chi"])
+        assert main(["functionals", "--measure", spec, "--n", "2,4",
+                     "--require-finite", "--out", str(out)]) == 3
+        assert main(["functionals", "--measure", spec, "--n", "4,16",
+                     "--require-finite", "--out", str(out)]) == 0
+
     def test_finite_rows_pass_require_finite(self, tmp_path):
         out = tmp_path / "fun.json"
         code = main(["functionals", "--measure", INLINE_BERN,

@@ -6,6 +6,7 @@ frozen pins computed from closed-form oracle tables otherwise.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from freeclt import (
     ArcsineFamily,
     ExtendedReal,
     InvalidArgumentError,
+    QuadratureError,
     SemicircleFamily,
     UniformFamily,
     build_table,
@@ -22,13 +24,16 @@ from freeclt import (
     convergence_report,
     free_entropy,
     free_fisher,
+    functionals,
     log_sobolev_gap,
     lp_distance,
+    make_measure,
     report_row,
     sup_distance,
 )
 
 from conftest import (
+    ASYM_SPEC,
     BERNOULLI_PINS,
     CHI_ARCSINE,
     CHI_UNIFORM_STD,
@@ -37,6 +42,27 @@ from conftest import (
     kesten_density,
     kesten_fisher,
 )
+
+
+# ||p_m - p_semicircle||_p for the normalized m-th power of the fair coin,
+# independent of the package: mpmath at 40 digits on the closed form
+# (conftest.kesten_density), symmetric, so twice the integral over [0, 2];
+# mpmath.quad (tanh-sinh, maxdegree 12) on pieces split at the support edge
+# 2 sqrt((m-1)/m) and at the two sign changes of the difference on
+# (0, 2 sqrt((m-1)/m)), found by a 4000-point scan refined with
+# mpmath.findroot.  At 60 digits and maxdegree 16 the same 20 digits result.
+KESTEN_LP_REFERENCE = {
+    4: {0.6: 0.47655211675200294029, 1.0: 0.21222970985171703598,
+        2.0: 0.13068222855262807724},
+    16: {0.6: 0.093486090896014956852, 1.0: 0.04245387284123661965,
+         2.0: 0.029887556610875358225},
+    64: {0.6: 0.02194528765266680146, 1.0: 0.010105277798276076161,
+         2.0: 0.0081363778970027736375},
+}
+
+# mean 0, variance 1; the atom at 1/3 survives every power n < 10
+ATOM_HEAVY_SPEC = {"atoms": [{"x": -3.0, "w": 0.1},
+                             {"x": 1.0 / 3.0, "w": 0.9}]}
 
 
 def kesten_table(m, points=3001):
@@ -100,12 +126,79 @@ class TestLpDistance:
         assert lp_distance(kesten_table(m), p) == pytest.approx(
             BERNOULLI_PINS[m][key], abs=1.5e-6)
 
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    @pytest.mark.parametrize("p", [0.6, 1.0, 2.0])
+    def test_kesten_against_mpmath_reference(self, m, p):
+        assert lp_distance(kesten_table(m), p) == pytest.approx(
+            KESTEN_LP_REFERENCE[m][p], abs=1e-10)
+
     def test_divergence_probe_on_singular_edge(self, arcsine_table):
         # the arcsine edge exponent is -1/2, so |diff|^2 ~ d^-1 diverges
         assert lp_distance(arcsine_table, 2.0) == math.inf
         # while p = 1 and p = 0.6 are integrable
         assert math.isfinite(lp_distance(arcsine_table, 1.0))
         assert math.isfinite(lp_distance(arcsine_table, 0.6))
+
+
+class TestGaussKronrod:
+    def test_closed_form_integrals(self):
+        # int_0^W 2s |s^2 - c|^0.6 ds = int_0^(W^2) |u - c|^0.6 du, with a
+        # kink inside for c in (0, W^2); then int_0^W s^1.2 ds
+        cs = np.array([0.3, 0.0, -0.5, 1.0])
+        widths = np.array([1.0, 1.3, 0.7, 1.2])
+
+        def kinked(owner, s):
+            return 2.0 * s * np.abs(s * s - cs[owner][:, None]) ** 0.6
+
+        val, _ = functionals._gk21_integrals(kinked, widths)
+        exact = [(math.copysign(abs(top - c) ** 1.6, top - c)
+                  + math.copysign(abs(c) ** 1.6, c)) / 1.6
+                 for c, top in zip(cs, widths ** 2)]
+        np.testing.assert_allclose(val, exact, rtol=0.0, atol=1e-12)
+
+        widths = np.array([1.0, 2.5])
+        val, _ = functionals._gk21_integrals(lambda owner, s: s ** 1.2,
+                                             widths)
+        np.testing.assert_allclose(val, widths ** 2.2 / 2.2, rtol=0.0,
+                                   atol=1e-12)
+
+    def test_exhausted_budget_raises(self, arcsine_table, monkeypatch):
+        # |diff|^0.6 at the arcsine edge is 2 s^0.4 after the substitution:
+        # one GK21 interval per panel end cannot resolve it
+        monkeypatch.setattr(functionals, "_GK_LIMIT", 1)
+        with pytest.raises(QuadratureError):
+            lp_distance(arcsine_table, 0.6)
+
+    def test_budget_caps_subintervals(self, monkeypatch):
+        # an integrand no budget resolves: each integral stops at exactly
+        # _GK_LIMIT subintervals, one initial and two per bisection
+        monkeypatch.setattr(functionals, "_GK_LIMIT", 5)
+        rows = []
+
+        def rough(owner, s):
+            rows.append(s.shape[0])
+            return np.sin(1e4 * s)
+
+        functionals._gk21_integrals(rough, np.array([1.0, 2.0]))
+        assert sum(rows) == 2 * (2 * 5 - 1)
+
+    @pytest.mark.parametrize("source", ["table", "flow_power"])
+    def test_semicircle_noise_is_small_and_fast(self, source, semicircle,
+                                                semicircle_table):
+        # the difference is rounding noise, which never meets the relative
+        # tolerance, so every panel end runs to its subinterval budget
+        if source == "table":
+            obj = semicircle_table
+        else:
+            obj = clt_density_flow(semicircle, 4)
+        for p in (0.6, 1.0, 2.0):
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                val = lp_distance(obj, p)
+                times.append(time.perf_counter() - t0)
+            assert val < 1e-8
+            assert min(times) < 0.05
 
 
 class TestFreeEntropy:
@@ -218,6 +311,19 @@ class TestReports:
         assert first["lp"]["2.0"] == math.inf
         assert math.isfinite(first["lp"]["1.0"])
         assert rows[1]["flags"] == []
+
+    @pytest.mark.parametrize("spec,n", [(ATOM_HEAVY_SPEC, 4), (ASYM_SPEC, 2)])
+    def test_atom_rows_diverge(self, spec, n):
+        # a law with an atom has chi = -inf and Phi = +inf; sup and L^p
+        # stay finite and are taken over the absolutely continuous part
+        row = report_row(make_measure(spec), n, (0.6, 1.0))
+        assert row["chi"] == -math.inf
+        assert row["phi"] == math.inf
+        assert row["gap"] == math.inf
+        assert math.isfinite(row["sup_dist"])
+        assert all(math.isfinite(v) for v in row["lp"].values())
+        assert row["flags"] == ["atoms_excluded", "phi_divergent",
+                                "gap_vacuous"]
 
     def test_report_argument_domain(self, bernoulli):
         with pytest.raises(InvalidArgumentError):
