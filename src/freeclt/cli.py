@@ -200,9 +200,11 @@ def _cmd_functionals(args: argparse.Namespace) -> int:
     if args.require_finite:
         for row in payload["rows"]:
             if not math.isfinite(row["phi"]):
+                what = ("the power keeps an atom"
+                        if "atoms_excluded" in row["flags"]
+                        else "Fisher information diverges")
                 raise DivergenceError(
-                    f"Fisher information diverges at n={row['n']} "
-                    "but --require-finite was set")
+                    f"{what} at n={row['n']} but --require-finite was set")
             for p_key, val in row["lp"].items():
                 if not math.isfinite(val):
                     raise DivergenceError(

@@ -15,7 +15,9 @@ from functools import lru_cache
 from typing import Optional, Tuple, Union
 
 import numpy as np
+from numpy.polynomial.legendre import legder, legval
 from scipy.interpolate import CubicSpline
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import (
     DegenerateMeasureError,
@@ -38,7 +40,29 @@ _ATOM_SEP = 1e-12        # minimum distance between distinct atom locations
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights, bit-identical to numpy's ``leggauss``.
+
+    numpy's algorithm step for step, except that the eigenvalues of the
+    symmetric tridiagonal Legendre companion come from a tridiagonal solve:
+    O(n) memory and O(n^2) time instead of a dense n x n eigensolve.
+    """
+    c = np.array([0] * n + [1])
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    # dense eigvalsh is LAPACK dsyevd: dsytrd leaves a tridiagonal matrix as
+    # it is, then dsterf; stemr or stebz would move the weights by ~1e-8
+    x = eigvalsh_tridiagonal(np.zeros(n), off, lapack_driver="sterf")
+    # one Newton step, then weights scaled against overflow
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     return x, w
 
 
@@ -77,8 +101,6 @@ def _snap_edge_order(alpha: Optional[float]) -> Optional[float]:
     for target in _EDGE_SNAP:
         if abs(alpha - target) < 0.22:
             return target
-    if alpha > 1.75:
-        return alpha  # smooth high-order vanishing, keep raw fit
     return alpha
 
 

@@ -80,7 +80,7 @@ class TestFunctionalsCommand:
                      "--n", "2,4", "--require-finite", "--out", str(out)])
         assert code == 3
 
-    def test_atom_row_fails_require_finite(self, tmp_path):
+    def test_atom_row_fails_require_finite(self, tmp_path, capsys):
         # the asymmetric coin keeps an atom at n = 2 only
         out = tmp_path / "fun.json"
         spec = json.dumps(ASYM_SPEC)
@@ -89,10 +89,25 @@ class TestFunctionalsCommand:
         rows = json.loads(out.read_text())["rows"]
         assert (rows[0]["chi"], rows[0]["phi"]) == ("-inf", "inf")
         assert math.isfinite(rows[1]["chi"])
+        capsys.readouterr()
         assert main(["functionals", "--measure", spec, "--n", "2,4",
                      "--require-finite", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "the power keeps an atom at n=2" in err
+        assert "Fisher information" not in err
         assert main(["functionals", "--measure", spec, "--n", "4,16",
                      "--require-finite", "--out", str(out)]) == 0
+
+    def test_atomless_divergent_row_names_fisher_information(
+            self, tmp_path, capsys):
+        # the fair coin at n = 2 is the arcsine law: no atom, but its
+        # inverse-square-root edges make the Fisher information diverge
+        out = tmp_path / "fun.json"
+        assert main(["functionals", "--measure", INLINE_BERN, "--n", "2",
+                     "--require-finite", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Fisher information diverges at n=2" in err
+        assert "atom" not in err
 
     def test_finite_rows_pass_require_finite(self, tmp_path):
         out = tmp_path / "fun.json"

@@ -1,6 +1,7 @@
 """Unit tests for measure construction, density tables, and moment maps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from freeclt import (
     standardize,
     translate,
 )
+
+from freeclt.measures import _leggauss
 
 from conftest import kesten_density, semicircle_density, SQRT2
 
@@ -86,6 +89,35 @@ class TestDensityTable:
             build_table(x[::-1], np.ones_like(x))
         with pytest.raises(InvalidSpecError):
             build_table(x, np.full_like(x, np.nan))
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 256, 320, 384, 512, 2048])
+    def test_bitwise_equal_to_numpy(self, n):
+        x, w = _leggauss(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(w, w_ref)
+
+    def test_rule_at_4096(self):
+        x, w = _leggauss(4096)
+        assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+        np.testing.assert_array_equal(x, -x[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+        assert w.sum() == pytest.approx(2.0, abs=1e-15)
+        # exact for degree <= 8191; numpy's rule itself is off by up to
+        # 5.5e-13 here (one Newton step from the eigenvalues)
+        for k in range(21):
+            assert abs(np.dot(w, x ** (2 * k)) - 2.0 / (2 * k + 1)) < 1e-12
+
+    def test_no_dense_matrix(self):
+        tracemalloc.start()
+        try:
+            _leggauss.__wrapped__(4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6  # a dense 4096 x 4096 matrix is 134 MB
 
 
 class TestEdgeOrderFit:
