@@ -428,6 +428,11 @@ def _chebyshev_extrema(a: float, b: float, n: int) -> np.ndarray:
     return np.sort(0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * k / (n - 1)))
 
 
+def _chebyshev_roots(a: float, b: float, n: int) -> np.ndarray:
+    k = np.arange(n)
+    return np.sort(0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * (k + 0.5) / n))
+
+
 def ac_moments(ac: AcPart) -> Tuple[float, float, float]:
     """(mass, mean, variance) of an ac component."""
     if isinstance(ac, SemicircleFamily):

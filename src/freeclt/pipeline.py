@@ -33,12 +33,10 @@ from .errors import (
     FixedPointError,
     InvalidArgumentError,
 )
-from .measures import Atom, DensityTable, Measure, build_table, dilate
+from .measures import (Atom, DensityTable, Measure, _chebyshev_roots,
+                       build_table, dilate)
 from .transforms import (
-    EdgeBracket,
     InversionSchedule,
-    _bisect_edge,
-    _support_scan,
     cauchy,
     cauchy_derivative,
     companion_measure,
@@ -60,7 +58,8 @@ TOL_FIXED_POINT = 1e-13
 _PICARD_DAMPING = 0.8
 _PICARD_MAX = 400
 _NEWTON_MAX = 60
-_SNAP_WINDOW = 0.02         # largest move from a threshold edge to a fold edge
+_SUPPORT_IM = 1e-6          # Im omega above which a candidate gap is support
+_MASS_TOL = 1e-6            # largest |mass - 1| a subordination power may have
 _PROBE_POINTS = 257         # cross-route comparison grid
 
 
@@ -268,41 +267,6 @@ def _edge_candidates(mu: Measure, n: int) -> np.ndarray:
     return out[np.abs(out) <= bound]
 
 
-def _refine_edge(coarse: float, candidates: np.ndarray, window: float) -> float:
-    if candidates.size == 0:
-        return coarse
-    i = int(np.argmin(np.abs(candidates - coarse)))
-    if abs(candidates[i] - coarse) <= window:
-        return float(candidates[i])
-    return coarse
-
-
-def _snap_from_bracket(bracket: EdgeBracket, candidates: np.ndarray,
-                       window: float) -> Optional[float]:
-    """The candidate that _refine_edge would return for every point of the
-    scan bracket, or None when the bracket alone does not decide it.
-
-    candidates must be distinct.  A bisected edge p lies in [lo, hi], the
-    closed bracket.  If exactly one candidate c is near the bracket (inside
-    it or within window of an end) and c is within window of both ends, then
-    |c - p| <= window, while every other candidate lies outside the bracket
-    and farther than window from both ends, hence from p.  So c is the
-    nearest candidate to any such p and passes the window test; rounded
-    differences keep both inequalities, since rounding is monotone.
-    """
-    inner, outer = bracket
-    if outer is None:
-        return None
-    lo, hi = min(inner, outer), max(inner, outer)
-    d_lo = np.abs(candidates - lo)
-    d_hi = np.abs(candidates - hi)
-    near = np.flatnonzero((d_lo <= window) | (d_hi <= window)
-                          | ((candidates >= lo) & (candidates <= hi)))
-    if near.size == 1 and d_lo[near[0]] <= window and d_hi[near[0]] <= window:
-        return float(candidates[near[0]])
-    return None
-
-
 def _phi_factory(mu: Measure, n: int):
     frac = (n - 1.0) / n
 
@@ -418,18 +382,45 @@ def clt_cauchy(mu: Measure, n: int, z):
     return out if np.ndim(out) else complex(out)
 
 
+def _support_intervals(mu: Measure, n: int):
+    """Support intervals of the ac part of the normalized n-th power.
+
+    Every edge is one of _edge_candidates, so the support is a union of
+    gaps between adjacent candidates.  A gap is support exactly when omega
+    turns complex inside it; one solve at the gap midpoints, just above the
+    axis, decides all gaps at once, and adjacent support gaps merge.
+    Returns (intervals, iterations, residual) of that solve.
+    """
+    cands = np.unique(_edge_candidates(mu, n))
+    mid = 0.5 * (cands[:-1] + cands[1:])
+    w, iters, res = _omega_grid(mu, n, math.sqrt(n) * mid + 1e-12j)
+    inside = np.imag(w) > _SUPPORT_IM
+    intervals = []
+    for i in np.flatnonzero(inside):
+        if i > 0 and inside[i - 1]:
+            intervals[-1] = (intervals[-1][0], float(cands[i + 1]))
+        else:
+            intervals.append((float(cands[i]), float(cands[i + 1])))
+    return intervals, iters, float(np.max(res, initial=0.0))
+
+
 def clt_density_subordination(mu: Measure, n: int, grid_points: int = 801,
-                              eps_top: float = DEFAULT_EPS, levels: int = 6,
-                              tau: float = 1e-7) -> CltDensity:
-    """Density of the normalized n-th power via extrapolated boundary values."""
+                              eps_top: float = DEFAULT_EPS,
+                              levels: int = 6) -> CltDensity:
+    """Density of the normalized n-th power via extrapolated boundary values.
+
+    One table per support interval; raises ConsistencyError when the total
+    mass misses 1 by more than _MASS_TOL.
+    """
     n = _require_power(n)
     _require_standardized(mu)
     if n == 1:
         return _seed_only(mu, "subordination")
     atoms = atoms_of_power(mu, n)
     rt = math.sqrt(n)
-    max_iters = 0
-    max_res = 0.0
+    intervals, max_iters, max_res = _support_intervals(mu, n)
+    if not intervals:
+        raise ConsistencyError("no continuous part found for the power")
 
     def transform_ac(z: np.ndarray) -> np.ndarray:
         nonlocal max_iters, max_res
@@ -442,47 +433,29 @@ def clt_density_subordination(mu: Measure, n: int, grid_points: int = 801,
             out = out - a.w / (z - a.x)
         return out
 
-    def boundary_density(x: np.ndarray, eps: float) -> np.ndarray:
-        return -np.imag(transform_ac(x + 1j * eps)) / np.pi + 0.0 * x
-
-    # superconvergence keeps the support inside [-2 - L, 2 + L] already at
-    # n = 2; scan a bit wider to be safe for n = 1-adjacent cases
-    seed_lo, seed_hi = mu.support()
-    span = 2.0 + max(abs(seed_lo), abs(seed_hi)) + 1.0
-    brackets = _support_scan(boundary_density, -span, span, tau, 2001)
-    if brackets is None:
-        raise ConsistencyError("no continuous part found for the power")
-    # threshold detection locates a bounded edge well but overshoots a
-    # power-law singular edge (the off-support skin decays too slowly);
-    # snap each edge to the nearest critical value of the real fold map,
-    # which pins it to machine precision.  The scan bracket usually decides
-    # the snap by itself; the threshold is bisected only when it does not.
-    cands = np.unique(_edge_candidates(mu, n))
-
-    def edge(bracket: EdgeBracket) -> float:
-        snapped = _snap_from_bracket(bracket, cands, _SNAP_WINDOW)
-        if snapped is not None:
-            return snapped
-        coarse = _bisect_edge(boundary_density, bracket, tau)
-        return _refine_edge(coarse, cands, _SNAP_WINDOW)
-
-    a, b = edge(brackets[0]), edge(brackets[1])
-    k = np.arange(grid_points)
-    x = np.sort(0.5 * (a + b) - 0.5 * (b - a)
-                * np.cos(np.pi * (k + 0.5) / grid_points))
-    dist = np.minimum(x - a, b - x)
     sched = InversionSchedule.geometric(start=eps_top, ratio=0.5, levels=levels)
-    inv = stieltjes_invert(transform_ac, x, heights=sched.anchored(dist))
-    tab = build_table(x, inv.values, support=(a, b), edge_orders="fit",
-                      expected_mass=None)
-    mass, mean, var = tab.moments()
-    e2 = mass * (var + mean ** 2)
-    e1 = mass * mean
+    tables = []
+    mass = e1 = e2 = 0.0
+    for a, b in intervals:
+        x = _chebyshev_roots(a, b, grid_points)
+        dist = np.minimum(x - a, b - x)
+        inv = stieltjes_invert(transform_ac, x, heights=sched.anchored(dist))
+        tab = build_table(x, inv.values, support=(a, b), edge_orders="fit",
+                          expected_mass=None)
+        tables.append(tab)
+        m0, mean, var = tab.moments()
+        mass += m0
+        e1 += m0 * mean
+        e2 += m0 * (var + mean ** 2)
     for at in atoms:
         mass += at.w
         e1 += at.w * at.x
         e2 += at.w * at.x ** 2
-    return CltDensity(n, "subordination", atoms, (tab,), mass, e1,
+    if abs(mass - 1.0) > _MASS_TOL:
+        raise ConsistencyError(
+            f"subordination power n={n} has mass {mass:.12g}, "
+            f"not 1 within {_MASS_TOL:g}")
+    return CltDensity(n, "subordination", atoms, tuple(tables), mass, e1,
                       e2 - e1 ** 2, residual=max_res, iterations=max_iters)
 
 

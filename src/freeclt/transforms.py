@@ -28,6 +28,7 @@ from .measures import (
     Measure,
     SemicircleFamily,
     UniformFamily,
+    _chebyshev_roots,
     build_table,
     gauss_theta_nodes,
 )
@@ -318,42 +319,6 @@ def _bisect_to_threshold(f: Callable[[float], float], inner: float,
 
 _EDGE_LADDER = (1e-7, 1e-9, 1e-11)
 
-# (inner, outer): adjacent scan points with the density above tau at inner
-# and not above it at outer; outer is None when inner is a scan end point
-EdgeBracket = Tuple[float, Optional[float]]
-
-
-def _support_scan(boundary_density: Callable[[np.ndarray, float], np.ndarray],
-                  scan_lo: float, scan_hi: float, tau: float,
-                  scan_points: int) -> Optional[Tuple[EdgeBracket, EdgeBracket]]:
-    """Scan-grid brackets of the left and right threshold crossings, or None
-    when the ladder-minimum density never exceeds tau on the grid."""
-    grid = np.linspace(scan_lo, scan_hi, scan_points)
-    vals = np.min([np.asarray(boundary_density(grid, e)) for e in _EDGE_LADDER],
-                  axis=0)
-    above = np.nonzero(vals > tau)[0]
-    if above.size == 0:
-        return None
-    i0, i1 = above[0], above[-1]
-    left = (grid[i0], None if i0 == 0 else grid[i0 - 1])
-    right = (grid[i1], None if i1 == len(grid) - 1 else grid[i1 + 1])
-    return left, right
-
-
-def _bisect_edge(boundary_density: Callable[[np.ndarray, float], np.ndarray],
-                 bracket: EdgeBracket, tau: float) -> float:
-    """Threshold crossing inside a scan bracket, by single-point bisection
-    of the ladder-minimum density; an open bracket returns its inner point."""
-    inner, outer = bracket
-    if outer is None:
-        return float(inner)
-
-    def f(x: float) -> float:
-        pt = np.array([x])
-        return min(float(boundary_density(pt, e)[0]) for e in _EDGE_LADDER)
-
-    return float(_bisect_to_threshold(f, inner, outer, tau))
-
 
 def find_support_interval(boundary_density: Callable[[np.ndarray, float], np.ndarray],
                           scan_lo: float, scan_hi: float, tau: float = 1e-7,
@@ -367,11 +332,21 @@ def find_support_interval(boundary_density: Callable[[np.ndarray, float], np.nda
     much as ~0.2; the ladder minimum kills the tail while leaving on-support
     values intact.
     """
-    brackets = _support_scan(boundary_density, scan_lo, scan_hi, tau,
-                             scan_points)
-    if brackets is None:
+    grid = np.linspace(scan_lo, scan_hi, scan_points)
+    vals = np.min([np.asarray(boundary_density(grid, e)) for e in _EDGE_LADDER],
+                  axis=0)
+    above = np.nonzero(vals > tau)[0]
+    if above.size == 0:
         return None
-    return tuple(_bisect_edge(boundary_density, br, tau) for br in brackets)
+    i0, i1 = above[0], above[-1]
+
+    def f(x: float) -> float:
+        pt = np.array([x])
+        return min(float(boundary_density(pt, e)[0]) for e in _EDGE_LADDER)
+
+    left = grid[i0] if i0 == 0 else _bisect_to_threshold(f, grid[i0], grid[i0 - 1], tau)
+    right = grid[i1] if i1 == len(grid) - 1 else _bisect_to_threshold(f, grid[i1], grid[i1 + 1], tau)
+    return float(left), float(right)
 
 
 def _scan_companion_atoms(g_nu: Callable[[np.ndarray], np.ndarray],
@@ -464,8 +439,7 @@ def _recover_companion(mu: Measure, tau: float, grid_points: int) -> Measure:
         return Measure(atoms, None)
 
     a, b = interval
-    k = np.arange(grid_points)
-    x = np.sort(0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * (k + 0.5) / grid_points))
+    x = _chebyshev_roots(a, b, grid_points)
     dist = np.minimum(x - a, b - x)
     sched = InversionSchedule.geometric(start=1e-5, ratio=0.5, levels=8)
     inv = stieltjes_invert(g_ac, x, heights=sched.anchored(dist))

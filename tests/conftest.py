@@ -90,6 +90,16 @@ ASYM_SPEC = {"atoms": [{"x": -SQRT2, "w": 1.0 / 3.0},
 SEMICIRCLE_SPEC = {"density": {"family": "semicircle",
                                "params": {"variance": 1.0}}}
 
+# seeds whose low powers have supports of several intervals: the heavy
+# centre atom of THREE_GAP_SPEC survives for n <= 9 and sits between two
+# intervals at n = 2 to 4, and FOUR_GAP_SPEC has three intervals at n = 2
+# and 4
+THREE_GAP_SPEC = {"atoms": [{"x": -3.0, "w": 0.05}, {"x": 0.0, "w": 0.9},
+                            {"x": 3.0, "w": 0.05}], "standardize": True}
+FOUR_GAP_SPEC = {"atoms": [{"x": -4.0, "w": 0.1}, {"x": -0.1, "w": 0.4},
+                           {"x": 0.1, "w": 0.4}, {"x": 4.0, "w": 0.1}],
+                 "standardize": True}
+
 
 @pytest.fixture()
 def measure_file_factory(tmp_path):

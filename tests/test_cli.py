@@ -9,7 +9,7 @@ import pytest
 from freeclt import convergence_report, functionals, make_measure
 from freeclt.cli import _jsonable, main
 
-from conftest import ASYM_SPEC, BERNOULLI_SPEC, SEMICIRCLE_SPEC
+from conftest import ASYM_SPEC, BERNOULLI_SPEC, FOUR_GAP_SPEC, SEMICIRCLE_SPEC
 from conftest import kesten_density
 
 
@@ -199,6 +199,11 @@ class TestVerifyCommand:
         assert "[FAIL]" not in printed
         assert "[PASS]" in printed
         assert "all properties passed" in printed
+
+    def test_support_of_three_intervals_passes(self, capsys):
+        code = main(["verify", "--measure", json.dumps(FOUR_GAP_SPEC),
+                     "--n", "2,4"])
+        assert code == 0, capsys.readouterr().out
 
 
 class TestExitCodes:

@@ -7,6 +7,7 @@ import pytest
 
 from freeclt import (
     Atom,
+    ConsistencyError,
     InvalidArgumentError,
     atoms_of_power,
     cauchy,
@@ -21,11 +22,13 @@ from freeclt import (
     support_check,
     tail_bound_check,
 )
-from freeclt import transforms
-from freeclt.pipeline import _snap_from_bracket
+from freeclt import pipeline
+from freeclt.pipeline import _compare_densities, _support_intervals
 
 from conftest import (
+    FOUR_GAP_SPEC,
     SQRT2,
+    THREE_GAP_SPEC,
     arcsine_density,
     asym_power_density,
     kesten_density,
@@ -198,66 +201,91 @@ class TestEmittedDensities:
         assert np.all(dens.density(np.array([-3.0, 2.4, 5.0])) == 0.0)
 
 
+def three_atom_spec(seed: int) -> dict:
+    """Standardized three-atom law drawn from default_rng(seed), every weight
+    below 0.7 and the atoms at least 0.25 apart before standardizing (the
+    benchmark's three_atom_spec)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        w = rng.dirichlet((2.0, 2.0, 2.0))
+        if w.max() < 0.7:
+            break
+    while True:
+        x = np.sort(rng.uniform(-1.0, 1.0, 3))
+        if np.min(np.diff(x)) > 0.25:
+            break
+    mean = float(np.dot(w, x))
+    x = (x - mean) / math.sqrt(float(np.dot(w, (x - mean) ** 2)))
+    w = w / w.sum()
+    return {"atoms": [{"x": float(a), "w": float(b)} for a, b in zip(x, w)]}
+
+
 class TestEdgeSnap:
-    """The subordination route snaps each support edge to a fold-map critical
-    value straight from the scan bracket, and bisects the threshold only when
-    the bracket leaves the snap ambiguous."""
-
-    W = 0.02
-
-    @pytest.fixture()
-    def bisections(self, monkeypatch):
-        calls = []
-        real = transforms._bisect_to_threshold
-
-        def spy(f, inner, outer, tau, *args, **kwargs):
-            calls.append((inner, outer))
-            return real(f, inner, outer, tau, *args, **kwargs)
-
-        monkeypatch.setattr(transforms, "_bisect_to_threshold", spy)
-        return calls
+    """Every support edge of the subordination route is a fold-map critical
+    value, taken as it is."""
 
     @pytest.mark.parametrize("n", [4, 16])
-    def test_fair_coin_edges_need_no_bisection(self, bernoulli, bisections, n):
+    def test_fair_coin_edges_need_no_bisection(self, bernoulli, n):
         (a, b), = clt_density_subordination(bernoulli, n).intervals()
-        assert bisections == []
         edge = 2.0 * math.sqrt((n - 1) / n)
         assert abs(a + edge) < 1e-14
         assert abs(b - edge) < 1e-14
 
-    @pytest.mark.parametrize("bracket", [(1.0, 1.003), (1.003, 1.0)])
-    def test_single_candidate_in_bracket_is_taken(self, bracket):
-        cands = np.array([-1.5, 1.0015, 2.5])
-        assert _snap_from_bracket(bracket, cands, self.W) == 1.0015
-
-    def test_single_candidate_near_both_ends_is_taken(self):
-        cands = np.array([-1.5, 1.01, 2.5])
-        assert _snap_from_bracket((1.0, 1.003), cands, self.W) == 1.01
-
-    def test_two_candidates_in_window_fall_back(self):
-        cands = np.array([0.995, 1.0015, 2.5])
-        assert _snap_from_bracket((1.0, 1.003), cands, self.W) is None
-
-    @pytest.mark.parametrize("c", [1.0 - 0.019, 1.003 + 0.019])
-    def test_candidate_near_one_end_only_falls_back(self, c):
-        cands = np.array([-1.5, c])
-        assert _snap_from_bracket((1.0, 1.003), cands, self.W) is None
-
-    def test_scan_boundary_edge_falls_back(self):
-        cands = np.array([1.0])
-        assert _snap_from_bracket((1.0, None), cands, self.W) is None
-
-    def test_ambiguous_three_atom_edge_is_bisected(self, bisections):
-        # three_atom_spec(np.random.default_rng(5)) of the benchmark: at
-        # n = 16 its left fold edge -2.25469 lies 0.011 from the atom image
-        # -2.26580, so both are inside the window and the bracket decides
-        # nothing; the bisected edge still snaps to the fold edge
+    def test_three_atom_edges_are_fold_edges(self):
+        # three_atom_spec(5): at n = 16 its left fold edge -2.25469 lies
+        # 0.011 from the atom image -2.26580; the edge is the fold edge
         mu = make_measure({"atoms": [
             {"x": -2.0870975210149507, "w": 0.14320100721856932},
             {"x": -0.5664510557772742, "w": 0.2354358874615645},
             {"x": 0.6956276780718659, "w": 0.6213631053198662}]})
         (a, b), = clt_density_subordination(mu, 16).intervals()
-        assert len(bisections) == 1
-        assert all(x < -2.25 for x in bisections[0])  # the left edge
         assert a == pytest.approx(-2.254685811031692, abs=1e-13)
         assert b == pytest.approx(1.692353428015041, abs=1e-13)
+
+
+class TestSeveralIntervals:
+    """Supports of several intervals: one subordination table per interval,
+    matching the flow route."""
+
+    @pytest.mark.parametrize("spec,n", [
+        (THREE_GAP_SPEC, 2), (THREE_GAP_SPEC, 4),
+        (FOUR_GAP_SPEC, 2), (FOUR_GAP_SPEC, 4),
+        (three_atom_spec(11), 2)],
+        ids=["three-2", "three-4", "four-2", "four-4", "rng11-2"])
+    def test_routes_agree(self, spec, n):
+        mu = make_measure(spec)
+        flow = clt_density_flow(mu, n)
+        sub = clt_density_subordination(mu, n)
+        assert len(sub.intervals()) == len(flow.intervals())
+        assert np.max(np.abs(np.array(sub.intervals())
+                             - np.array(flow.intervals()))) < 1e-12
+        assert _compare_densities(flow, sub)["sup_diff"] < 5e-4
+        assert abs(sub.mass - 1.0) < 1e-8
+        assert abs(sub.mean) < 1e-8
+        assert abs(sub.variance - 1.0) < 1e-7
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 16])
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_intervals_match_flow_route(self, seed, n):
+        mu = make_measure(three_atom_spec(seed))
+        intervals, _, _ = _support_intervals(mu, n)
+        expected = clt_density_flow(mu, n).intervals()
+        assert len(intervals) == len(expected)
+        assert np.max(np.abs(np.array(intervals) - np.array(expected))) < 1e-12
+
+    def test_one_table_across_a_gap_fails_the_mass_gate(self, monkeypatch):
+        # without the inner edges +-1.188 the gaps on either side of the
+        # surviving centre atom merge, and one table spans the gap between
+        # the two intervals
+        real = pipeline._edge_candidates
+
+        def without_inner_edges(mu, n):
+            c = real(mu, n)
+            inner = (np.abs(c) > 0.5) & (np.abs(c) < 2.0)
+            assert np.count_nonzero(inner) == 2
+            return c[~inner]
+
+        monkeypatch.setattr(pipeline, "_edge_candidates", without_inner_edges)
+        mu = make_measure(THREE_GAP_SPEC)
+        with pytest.raises(ConsistencyError, match="n=2"):
+            clt_density_subordination(mu, 2)
