@@ -13,8 +13,10 @@ quotient -- no fixed-point iteration anywhere.
 
 Route 2 (subordination): omega(Z) solves omega = Z/n + (1-1/n)/G_mu(omega);
 then the transform of the power at Z is G_mu(omega(Z)), rescaled back to the
-normalized variable.  The density is recovered by extrapolating boundary
-values to the real axis.
+normalized variable.  For a seed with no ac part, omega at a real point is
+an eigenvalue of a k x k matrix (k atoms), so the density comes straight
+from boundary values on the real axis; with an ac part it is recovered by
+extrapolating boundary values along a height ladder.
 
 Atoms: the n-th power has an atom at n*x exactly when an atom of mu at x has
 weight w > 1 - 1/n, with weight n*w - (n-1); normalization moves it to
@@ -97,8 +99,12 @@ class CltDensity:
 
     tables may be empty (purely atomic, only possible at n = 1 or via the
     weight criterion) and has one entry per support interval.  Moments
-    include atom contributions.  curve is set on the flow route; residual
-    and iterations describe the fixed-point solve on the subordination route.
+    include atom contributions.  curve is set on the flow route.  On the
+    subordination route, residual is the largest
+    |Z/n + (1-1/n) F_mu(omega) - omega| over the solved points, and
+    iterations the largest Picard/Newton count of an omega solve; for a
+    seed with no ac part omega comes from an eigenproblem, so iterations
+    is 0 and residual is taken over the points with Im omega > 0.
     """
 
     n: int
@@ -382,18 +388,66 @@ def clt_cauchy(mu: Measure, n: int, z):
     return out if np.ndim(out) else complex(out)
 
 
+def _omega_roots(mu: Measure, n: int, z_big):
+    """Boundary values omega(Z + i0) at real Z for a seed with no ac part.
+
+    With atoms (x_i, w_i), omega = Z/n + (1-1/n) F_mu(omega) is the secular
+    equation 1 + sum_i w_i (n x_i - Z) / (omega - x_i) = 0, whose roots are
+    the eigenvalues of diag(x) + (w * (Z - n x)) 1^T: one k x k eigenproblem
+    per point, no iteration.  For real Z the map is a non-automorphic
+    self-map of the upper half-plane, so at most one root lies there
+    (Denjoy-Wolff); omega is the root of largest imaginary part, and
+    Im omega <= 0 means Z lies off the support.  Returns (omega, residual),
+    the residual of the fixed-point equation over the roots with
+    Im omega > 0.
+    """
+    x = np.array([a.x for a in mu.atoms])
+    w = np.array([a.w for a in mu.atoms])
+    z = np.asarray(z_big, dtype=float)
+    mats = np.repeat((w * (z[:, None] - n * x))[:, :, None], x.size, axis=2)
+    mats += np.diag(x)
+    roots = np.linalg.eigvals(mats).astype(complex)
+    omega = roots[np.arange(z.size), np.argmax(roots.imag, axis=1)]
+    up = omega.imag > 0.0
+    phi, _ = _phi_factory(mu, n)
+    res = np.abs(phi(z[up], omega[up]) - omega[up])
+    return omega, float(np.max(res, initial=0.0))
+
+
+def _atomic_boundary_density(mu: Measure, n: int, x: np.ndarray):
+    """Density of the normalized n-th power at real x from _omega_roots.
+
+    At Z = sqrt(n) x, G_mu(omega) = (n-1)/(n omega - Z), so
+    p(x) = -sqrt(n) Im[(n-1)/(n omega - Z)]/pi, and p = 0 where
+    Im omega <= 0.  Returns (p, residual).
+    """
+    rt = math.sqrt(n)
+    z = rt * np.asarray(x, dtype=float)
+    omega, res = _omega_roots(mu, n, z)
+    up = omega.imag > 0.0
+    p = np.zeros(z.shape)
+    p[up] = -rt * np.imag((n - 1) / (n * omega[up] - z[up])) / np.pi
+    return p, res
+
+
 def _support_intervals(mu: Measure, n: int):
     """Support intervals of the ac part of the normalized n-th power.
 
     Every edge is one of _edge_candidates, so the support is a union of
     gaps between adjacent candidates.  A gap is support exactly when omega
-    turns complex inside it; one solve at the gap midpoints, just above the
-    axis, decides all gaps at once, and adjacent support gaps merge.
-    Returns (intervals, iterations, residual) of that solve.
+    turns complex inside it; omega at the gap midpoints decides all gaps at
+    once (on the axis for a seed with no ac part, else one solve just above
+    it), and adjacent support gaps merge.  Returns (intervals, iterations,
+    residual) of that solve.
     """
     cands = np.unique(_edge_candidates(mu, n))
     mid = 0.5 * (cands[:-1] + cands[1:])
-    w, iters, res = _omega_grid(mu, n, math.sqrt(n) * mid + 1e-12j)
+    z = math.sqrt(n) * mid
+    if mu.ac is None:
+        w, res = _omega_roots(mu, n, z)
+        iters = 0
+    else:
+        w, iters, res = _omega_grid(mu, n, z + 1e-12j)
     inside = np.imag(w) > _SUPPORT_IM
     intervals = []
     for i in np.flatnonzero(inside):
@@ -407,10 +461,12 @@ def _support_intervals(mu: Measure, n: int):
 def clt_density_subordination(mu: Measure, n: int, grid_points: int = 801,
                               eps_top: float = DEFAULT_EPS,
                               levels: int = 6) -> CltDensity:
-    """Density of the normalized n-th power via extrapolated boundary values.
+    """Density of the normalized n-th power from subordination boundary values.
 
-    One table per support interval; raises ConsistencyError when the total
-    mass misses 1 by more than _MASS_TOL.
+    Boundary values on the real axis come from _atomic_boundary_density for
+    a seed with no ac part, and from the extrapolated height ladder
+    otherwise.  One table per support interval; raises ConsistencyError
+    when the total mass misses 1 by more than _MASS_TOL.
     """
     n = _require_power(n)
     _require_standardized(mu)
@@ -438,9 +494,14 @@ def clt_density_subordination(mu: Measure, n: int, grid_points: int = 801,
     mass = e1 = e2 = 0.0
     for a, b in intervals:
         x = _chebyshev_roots(a, b, grid_points)
-        dist = np.minimum(x - a, b - x)
-        inv = stieltjes_invert(transform_ac, x, heights=sched.anchored(dist))
-        tab = build_table(x, inv.values, support=(a, b), edge_orders="fit",
+        if mu.ac is None:
+            p, res = _atomic_boundary_density(mu, n, x)
+            max_res = max(max_res, res)
+        else:
+            dist = np.minimum(x - a, b - x)
+            p = stieltjes_invert(transform_ac, x,
+                                 heights=sched.anchored(dist)).values
+        tab = build_table(x, p, support=(a, b), edge_orders="fit",
                           expected_mass=None)
         tables.append(tab)
         m0, mean, var = tab.moments()

@@ -176,6 +176,35 @@ def asym_power_density(x, m):
     return np.where(np.isfinite(p) & (p > 0.0), p, 0.0)
 
 
+def atomic_power_density(spec, n, x):
+    """Density of the normalized n-th power of a purely atomic seed, by one
+    np.roots call per point.
+
+    With P(w) = prod_i (w - x_i) and Q(w) = sum_i w_i prod_{j != i} (w - x_j),
+    F_mu = P/Q, so omega = Z/n + (1 - 1/n) F_mu(omega) clears to the
+    degree-k polynomial n w Q - Z Q - (n - 1) P = 0.  omega(Z + i0) is its
+    root of largest imaginary part, and at Z = sqrt(n) x the density is
+    -sqrt(n) Im[Q/P](omega) / pi, zero where that root is real.
+    """
+    mu = make_measure(spec)
+    xs = np.array([a.x for a in mu.atoms])
+    ws = np.array([a.w for a in mu.atoms])
+    p_poly = np.poly(xs)
+    q_poly = sum(w * np.poly(np.delete(xs, i)) for i, w in enumerate(ws))
+    rt = math.sqrt(n)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(x)
+    for i, z in enumerate(rt * x):
+        coeffs = np.polysub(np.polymul([float(n), -z], q_poly),
+                            (n - 1.0) * p_poly)
+        roots = np.roots(coeffs)
+        omega = roots[np.argmax(roots.imag)]
+        if omega.imag > 0.0:
+            g = np.polyval(q_poly, omega) / np.polyval(p_poly, omega)
+            out[i] = -rt * g.imag / math.pi
+    return out
+
+
 def kesten_fisher(m):
     """(4 pi^2 / 3) * integral of the cubed m-th power density, in closed
     form: (m-1)^2 / (m (m-2)) for m > 2, divergent at m = 2."""

@@ -190,6 +190,13 @@ class TestCompareCommand:
         payload = json.loads(out.read_text())
         assert payload["rows"][0]["sup_diff"] < 5e-4
 
+    def test_four_atom_seed_at_power_three(self, capsys):
+        # three intervals, with table nodes 1.4e-7 inside the edges of the
+        # middle one
+        code = main(["compare", "--measure", json.dumps(FOUR_GAP_SPEC),
+                     "--n", "3"])
+        assert code == 0, capsys.readouterr().out
+
 
 class TestVerifyCommand:
     def test_all_properties_pass(self, capsys):

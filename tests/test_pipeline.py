@@ -23,14 +23,22 @@ from freeclt import (
     tail_bound_check,
 )
 from freeclt import pipeline
-from freeclt.pipeline import _compare_densities, _support_intervals
+from freeclt.measures import _chebyshev_roots
+from freeclt.pipeline import (
+    _atomic_boundary_density,
+    _compare_densities,
+    _omega_roots,
+    _support_intervals,
+)
 
 from conftest import (
+    ASYM_SPEC,
     FOUR_GAP_SPEC,
     SQRT2,
     THREE_GAP_SPEC,
     arcsine_density,
     asym_power_density,
+    atomic_power_density,
     kesten_density,
 )
 
@@ -220,6 +228,84 @@ def three_atom_spec(seed: int) -> dict:
     return {"atoms": [{"x": float(a), "w": float(b)} for a, b in zip(x, w)]}
 
 
+# four atoms whose outer pair is light and far: three intervals at n = 16
+WIDE_FOUR_SPEC = {"atoms": [{"x": -6.0, "w": 0.02}, {"x": -0.1, "w": 0.48},
+                            {"x": 0.1, "w": 0.48}, {"x": 6.0, "w": 0.02}],
+                  "standardize": True}
+# twenty equal atoms, equally spaced: a 20 x 20 eigenproblem per point
+TWENTY_ATOM_SPEC = {"atoms": [{"x": float(i), "w": 0.05} for i in range(20)],
+                    "standardize": True}
+ORACLE_CASES = ([(three_atom_spec(s), n, f"rng{s}-{n}")
+                 for s in range(1, 13) for n in (2, 3, 4, 16)]
+                + [(ASYM_SPEC, n, f"asym-{n}") for n in (2, 3, 4, 16)])
+
+EDGE_SEEDS = [THREE_GAP_SPEC, FOUR_GAP_SPEC] + [three_atom_spec(s)
+                                               for s in range(1, 13)]
+
+
+def _interior(grid, a, b, margin=1e-3):
+    return (grid > a + margin) & (grid < b - margin)
+
+
+class TestAtomicBoundaryValues:
+    """For a seed with no ac part the subordination route takes omega(Z + i0)
+    from one k x k eigenproblem per point; both routes are judged against a
+    per-point np.roots oracle of the same equation, cleared to a polynomial."""
+
+    @pytest.mark.parametrize("spec,n", [c[:2] for c in ORACLE_CASES],
+                             ids=[c[2] for c in ORACLE_CASES])
+    def test_flow_route_matches_roots_oracle(self, spec, n):
+        for tab in clt_density_flow(make_measure(spec), n).tables:
+            sel = _interior(tab.grid, *tab.support)
+            exact = atomic_power_density(spec, n, tab.grid[sel])
+            assert np.max(np.abs(tab.values[sel] - exact)) <= 1e-11
+
+    @pytest.mark.parametrize("spec,n", [c[:2] for c in ORACLE_CASES],
+                             ids=[c[2] for c in ORACLE_CASES])
+    def test_subordination_nodes_match_roots_oracle(self, spec, n):
+        # the route's own grid and values, taken before its mass gate, so
+        # rng 12 at n = 2 (mass off by 8e-5, a grid too coarse for a sharp
+        # interior minimum) is checked too
+        mu = make_measure(spec)
+        intervals, _, _ = _support_intervals(mu, n)
+        for a, b in intervals:
+            x = _chebyshev_roots(a, b, 801)
+            x = x[_interior(x, a, b)]
+            p, res = _atomic_boundary_density(mu, n, x)
+            assert np.max(np.abs(p - atomic_power_density(spec, n, x))) <= 1e-11
+            assert res < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_twenty_atoms_agree_with_the_flow_route(self, n):
+        mu = make_measure(TWENTY_ATOM_SPEC)
+        for tab in clt_density_flow(mu, n).tables:
+            sel = _interior(tab.grid, *tab.support)
+            p, _ = _atomic_boundary_density(mu, n, tab.grid[sel])
+            assert np.max(np.abs(p - tab.values[sel])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 16])
+    @pytest.mark.parametrize("spec", EDGE_SEEDS,
+                             ids=["three-gap", "four-gap"]
+                             + [f"rng{s}" for s in range(1, 13)])
+    def test_root_leaves_the_axis_at_each_edge(self, spec, n):
+        # offset min(1e-4, a quarter of the adjacent gap) to each side
+        mu = make_measure(spec)
+        intervals, _, _ = _support_intervals(mu, n)
+        rt = math.sqrt(n)
+        for i, (a, b) in enumerate(intervals):
+            gap_left = a - intervals[i - 1][1] if i > 0 else math.inf
+            gap_right = (intervals[i + 1][0] - b if i + 1 < len(intervals)
+                         else math.inf)
+            for edge, gap, outward in ((a, gap_left, -1.0),
+                                       (b, gap_right, 1.0)):
+                d = min(1e-4, gap / 4.0)
+                omega, _ = _omega_roots(
+                    mu, n, rt * np.array([edge - outward * d,
+                                          edge + outward * d]))
+                assert omega[0].imag > 1e-6, edge
+                assert omega[1].imag <= 1e-8, edge
+
+
 class TestEdgeSnap:
     """Every support edge of the subordination route is a fold-map critical
     value, taken as it is."""
@@ -250,8 +336,11 @@ class TestSeveralIntervals:
     @pytest.mark.parametrize("spec,n", [
         (THREE_GAP_SPEC, 2), (THREE_GAP_SPEC, 4),
         (FOUR_GAP_SPEC, 2), (FOUR_GAP_SPEC, 4),
-        (three_atom_spec(11), 2)],
-        ids=["three-2", "three-4", "four-2", "four-4", "rng11-2"])
+        (three_atom_spec(11), 2),
+        # nodes close to an inner edge (four-3) or to a seed atom
+        (FOUR_GAP_SPEC, 3), (THREE_GAP_SPEC, 16), (WIDE_FOUR_SPEC, 16)],
+        ids=["three-2", "three-4", "four-2", "four-4", "rng11-2",
+             "four-3", "three-16", "wide-four-16"])
     def test_routes_agree(self, spec, n):
         mu = make_measure(spec)
         flow = clt_density_flow(mu, n)
@@ -263,6 +352,7 @@ class TestSeveralIntervals:
         assert abs(sub.mass - 1.0) < 1e-8
         assert abs(sub.mean) < 1e-8
         assert abs(sub.variance - 1.0) < 1e-7
+        assert sub.iterations == 0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 16])
     @pytest.mark.parametrize("seed", range(1, 13))
