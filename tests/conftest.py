@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from freeclt import make_measure
+from freeclt.measures import _leggauss
 from freeclt.transforms import semicircle_cauchy
 
 SQRT2 = math.sqrt(2.0)
@@ -205,6 +206,46 @@ def atomic_power_density(spec, n, x):
     return out
 
 
+def substitution_log_energy(tables, outer=512, inner=384):
+    """Double log-kernel energy of the tables' summed density by nested
+    substitution quadrature, sharing no series with the package.
+
+    The outer integral takes each table's Gauss-theta nodes.  At every outer
+    node x the inner integral over each table is split at x, and both halves
+    get their own Gauss rule in the angle variable, which clusters nodes at
+    the log singularity and keeps endpoint exponents >= -1/2 bounded.
+    Accurate to ~1e-10 on square-root edges, ~1.5e-9 at -1/2 edges.
+    """
+    t, wt = _leggauss(inner)
+    theta = 0.5 * np.pi * (t + 1.0)
+    cth, sth = np.cos(theta), np.sin(theta)
+    total = 0.0
+    for out_tab in tables:
+        xo, wo = out_tab.quad_nodes(outer)
+        u = np.zeros_like(xo)
+        for tab in tables:
+            a, b = tab.support
+            split = np.clip(xo, a, b)
+            for lo, hi in ((np.full_like(xo, a), split),
+                           (split, np.full_like(xo, b))):
+                live = hi - lo > 1e-14
+                if not np.any(live):
+                    continue
+                c = 0.5 * (lo[live] + hi[live])[:, None]
+                r = 0.5 * (hi[live] - lo[live])[:, None]
+                # stay strictly inside, where a singular density is finite
+                y = np.clip(c + r * cth[None, :],
+                            np.nextafter(a, b), np.nextafter(b, a))
+                jac = r * sth[None, :] * (0.5 * np.pi * wt)[None, :]
+                rho = tab.density(y.ravel()).reshape(y.shape)
+                d = np.abs(xo[live][:, None] - y)
+                with np.errstate(divide="ignore"):
+                    lg = np.where(d == 0.0, 0.0, np.log(d))
+                u[live] += np.sum(rho * lg * jac, axis=1)
+        total += float(np.sum(wo * u))
+    return total
+
+
 def kesten_fisher(m):
     """(4 pi^2 / 3) * integral of the cubed m-th power density, in closed
     form: (m-1)^2 / (m (m-2)) for m > 2, divergent at m = 2."""
@@ -245,6 +286,16 @@ ASYM_PINS = {
     64: {"sup": 0.101344, "l1": 0.057933, "l06": 0.129209, "l2": 0.039965,
          "chi": 1.41755953, "phi": 1.00851639},
 }
+
+# Free entropy of the normalized n-th power of the asymmetric coin, from an
+# independent reference that shares no numerics with the package: the closed
+# form G of the power (as in asym_power_density) gives the log-potential by
+# U' = Re G(x + i0) and U(b) = log b + int_b^inf (1/s - G), and then
+# chi = int U dmu + 3/4 + (1/2) log 2 pi, all by nested scipy quad at 1e-13.
+# These are not the six-decimal chi entries of ASYM_PINS, which are off by
+# 1.2e-5 to 2.9e-5.
+ASYM_CHI_REFERENCE = {4: 1.3706624701, 8: 1.4034521609, 16: 1.4126024617,
+                      32: 1.4160669907, 64: 1.4175712815}
 
 # Entropy closed forms: the double log-energy of the arcsine law on
 # [-sqrt(2), sqrt(2)] is log(capacity) = -log(2)/2, and of the uniform law

@@ -5,6 +5,7 @@ Functional values are checked against closed forms where they exist
 frozen pins computed from closed-form oracle tables otherwise.
 """
 
+import functools
 import math
 import time
 
@@ -33,14 +34,22 @@ from freeclt import (
 )
 
 from conftest import (
+    ARCSINE_SPEC,
+    ASYM_CHI_REFERENCE,
     ASYM_SPEC,
     BERNOULLI_PINS,
+    BERNOULLI_SPEC,
     CHI_ARCSINE,
     CHI_UNIFORM_STD,
+    FOUR_GAP_SPEC,
+    MIXTURE_SPEC,
     PHI_UNIFORM_STD,
+    SEMICIRCLE_SPEC,
     SQRT2,
+    UNIFORM_SPEC,
     kesten_density,
     kesten_fisher,
+    substitution_log_energy,
 )
 
 
@@ -63,6 +72,27 @@ KESTEN_LP_REFERENCE = {
 # mean 0, variance 1; the atom at 1/3 survives every power n < 10
 ATOM_HEAVY_SPEC = {"atoms": [{"x": -3.0, "w": 0.1},
                              {"x": 1.0 / 3.0, "w": 0.9}]}
+
+
+# seeds whose flow-route powers gate free_entropy against
+# substitution_log_energy: both coins (the fair coin's n = 2 power has -1/2
+# edges), the seeds with an ac part, and a seed whose n = 2 power has three
+# intervals
+ORACLE_SPECS = {"coin": BERNOULLI_SPEC, "asym": ASYM_SPEC,
+                "uniform": UNIFORM_SPEC, "arcsine": ARCSINE_SPEC,
+                "semicircle": SEMICIRCLE_SPEC, "mixture": MIXTURE_SPEC,
+                "four_gap": FOUR_GAP_SPEC}
+ORACLE_POWERS = (
+    [(seed, n) for seed in ("coin", "asym") for n in (2, 4, 16, 64)]
+    + [(seed, n) for seed in ("uniform", "arcsine", "semicircle", "mixture")
+       for n in (4, 64)]
+    + [("four_gap", n) for n in (2, 3, 4)])
+
+
+@functools.lru_cache(maxsize=None)
+def flow_power(seed, n):
+    """Flow-route power of an ORACLE_SPECS seed, computed once."""
+    return clt_density_flow(make_measure(ORACLE_SPECS[seed]), n)
 
 
 def kesten_table(m, points=3001):
@@ -205,20 +235,33 @@ class TestFreeEntropy:
     def test_semicircle_attains_maximum(self, semicircle_table):
         chi = free_entropy(semicircle_table)
         assert chi.finite
-        assert chi.value == pytest.approx(CHI_SEMICIRCLE, abs=1e-8)
+        assert chi.value == pytest.approx(CHI_SEMICIRCLE, abs=1e-10)
 
     def test_arcsine_closed_form(self, arcsine_table):
         assert free_entropy(arcsine_table).value == pytest.approx(
-            CHI_ARCSINE, abs=1e-8)
+            CHI_ARCSINE, abs=1e-10)
 
     def test_uniform_closed_form(self, uniform_table):
         assert free_entropy(uniform_table).value == pytest.approx(
-            CHI_UNIFORM_STD, abs=1e-8)
+            CHI_UNIFORM_STD, abs=1e-10)
 
     @pytest.mark.parametrize("m", [4, 16, 64])
     def test_kesten_pins(self, m):
         assert free_entropy(kesten_table(m)).value == pytest.approx(
             BERNOULLI_PINS[m]["chi"], abs=1e-8)
+
+    @pytest.mark.parametrize("n", sorted(ASYM_CHI_REFERENCE))
+    def test_asymmetric_coin_reference(self, n):
+        chi = free_entropy(flow_power("asym", n)).value
+        assert chi == pytest.approx(ASYM_CHI_REFERENCE[n], abs=1e-10)
+
+    @pytest.mark.parametrize("seed, n", ORACLE_POWERS)
+    def test_matches_substitution_oracle(self, seed, n):
+        tables = flow_power(seed, n).tables
+        chi = free_entropy(tables).value
+        ref = substitution_log_energy(tables) + 0.75 \
+            + 0.5 * math.log(2.0 * math.pi)
+        assert chi == pytest.approx(ref, abs=5e-9)
 
     def test_dilation_law(self, semicircle_table):
         base = free_entropy(semicircle_table).value
@@ -226,24 +269,22 @@ class TestFreeEntropy:
             moved = free_entropy(semicircle_table.dilated(a)).value
             assert moved - base == pytest.approx(math.log(a), abs=1e-8)
 
-    def test_piecewise_linear_cross_check(self, semicircle_table,
-                                          uniform_table):
-        # the exact-cell piecewise-linear energy agrees to its
-        # interpolation bias (~1e-5 at square-root edges, better inside)
-        sub = free_entropy(semicircle_table).value
-        lin = free_entropy(semicircle_table, method="piecewise_linear").value
-        assert lin == pytest.approx(sub, abs=5e-5)
-        sub_u = free_entropy(uniform_table).value
-        lin_u = free_entropy(uniform_table, method="piecewise_linear").value
-        assert lin_u == pytest.approx(sub_u, abs=5e-5)
+    def test_dilation_law_on_three_tables(self):
+        # the log energy of mass m moves by m^2 log a; these tables hold
+        # mass 1 - 2e-11 by the energy's own rule, which would show at 3e-11
+        tables = flow_power("four_gap", 2).tables
+        assert len(tables) == 3
+        mass = sum(float(np.sum(t.quad_nodes(functionals._ENERGY_NODES)[1]))
+                   for t in tables)
+        base = free_entropy(tables).value
+        for a in (0.5, 2.0):
+            moved = free_entropy([t.dilated(a) for t in tables]).value
+            assert moved - base == pytest.approx(mass ** 2 * math.log(a),
+                                                 abs=1e-12)
 
-    def test_piecewise_linear_rejects_singular_edges(self, arcsine_table):
+    def test_overlapping_tables_rejected(self, semicircle_table):
         with pytest.raises(InvalidArgumentError):
-            free_entropy(arcsine_table, method="piecewise_linear")
-
-    def test_unknown_method_rejected(self, semicircle_table):
-        with pytest.raises(InvalidArgumentError):
-            free_entropy(semicircle_table, method="laplace")
+            free_entropy([semicircle_table, semicircle_table.translated(1.0)])
 
 
 class TestFreeFisher:
