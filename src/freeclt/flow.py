@@ -248,11 +248,6 @@ def flow_region(kernel: FlowKernel) -> Tuple[Tuple[float, float], ...]:
     return tuple((edges[k], edges[k + 1]) for k in range(0, len(edges), 2))
 
 
-def _region_outer_edges(kernel: FlowKernel):
-    comps = kernel.support_components
-    return comps[0][0], comps[-1][1]
-
-
 @dataclass(frozen=True, eq=False)
 class FlowCurve:
     """Sampled flow curve: u-grid with heights and image points, per region."""

@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import (
     CompanionRecoveryError,
@@ -34,11 +34,8 @@ from .measures import (
 )
 
 _TABLE_NODES = 4096       # quadrature size for transforms of tabulated parts
-_ATOM_SCAN_EPS = 1e-4     # imaginary offset for the atom-detection sweep
-_ATOM_SCAN_THRESHOLD = 0.2  # eps*|G| level that flags a point-mass candidate
 _COMPANION_MASS_TOL = 2e-6  # recovered-component mass budget
-_COMPANION_TAU = 1e-7       # default density threshold for the support scan
-_COMPANION_GRID = 801       # default inversion grid for the companion table
+_COMPANION_GRID = 801       # inversion grid for the companion table
 _COMPANION_LOCK = threading.Lock()
 
 
@@ -269,34 +266,44 @@ def stieltjes_invert(transform: Callable[[np.ndarray], np.ndarray], x,
 
 # -- companion recovery -----------------------------------------------------
 
-def _companion_of_atomic(mu: Measure) -> Measure:
-    """Exact companion when mu is purely atomic: G_nu = z - 1/G_mu is rational
-    with one simple pole strictly between consecutive atoms of mu."""
+def _companion_atoms(mu: Measure) -> Tuple[Atom, ...]:
+    """Atoms of the companion: the real zeros r of G_mu off supp mu, with
+    weight -1/G_mu'(r).
+
+    G_mu is strictly decreasing on each gap between support components
+    (the atoms and the ac interval), so a gap holds one zero exactly when
+    G_mu changes sign across it.  The atom part is summed
+    in real arithmetic; the ac part is the real boundary value off its
+    support.
+    """
     xs = np.array([a.x for a in mu.atoms])
     ws = np.array([a.w for a in mu.atoms])
+    ac = None if mu.ac is None else Measure((), mu.ac)
 
     def g(x):
-        return float(np.sum(ws / (x - xs)))
+        val = float(np.sum(ws / (x - xs)))
+        return val if ac is None else val + float(cauchy(ac, x + 1e-30j).real)
 
     def gprime(x):
-        return float(-np.sum(ws / (x - xs) ** 2))
+        val = float(-np.sum(ws / (x - xs) ** 2))
+        return val if ac is None else \
+            val + float(cauchy_derivative(ac, x + 1e-30j).real)
 
+    comps = [(x, x) for x in xs]
+    if ac is not None:  # an atom inside the ac interval merges into it
+        a, b = mu.ac.support
+        comps = sorted([c for c in comps if not a <= c[0] <= b] + [(a, b)])
     roots = []
-    for lo, hi in zip(xs, xs[1:]):
+    for (_, lo), (hi, _) in zip(comps, comps[1:]):
         gap = hi - lo
         d = 1e-9 * gap
         while g(lo + d) < 0 or g(hi - d) > 0:
             d *= 0.5
             if d < 1e-15 * gap:
-                raise CompanionRecoveryError(
-                    "cannot bracket reciprocal pole in (%g, %g)" % (lo, hi))
-        roots.append(brentq(g, lo + d, hi - d, xtol=1e-15, rtol=8.9e-16))
-    atoms = tuple(Atom(r, -1.0 / gprime(r)) for r in roots)
-    mass = sum(a.w for a in atoms)
-    if abs(mass - 1.0) > 1e-10:
-        raise CompanionRecoveryError(
-            "atomic companion mass %.12g differs from 1" % mass)
-    return Measure(atoms, None)
+                break  # no sign change: the gap holds no zero
+        else:
+            roots.append(brentq(g, lo + d, hi - d, xtol=1e-15, rtol=8.9e-16))
+    return tuple(Atom(r, -1.0 / gprime(r)) for r in roots)
 
 
 def _bisect_to_threshold(f: Callable[[float], float], inner: float,
@@ -349,97 +356,47 @@ def find_support_interval(boundary_density: Callable[[np.ndarray, float], np.nda
     return float(left), float(right)
 
 
-def _scan_companion_atoms(g_nu: Callable[[np.ndarray], np.ndarray],
-                          scan_lo: float, scan_hi: float) -> Tuple[Tuple[float, float], ...]:
-    eps = _ATOM_SCAN_EPS
-    grid = np.linspace(scan_lo, scan_hi, 4001)
-    score = eps * np.abs(g_nu(grid + 1j * eps))
-    found = []
-    idx = np.nonzero((score > _ATOM_SCAN_THRESHOLD)
-                     & (score >= np.roll(score, 1))
-                     & (score >= np.roll(score, -1)))[0]
-    for i in idx:
-        lo = grid[max(i - 2, 0)]
-        hi = grid[min(i + 2, grid.size - 1)]
-        res = minimize_scalar(lambda x: -eps * abs(complex(g_nu(np.array([x + 1j * eps]))[0])),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-13})
-        r = float(res.x)
-
-        def mass_at(e):
-            return float(-e * np.imag(g_nu(np.array([r + 1j * e]))[0]))
-
-        w = 2.0 * mass_at(eps / 2.0) - mass_at(eps)  # kills the O(eps) term
-        if w > 1e-8:
-            found.append((r, w))
-    merged = []
-    for r, w in sorted(found):
-        if merged and abs(r - merged[-1][0]) < 1e-8:
-            continue
-        merged.append((r, w))
-    return tuple(merged)
-
-
-def companion_measure(mu: Measure, tau: float = _COMPANION_TAU,
-                      grid_points: int = _COMPANION_GRID) -> Measure:
+def companion_measure(mu: Measure) -> Measure:
     """Recover the measure nu with 1/G_mu(z) = z - G_nu(z).
 
     Requires mu standardized (mean 0, variance 1); nu then has total mass 1
-    and mean equal to the third moment of mu.  Purely atomic mu is handled in
-    closed form; otherwise atoms of nu are detected by a near-axis sweep and
-    the continuous part is recovered by extrapolated boundary inversion.
+    and mean equal to the third moment of mu.  The atoms of nu are the real
+    zeros of G_mu in the gaps of supp mu; its continuous part has density
+    p_mu / |G_mu(x + i0)|^2, so it lives on the support of mu's ac part and
+    is recovered there by extrapolated boundary inversion.
 
-    nu does not depend on the power, so with the default tau and
-    grid_points it is recovered once per (frozen) mu instance and memoized
-    on it; every power, row or ladder of the same seed object reuses it.
+    nu does not depend on the power, so it is recovered once per (frozen)
+    mu instance and memoized on it; every power, row or ladder of the same
+    seed object reuses it.
     """
-    if tau != _COMPANION_TAU or grid_points != _COMPANION_GRID:
-        return _recover_companion(mu, tau, grid_points)
     with _COMPANION_LOCK:  # library callers may share one seed across threads
         cached = mu.__dict__.get("_companion_cache")
         if cached is None:
-            cached = _recover_companion(mu, tau, grid_points)
+            cached = _recover_companion(mu)
             object.__setattr__(mu, "_companion_cache", cached)
     return cached
 
 
-def _recover_companion(mu: Measure, tau: float, grid_points: int) -> Measure:
+def _recover_companion(mu: Measure) -> Measure:
     if not mu.is_standardized(1e-6):
         raise InvalidArgumentError(
             "companion recovery requires a standardized measure")
+    atoms = _companion_atoms(mu)
+    atom_mass = sum(a.w for a in atoms)
     if mu.ac is None:
-        return _companion_of_atomic(mu)
-
-    def g_nu(z):
-        return np.asarray(z, dtype=complex) - 1.0 / cauchy(mu, z)
-
-    lo, hi = mu.support()
-    scan_lo, scan_hi = lo - 4.0, hi + 4.0
-    atom_list = _scan_companion_atoms(g_nu, scan_lo, scan_hi)
-
-    def g_ac(z):
-        out = g_nu(z)
-        for r, w in atom_list:
-            out = out - w / (z - r)
-        return out
-
-    def boundary_density(x, eps):
-        return -np.imag(g_ac(x + 1j * eps)) / np.pi + 0.0 * x
-
-    interval = find_support_interval(boundary_density, scan_lo, scan_hi,
-                                     tau=10.0 * tau)
-    atom_mass = sum(w for _, w in atom_list)
-    if interval is None:
-        if abs(atom_mass - 1.0) > _COMPANION_MASS_TOL:
+        if abs(atom_mass - 1.0) > 1e-10:
             raise CompanionRecoveryError(
-                "companion atoms carry mass %.9g but no continuous part found"
-                % atom_mass)
-        total = atom_mass
-        atoms = tuple(Atom(r, w / total) for r, w in atom_list)
+                "atomic companion mass %.12g differs from 1" % atom_mass)
         return Measure(atoms, None)
 
-    a, b = interval
-    x = _chebyshev_roots(a, b, grid_points)
+    def g_ac(z):
+        out = np.asarray(z, dtype=complex) - 1.0 / cauchy(mu, z)
+        for atom in atoms:
+            out = out - atom.w / (z - atom.x)
+        return out
+
+    a, b = mu.ac.support
+    x = _chebyshev_roots(a, b, _COMPANION_GRID)
     dist = np.minimum(x - a, b - x)
     sched = InversionSchedule.geometric(start=1e-5, ratio=0.5, levels=8)
     inv = stieltjes_invert(g_ac, x, heights=sched.anchored(dist))
@@ -452,4 +409,4 @@ def _recover_companion(mu: Measure, tau: float, grid_points: int) -> Measure:
             % (atom_mass + mass, atom_mass, mass))
     tab = DensityTable(tab.grid, tab.values, tab.support, tab.edge_orders,
                        expected_mass=mass)
-    return Measure(tuple(Atom(r, w) for r, w in atom_list), tab)
+    return Measure(atoms, tab)

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from freeclt import make_measure
 from freeclt.measures import _leggauss
@@ -102,6 +103,20 @@ FOUR_GAP_SPEC = {"atoms": [{"x": -4.0, "w": 0.1}, {"x": -0.1, "w": 0.4},
                  "standardize": True}
 
 
+# seeds of atoms plus a constant 17-row table, whose Cauchy transform has a
+# closed form off the support (see constant_table_cauchy): OUTER_ATOM_SPEC
+# has one atom right of the table, and INNER_OUTER_ATOM_SPEC one atom inside
+# the table and one on each side of it
+def _constant_table_spec(atoms, height):
+    rows = [[-1.0 + k / 8.0, height] for k in range(17)]
+    return {"atoms": [{"x": x, "w": w} for x, w in atoms],
+            "density": {"table": rows}, "standardize": True}
+
+
+OUTER_ATOM_SPEC = _constant_table_spec([(3.0, 0.1)], 0.45)
+INNER_OUTER_ATOM_SPEC = _constant_table_spec(
+    [(-3.0, 0.1), (0.25, 0.2), (2.5, 0.1)], 0.3)
+
 @pytest.fixture()
 def measure_file_factory(tmp_path):
     def write(spec, name="measure.json"):
@@ -176,6 +191,34 @@ def asym_power_density(x, m):
         p = -np.imag(1.0 / f) / np.pi
     return np.where(np.isfinite(p) & (p > 0.0), p, 0.0)
 
+
+def constant_table_cauchy(mu, x):
+    """G_mu and G_mu' at real x off the support of a seed made of atoms and
+    a constant table of height h on [a, b]:
+    sum_i w_i / (x - x_i) + h log((x - a) / (x - b)) and its derivative."""
+    a, b = mu.ac.support
+    h = float(mu.ac.values[0])
+    g = sum(t.w / (x - t.x) for t in mu.atoms) + h * math.log((x - a) / (x - b))
+    gp = -sum(t.w / (x - t.x) ** 2 for t in mu.atoms) \
+        + h * (1.0 / (x - a) - 1.0 / (x - b))
+    return g, gp
+
+
+def constant_table_companion_atoms(mu):
+    """Companion atoms (r, -1/G_mu'(r)) of such a seed from brentq on the
+    closed form: G_mu diverges to +inf and -inf at the two ends of every gap
+    between the atoms outside the table and the table's edges."""
+    a, b = mu.ac.support
+    ends = sorted([t.x for t in mu.atoms if not a <= t.x <= b] + [a, b])
+    out = []
+    for lo, hi in zip(ends, ends[1:]):
+        if (lo, hi) == (a, b):
+            continue
+        pad = 1e-13 * (hi - lo)
+        r = brentq(lambda x: constant_table_cauchy(mu, x)[0], lo + pad,
+                   hi - pad, xtol=1e-15, rtol=8.9e-16)
+        out.append((r, -1.0 / constant_table_cauchy(mu, r)[1]))
+    return out
 
 def atomic_power_density(spec, n, x):
     """Density of the normalized n-th power of a purely atomic seed, by one

@@ -1,5 +1,6 @@
 """End-to-end powers of seeds with an absolutely continuous part: the uniform
-and arcsine families and the atom + table mixture.
+and arcsine families, the atom + table mixture, and two constant tables with
+atoms outside them.
 
 Each power is gated at the moment tolerances of acceptance criterion 12 and
 at the maximum-entropy bound.  The uniform and arcsine powers also go through
@@ -16,8 +17,11 @@ from freeclt import (
     clt_density_flow,
     clt_density_subordination,
     free_entropy,
+    make_measure,
 )
 from freeclt.pipeline import _compare_densities
+
+from conftest import INNER_OUTER_ATOM_SPEC, OUTER_ATOM_SPEC
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +33,12 @@ def ac_seeds(uniform, arcsine, mixture):
 def ac_powers(ac_seeds):
     return {(name, n): clt_density_flow(mu, n)
             for name, mu in ac_seeds.items() for n in (4, 64)}
+
+
+@pytest.fixture(scope="module")
+def table_atom_seeds():
+    return {"outer_atom": make_measure(OUTER_ATOM_SPEC),
+            "inner_outer_atoms": make_measure(INNER_OUTER_ATOM_SPEC)}
 
 
 def _assert_moments(dens):
@@ -56,3 +66,14 @@ def test_subordination_power_of_ac_seed(ac_seeds, ac_powers, seed, n):
     assert dens.atoms == ()
     _assert_moments(dens)
     assert _compare_densities(ac_powers[(seed, n)], dens)["sup_diff"] < 5e-4
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 64])
+@pytest.mark.parametrize("seed", ["outer_atom", "inner_outer_atoms"])
+def test_flow_power_of_table_seed_with_outer_atoms(table_atom_seeds, seed, n):
+    # the companion carries atoms off the seed's support; every seed atom
+    # (w <= 0.2) dies at n >= 2
+    dens = clt_density_flow(table_atom_seeds[seed], n)
+    assert dens.path == "flow"
+    assert dens.atoms == ()
+    _assert_moments(dens)

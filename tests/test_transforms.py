@@ -25,7 +25,14 @@ from freeclt import (
 
 from freeclt import transforms
 
-from conftest import MIXTURE_SPEC, semicircle_density, SQRT2
+from conftest import (
+    INNER_OUTER_ATOM_SPEC,
+    MIXTURE_SPEC,
+    OUTER_ATOM_SPEC,
+    SQRT2,
+    constant_table_companion_atoms,
+    semicircle_density,
+)
 
 RNG = np.random.default_rng(1202)
 
@@ -213,6 +220,36 @@ class TestCompanionMeasure:
         assert mean == pytest.approx(0.0, abs=1e-10)
         assert var == pytest.approx(1.0, abs=1e-9)
 
+    def test_arcsine_companion_is_semicircle_of_variance_half(self, arcsine):
+        # 1/G = sqrt((z - a)(z - b)) for the arcsine law on [-sqrt 2, sqrt 2],
+        # so G_nu = z - sqrt(z^2 - 2) is the semicircle transform of variance 1/2
+        nu = companion_measure(arcsine)
+        assert nu.atoms == ()
+        x = np.linspace(-SQRT2, SQRT2, 1001)
+        err = np.max(np.abs(nu.ac.density(x) - semicircle_density(x, 0.5)))
+        assert err < 1e-13
+
+    @pytest.mark.parametrize(
+        "seed", ["uniform", "arcsine", "semicircle", "mixture"])
+    def test_ac_part_lives_on_seed_ac_support(self, request, seed):
+        # p_nu = p_mu / |G_mu(x + i0)|^2 wherever p_mu > 0
+        mu = request.getfixturevalue(seed)
+        assert companion_measure(mu).ac.support == mu.ac.support
+
+    @pytest.mark.parametrize(
+        "spec", [OUTER_ATOM_SPEC, INNER_OUTER_ATOM_SPEC],
+        ids=["outer_atom", "inner_outer_atoms"])
+    def test_atoms_are_zeros_of_closed_form_transform(self, spec):
+        mu = make_measure(spec)
+        nu = companion_measure(mu)
+        ref = constant_table_companion_atoms(mu)
+        assert len(nu.atoms) == len(ref) > 0
+        for atom, (r, w) in zip(nu.atoms, ref):
+            assert atom.x == pytest.approx(r, abs=1e-12)
+            assert atom.w == pytest.approx(w, abs=1e-12)
+        mass = sum(a.w for a in nu.atoms) + nu.ac.mass()
+        assert abs(mass - 1.0) <= transforms._COMPANION_MASS_TOL
+
     def test_requires_standardized_seed(self):
         shifted = make_measure(
             {"atoms": [{"x": 0.0, "w": 0.5}, {"x": 2.0, "w": 0.5}]})
@@ -221,8 +258,8 @@ class TestCompanionMeasure:
 
 
 class TestCompanionReuse:
-    """The companion does not depend on the power: with the default
-    settings it is recovered once per seed object and then reused."""
+    """The companion does not depend on the power: it is recovered once
+    per seed object and then reused."""
 
     @pytest.fixture()
     def recoveries(self, monkeypatch):
@@ -246,11 +283,3 @@ class TestCompanionReuse:
         mu = make_measure(MIXTURE_SPEC)
         assert companion_measure(mu) is companion_measure(mu)
         assert len(recoveries) == 1
-
-    def test_non_default_tau_bypasses_cache(self, recoveries):
-        mu = make_measure(MIXTURE_SPEC)
-        cached = companion_measure(mu)
-        other = companion_measure(mu, tau=2e-7)
-        assert other is not cached
-        assert companion_measure(mu, tau=2e-7) is not other
-        assert len(recoveries) == 3
