@@ -114,11 +114,11 @@ def _parse_float_list(text: str, what: str) -> List[float]:
     return values
 
 
-def _density_for(mu: Measure, n: int, method: str, **kwargs) -> CltDensity:
+def _density_for(mu: Measure, n: int, method: str) -> CltDensity:
     if method in ("flow", "biane"):
         return clt_density_flow(mu, n)
     if method == "subordination":
-        return clt_density_subordination(mu, n, **kwargs)
+        return clt_density_subordination(mu, n)
     raise InvalidArgumentError(f"unknown method {method!r}")
 
 

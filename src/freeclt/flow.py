@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -27,13 +27,14 @@ from .errors import (
     FlowInversionError,
     InvalidArgumentError,
 )
-from .measures import (DensityTable, Measure, _chebyshev_extrema, _leggauss,
-                       build_table)
+from .measures import Measure, _chebyshev_extrema, _leggauss, build_table
 
 _V_NEWTON_MAX = 60          # monotone Newton needs about a dozen steps
 _V_STEP_RTOL = 2.2e-16      # stop once a step is below this share of v^2
 _PSI_BISECT_TOL = 1e-13
 _CAUCHY_BOUND_SLACK = 1e-9  # slack on |G| <= 1/sqrt(t)
+_AC_NODES = 4096            # Gauss-theta nodes for an ac part of the kernel
+_REFINE_PASSES = 3          # curve refinement passes where the image is sparse
 
 
 class FlowKernel:
@@ -45,7 +46,7 @@ class FlowKernel:
     spacings away from the ac support or the height v is not tiny.
     """
 
-    def __init__(self, nu: Measure, t: float, ac_nodes: int = 4096):
+    def __init__(self, nu: Measure, t: float):
         if not (np.isfinite(t) and t > 0):
             raise InvalidArgumentError("flow time t must be positive")
         self.nu = nu
@@ -53,16 +54,12 @@ class FlowKernel:
         xs = [a.x for a in nu.atoms]
         ws = [a.w for a in nu.atoms]
         if nu.ac is not None:
-            xq, wq = nu.ac.quad_nodes(ac_nodes)
+            xq, wq = nu.ac.quad_nodes(_AC_NODES)
             xs = np.concatenate([np.asarray(xs), xq])
             ws = np.concatenate([np.asarray(ws), wq])
         self.nodes = np.asarray(xs, dtype=float)
         self.weights = np.asarray(ws, dtype=float)
-        # closed support components: atoms as degenerate intervals + ac interval
-        comps = [(a.x, a.x) for a in nu.atoms]
-        if nu.ac is not None:
-            comps.append(tuple(nu.ac.support))
-        self.support_components = tuple(sorted(comps))
+        self.support_components = nu.support_components()
 
     # all of I, J, M2, M2x share the distance matrix; chunk over points
     def _accumulate(self, u: np.ndarray, v: np.ndarray, which: Tuple[str, ...]):
@@ -271,8 +268,7 @@ class FlowCurve:
         return psi_derivative(self.kernel, self.u, self.v)
 
 
-def flow_curve(kernel: FlowKernel, points_per_region: int = 1401,
-               refine_passes: int = 3) -> FlowCurve:
+def flow_curve(kernel: FlowKernel, points_per_region: int = 1401) -> FlowCurve:
     """Sample the curve on each region, refining where the image is sparse."""
     regions = flow_region(kernel)
     us, vs, ps, ridx = [], [], [], []
@@ -283,7 +279,7 @@ def flow_curve(kernel: FlowKernel, points_per_region: int = 1401,
         psi = flow_psi(kernel, u, v)
         span = psi[-1] - psi[0]
         dx_max = span / (points_per_region - 1) * 6.0
-        for _ in range(refine_passes):
+        for _ in range(_REFINE_PASSES):
             gaps = np.nonzero(np.diff(psi) > dx_max)[0]
             if gaps.size == 0:
                 break
@@ -315,15 +311,13 @@ def flow_curve(kernel: FlowKernel, points_per_region: int = 1401,
                      np.concatenate(ps), np.concatenate(ridx))
 
 
-def flow_density(nu: Measure, t: float, points_per_region: int = 1401,
-                 ac_nodes: int = 4096):
+def flow_density(nu: Measure, t: float):
     """Density table of the free convolution of nu with the semicircle law.
 
     Returns (curve, table).  The density at psi(u) is v(u)/(pi t); region
     ends map to support edges where the density vanishes like a square root.
     """
-    kernel = FlowKernel(nu, t, ac_nodes=ac_nodes)
-    curve = flow_curve(kernel, points_per_region)
+    curve = flow_curve(FlowKernel(nu, t))
     tables = []
     for k, _ in enumerate(curve.regions):
         sel = curve.region_index == k

@@ -20,7 +20,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DivergenceError, InvalidArgumentError, QuadratureError
+from .errors import InvalidArgumentError, QuadratureError
 from .measures import (DensityTable, SemicircleFamily, _leggauss,
                        gauss_theta_nodes)
 from .pipeline import CltDensity, clt_density_flow

@@ -23,13 +23,9 @@ from .errors import (
     DivergenceError,
     InvalidArgumentError,
     InvalidSpecError,
-    QuadratureError,
 )
 
-# Default tolerances.  All are overridable through function arguments.
-TOL_MASS = 1e-8          # mass gate for exactly representable measures
-TOL_MOMENT = 1e-8        # mean gate; variance gate is 10x this
-TOL_QUAD = 1e-10         # absolute quadrature target
+TOL_MASS = 1e-8          # default mass gate for exactly representable measures
 TABLE_MASS_TOL = 1e-5    # refined mass gate for tabulated components
 TRAPEZOID_MASS_TOL = 2e-3  # coarse trapezoid sanity gate for tables
 
@@ -489,6 +485,15 @@ class Measure:
             s = self.ac.support
             lo, hi = min(lo, s[0]), max(hi, s[1])
         return lo, hi
+
+    def support_components(self) -> Tuple[Tuple[float, float], ...]:
+        """Sorted closed components of the support: each atom as a degenerate
+        interval, and the ac interval, into which an atom inside it merges."""
+        comps = [(a.x, a.x) for a in self.atoms]
+        if self.ac is not None:
+            a, b = self.ac.support
+            comps = [c for c in comps if not a <= c[0] <= b] + [(a, b)]
+        return tuple(sorted(comps))
 
     def mean(self) -> float:
         m = sum(a.w * a.x for a in self.atoms)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,11 +38,11 @@ from .errors import (
 from .measures import (Atom, DensityTable, Measure, _chebyshev_roots,
                        build_table, dilate)
 from .transforms import (
-    InversionSchedule,
+    _INVERSION_GRID,
+    _invert_on,
     cauchy,
     cauchy_derivative,
     companion_measure,
-    stieltjes_invert,
 )
 from .flow import (
     FlowCurve,
@@ -56,13 +56,19 @@ from .flow import (
 
 DEFAULT_GRID = (-3.0, 3.0, 1201)
 DEFAULT_EPS = 1e-6          # top of the inversion ladder for route 2
+_EPS_LEVELS = 6             # heights in that ladder
 TOL_FIXED_POINT = 1e-13
+_OMEGA_MAX_ITER = 10_000    # Picard and Newton steps of one omega solve
 _PICARD_DAMPING = 0.8
 _PICARD_MAX = 400
 _NEWTON_MAX = 60
+_MOMENT_NODES = 320         # Gauss nodes per half-region for flow moments
 _SUPPORT_IM = 1e-6          # Im omega above which a candidate gap is support
 _MASS_TOL = 1e-6            # largest |mass - 1| a subordination power may have
 _PROBE_POINTS = 257         # cross-route comparison grid
+_TAIL_CONSTANT = 72.0       # constant of the tail decay inequality
+_SUPPORT_TOL = 1e-6         # largest mass a power may have outside its bound
+_CONTAINMENT_SAMPLES = 801  # u points of the flow range containment check
 
 
 def default_grid() -> np.ndarray:
@@ -158,8 +164,8 @@ def _quotient_values(curve: FlowCurve, sel: np.ndarray):
     return x, p, a
 
 
-def clt_density_flow(mu: Measure, n: int, points_per_region: int = 1401,
-                     moment_nodes: int = 320) -> CltDensity:
+def clt_density_flow(mu: Measure, n: int,
+                     points_per_region: int = 1401) -> CltDensity:
     """Density of the normalized n-th power through the flow parametrization."""
     n = _require_power(n)
     _require_standardized(mu)
@@ -194,7 +200,7 @@ def clt_density_flow(mu: Measure, n: int, points_per_region: int = 1401,
     mass = mean = second = 0.0
     for reg in curve.regions:
         m0, m1, m2 = region_integral(kernel, reg, quotient_moments_u,
-                                     moment_nodes)
+                                     _MOMENT_NODES)
         mass += float(m0)
         mean += float(m1)
         second += float(m2)
@@ -241,10 +247,7 @@ def _edge_candidates(mu: Measure, n: int) -> np.ndarray:
     """
     from scipy.optimize import brentq
 
-    comps = [(a.x, a.x) for a in mu.atoms]
-    if mu.ac is not None:
-        comps.append(tuple(mu.ac.support))
-    comps.sort()
+    comps = mu.support_components()
     hull_lo, hull_hi = comps[0][0], comps[-1][1]
     reach = 4.0 + math.sqrt(n)
     segments = [(hull_lo - reach, hull_lo)]
@@ -287,8 +290,7 @@ def _phi_factory(mu: Measure, n: int):
     return phi, phi_prime
 
 
-def _omega_grid(mu: Measure, n: int, z_big, tol: float = TOL_FIXED_POINT,
-                max_iter: int = 10_000):
+def _omega_grid(mu: Measure, n: int, z_big):
     """Solve omega = Z/n + (1-1/n) F_mu(omega) for an array of Z.
 
     Damped Picard iteration converges globally but slows down to 1/(1-|phi'|)
@@ -302,11 +304,11 @@ def _omega_grid(mu: Measure, n: int, z_big, tol: float = TOL_FIXED_POINT,
     lam = _PICARD_DAMPING
     iters = 0
     pending = np.arange(z.size)
-    while pending.size and iters < max_iter:
+    while pending.size and iters < _OMEGA_MAX_ITER:
         # damped Picard burst: globally convergent, but the contraction rate
         # degrades to 1 - O(dist) just outside the support, so cap the burst
         # and hand over to Newton, returning here if points are still open
-        for _ in range(min(_PICARD_MAX, max_iter - iters)):
+        for _ in range(min(_PICARD_MAX, _OMEGA_MAX_ITER - iters)):
             if pending.size == 0:
                 break
             iters += 1
@@ -315,8 +317,8 @@ def _omega_grid(mu: Measure, n: int, z_big, tol: float = TOL_FIXED_POINT,
             nxt = phi(zp, wp)
             res = np.abs(nxt - wp)
             w[pending] = (1.0 - lam) * wp + lam * nxt
-            pending = pending[res > tol]
-        for _ in range(min(_NEWTON_MAX, max_iter - iters)):
+            pending = pending[res > TOL_FIXED_POINT]
+        for _ in range(min(_NEWTON_MAX, _OMEGA_MAX_ITER - iters)):
             if pending.size == 0:
                 break
             iters += 1
@@ -343,7 +345,7 @@ def _omega_grid(mu: Measure, n: int, z_big, tol: float = TOL_FIXED_POINT,
                 cand[still_bad] = pic[still_bad]
             w[pending] = cand
             h_new = np.abs(phi(zp, cand) - cand)
-            pending = pending[h_new > tol]
+            pending = pending[h_new > TOL_FIXED_POINT]
     if pending.size:
         worst = float(np.max(np.abs(phi(z[pending], w[pending]) - w[pending])))
         raise FixedPointError(
@@ -355,16 +357,14 @@ def _omega_grid(mu: Measure, n: int, z_big, tol: float = TOL_FIXED_POINT,
     return complex(w[0]), iters, float(final_res[0])
 
 
-def subordination_omega(mu: Measure, n: int, z, tol_fp: float = TOL_FIXED_POINT,
-                        max_iter: int = 10_000) -> SubordinationResult:
+def subordination_omega(mu: Measure, n: int, z) -> SubordinationResult:
     """Single-point subordination solve in the unnormalized variable Z."""
     n = _require_power(n)
     _require_standardized(mu)
     z = complex(z)
     if z.imag <= 0:
         raise InvalidArgumentError("subordination requires Im z > 0")
-    w, iters, res = _omega_grid(mu, n, np.asarray(z), tol=tol_fp,
-                                max_iter=max_iter)
+    w, iters, res = _omega_grid(mu, n, np.asarray(z))
     w = complex(w)
     if w.imag < z.imag * (1.0 - 1e-12):
         raise ConsistencyError(
@@ -458,9 +458,7 @@ def _support_intervals(mu: Measure, n: int):
     return intervals, iters, float(np.max(res, initial=0.0))
 
 
-def clt_density_subordination(mu: Measure, n: int, grid_points: int = 801,
-                              eps_top: float = DEFAULT_EPS,
-                              levels: int = 6) -> CltDensity:
+def clt_density_subordination(mu: Measure, n: int) -> CltDensity:
     """Density of the normalized n-th power from subordination boundary values.
 
     Boundary values on the real axis come from _atomic_boundary_density for
@@ -489,20 +487,17 @@ def clt_density_subordination(mu: Measure, n: int, grid_points: int = 801,
             out = out - a.w / (z - a.x)
         return out
 
-    sched = InversionSchedule.geometric(start=eps_top, ratio=0.5, levels=levels)
     tables = []
     mass = e1 = e2 = 0.0
     for a, b in intervals:
-        x = _chebyshev_roots(a, b, grid_points)
         if mu.ac is None:
+            x = _chebyshev_roots(a, b, _INVERSION_GRID)
             p, res = _atomic_boundary_density(mu, n, x)
             max_res = max(max_res, res)
+            tab = build_table(x, p, support=(a, b), edge_orders="fit",
+                              expected_mass=None)
         else:
-            dist = np.minimum(x - a, b - x)
-            p = stieltjes_invert(transform_ac, x,
-                                 heights=sched.anchored(dist)).values
-        tab = build_table(x, p, support=(a, b), edge_orders="fit",
-                          expected_mass=None)
+            tab = _invert_on(transform_ac, a, b, DEFAULT_EPS, _EPS_LEVELS)
         tables.append(tab)
         m0, mean, var = tab.moments()
         mass += m0
@@ -522,22 +517,21 @@ def clt_density_subordination(mu: Measure, n: int, grid_points: int = 801,
 
 # -- consistency and structure checks ----------------------------------------
 
-def cross_check(mu: Measure, n: int, probe_points: int = _PROBE_POINTS) -> dict:
+def cross_check(mu: Measure, n: int) -> dict:
     """Compare the two routes pointwise; they share no numerics.
 
     Returns sup and mean absolute density differences on a probe grid plus
     the moment gaps.  Raises nothing by itself; callers decide thresholds.
     """
     return _compare_densities(clt_density_flow(mu, n),
-                              clt_density_subordination(mu, n), probe_points)
+                              clt_density_subordination(mu, n))
 
 
-def _compare_densities(d1: CltDensity, d2: CltDensity,
-                       probe_points: int = _PROBE_POINTS) -> dict:
+def _compare_densities(d1: CltDensity, d2: CltDensity) -> dict:
     """The cross_check report for two densities of the same power."""
     lo = min(d1.support()[0], d2.support()[0]) - 0.05
     hi = max(d1.support()[1], d2.support()[1]) + 0.05
-    x = np.linspace(lo, hi, probe_points)
+    x = np.linspace(lo, hi, _PROBE_POINTS)
     p1 = d1.density(x)
     p2 = d2.density(x)
     # exclude singular-edge neighborhoods from the sup when present
@@ -560,13 +554,12 @@ def _compare_densities(d1: CltDensity, d2: CltDensity,
     }
 
 
-def tail_bound_check(mu: Measure, n: int, eps: float = 0.05,
-                     constant: float = 72.0, samples: int = 2000) -> dict:
+def tail_bound_check(mu: Measure, n: int, eps: float = 0.05) -> dict:
     """Decay inequality for the power with index n+1 near the spectral edge.
 
     Along the flow curve of the (n+1)-st power, at image points x = psi(u)
     with |x| > 2 - 2*eps, the density obeys
-        pi * p(x) <= constant * v(u) / (1 + |x|)^2,
+        pi * p(x) <= 72 * v(u) / (1 + |x|)^2,
     for n >= 3 and eps in (0, 1/10).  Returns the worst ratio and where.
     """
     n = _require_power(n)
@@ -581,7 +574,7 @@ def tail_bound_check(mu: Measure, n: int, eps: float = 0.05,
     x, p, _ = _quotient_values(curve, sel)
     v = curve.v[sel]
     lhs = np.pi * p
-    rhs = constant * v / (1.0 + np.abs(x)) ** 2
+    rhs = _TAIL_CONSTANT * v / (1.0 + np.abs(x)) ** 2
     finite = np.isfinite(lhs)
     ratio = np.zeros_like(lhs)
     pos = finite & (rhs > 0)
@@ -593,8 +586,7 @@ def tail_bound_check(mu: Measure, n: int, eps: float = 0.05,
             "points_checked": int(np.count_nonzero(sel))}
 
 
-def support_check(dens: CltDensity, mu: Measure,
-                  tol_support: float = 1e-6) -> dict:
+def support_check(dens: CltDensity, mu: Measure) -> dict:
     """Support containment: the n-th power lives in [-2 - L/sqrt(n), 2 + L/sqrt(n)]
     where L bounds the seed support.  Reports the mass found outside."""
     lo, hi = mu.support()
@@ -612,13 +604,12 @@ def support_check(dens: CltDensity, mu: Measure,
     for tab in dens.tables:
         x, w = tab.quad_nodes(4096)
         outside += float(np.sum(w[np.abs(x) > bound]))
-    ok = outside < tol_support
+    ok = outside < _SUPPORT_TOL
     return {"n": dens.n, "ok": bool(ok), "bound": bound,
             "outside_mass": outside, "support": (s_lo, s_hi)}
 
 
-def range_containment_check(mu: Measure, n: int, eta: float,
-                            samples: int = 801) -> dict:
+def range_containment_check(mu: Measure, n: int, eta: float) -> dict:
     """Containment of the flow image: psi([-1 + eta, 1 - eta]) inside
     [-2 + eta, 2 - eta] for the kernel of the n-th power, eta in (0, 1)."""
     n = _require_power(n)
@@ -630,7 +621,7 @@ def range_containment_check(mu: Measure, n: int, eta: float,
     nu = companion_measure(mu)
     nu_s = dilate(nu, 1.0 / math.sqrt(n))
     kernel = FlowKernel(nu_s, (n - 1) / n)
-    u = np.linspace(-1.0 + eta, 1.0 - eta, samples)
+    u = np.linspace(-1.0 + eta, 1.0 - eta, _CONTAINMENT_SAMPLES)
     _, psi = flow_map(kernel, u)
     worst = float(np.max(np.abs(psi)))
     return {"n": n, "eta": eta, "ok": bool(worst <= 2.0 - eta),

@@ -35,7 +35,8 @@ from .measures import (
 
 _TABLE_NODES = 4096       # quadrature size for transforms of tabulated parts
 _COMPANION_MASS_TOL = 2e-6  # recovered-component mass budget
-_COMPANION_GRID = 801       # inversion grid for the companion table
+_COMPANION_TOP = 1e-5       # top of the companion's inversion ladder
+_COMPANION_LEVELS = 8
 _COMPANION_LOCK = threading.Lock()
 
 
@@ -177,44 +178,28 @@ def reciprocal_cauchy(m: Measure, z):
 
 # -- boundary-value inversion ---------------------------------------------
 
-@dataclass(frozen=True)
-class InversionSchedule:
-    """Decreasing ladder of imaginary offsets used for extrapolation to 0."""
+_INVERSION_GRID = 801     # Chebyshev roots per inverted interval
+_LADDER_RATIO = 0.5       # ratio between consecutive heights
+_LADDER_FLOOR = 1e-9      # smallest height of an anchored ladder
+_TOL_DENSITY = 1e-8       # negative values above -max(this, 3 err) clamp to 0
 
-    heights: Tuple[float, ...]
 
-    def __post_init__(self):
-        h = tuple(float(v) for v in self.heights)
-        object.__setattr__(self, "heights", h)
-        if len(h) < 2:
-            raise InvalidArgumentError("schedule needs at least two heights")
-        if any(b >= a for a, b in zip(h, h[1:])) or h[-1] <= 0.0:
-            raise InvalidArgumentError("heights must be strictly decreasing and positive")
-        if h[-1] < 1e-12:
-            raise InvalidArgumentError("heights below 1e-12 lose all precision")
-
-    @classmethod
-    def geometric(cls, start: float = 1e-6, ratio: float = 0.5,
-                  levels: int = 6) -> "InversionSchedule":
-        if not (0.0 < ratio < 1.0):
-            raise InvalidArgumentError("ratio must lie in (0, 1)")
-        return cls(tuple(start * ratio ** k for k in range(levels)))
-
-    def anchored(self, dist: np.ndarray, floor: float = 1e-9) -> np.ndarray:
-        """Per-point ladder whose top is capped at dist/4 (extrapolation stays
-        inside the local analyticity radius near support edges)."""
-        dist = np.asarray(dist, dtype=float)
-        start = np.minimum(self.heights[0], np.maximum(dist, 0.0) / 4.0)
-        start = np.maximum(start, floor / (self.heights[-1] / self.heights[0]))
-        ratios = np.asarray(self.heights) / self.heights[0]
-        return np.maximum(ratios[:, None] * start[None, :], floor)
+def _ladder(top: float, levels: int, dist: np.ndarray) -> np.ndarray:
+    """Per-point geometric ladder of heights (levels, len(dist)), its top
+    capped at dist/4 so that extrapolation stays inside the local
+    analyticity radius near support edges."""
+    heights = [top * _LADDER_RATIO ** k for k in range(levels)]
+    dist = np.asarray(dist, dtype=float)
+    start = np.minimum(heights[0], np.maximum(dist, 0.0) / 4.0)
+    start = np.maximum(start, _LADDER_FLOOR / (heights[-1] / heights[0]))
+    ratios = np.asarray(heights) / heights[0]
+    return np.maximum(ratios[:, None] * start[None, :], _LADDER_FLOOR)
 
 
 @dataclass(frozen=True)
 class InversionResult:
     values: np.ndarray       # extrapolated density
     error: np.ndarray        # size of the last extrapolation correction
-    raw_last: np.ndarray     # density at the smallest height, unextrapolated
 
 
 def _neville_to_zero(eps: np.ndarray, table: np.ndarray):
@@ -232,36 +217,49 @@ def _neville_to_zero(eps: np.ndarray, table: np.ndarray):
 
 
 def stieltjes_invert(transform: Callable[[np.ndarray], np.ndarray], x,
-                     schedule: Optional[InversionSchedule] = None,
-                     heights: Optional[np.ndarray] = None,
-                     tol_density: float = 1e-8) -> InversionResult:
+                     heights) -> InversionResult:
     """Recover a density on a real grid from a Cauchy-transform callable.
 
-    Samples -Im transform(x + i*eps)/pi on a decreasing ladder of eps and
-    extrapolates polynomially to eps = 0.  Small negative values within the
-    extrapolation noise floor are clamped to zero; distinctly negative values
-    raise InversionError (they signal a wrong branch or a bad transform).
+    Samples -Im transform(x + i*eps)/pi on the decreasing ladder of eps given
+    by heights (one row per level, shared by all points or one column per
+    point) and extrapolates polynomially to eps = 0.  Small negative values
+    within the extrapolation noise floor are clamped to zero; distinctly
+    negative values raise InversionError (they signal a wrong branch or a
+    bad transform).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if heights is None:
-        schedule = schedule or InversionSchedule.geometric()
-        H = np.asarray(schedule.heights)[:, None] * np.ones((1, x.size))
-    else:
-        H = np.asarray(heights, dtype=float)
-        if H.ndim == 1:
-            H = H[:, None] * np.ones((1, x.size))
+    H = np.atleast_1d(np.asarray(heights, dtype=float))
+    if H.ndim == 1:
+        H = H[:, None] * np.ones((1, x.size))
+    if H.shape[0] < 2:
+        raise InvalidArgumentError("the height ladder needs at least two rows")
+    if not np.all(H[1:] < H[:-1]):
+        raise InvalidArgumentError("heights must be strictly decreasing")
+    if not np.all(H[-1] >= 1e-12):
+        raise InvalidArgumentError("heights below 1e-12 lose all precision")
     P = np.empty_like(H)
     for k in range(H.shape[0]):
         P[k] = -np.imag(transform(x + 1j * H[k])) / np.pi
     values, err = _neville_to_zero(H, P)
-    floor = np.maximum(tol_density, 3.0 * err)
+    floor = np.maximum(_TOL_DENSITY, 3.0 * err)
     bad = values < -floor
     if np.any(bad):
         i = int(np.argmin(values))
         raise InversionError(
             "extrapolated density %.3g < 0 at x=%.6g" % (values[i], x[i]),
             x=float(x[i]))
-    return InversionResult(np.maximum(values, 0.0), err, P[-1])
+    return InversionResult(np.maximum(values, 0.0), err)
+
+
+def _invert_on(transform: Callable[[np.ndarray], np.ndarray], a: float,
+               b: float, top: float, levels: int) -> DensityTable:
+    """Density table on [a, b] from boundary inversion of transform on the
+    Chebyshev roots, with a ladder of levels heights from top down."""
+    x = _chebyshev_roots(a, b, _INVERSION_GRID)
+    dist = np.minimum(x - a, b - x)
+    inv = stieltjes_invert(transform, x, _ladder(top, levels, dist))
+    return build_table(x, inv.values, support=(a, b), edge_orders="fit",
+                       expected_mass=None)
 
 
 # -- companion recovery -----------------------------------------------------
@@ -289,10 +287,7 @@ def _companion_atoms(mu: Measure) -> Tuple[Atom, ...]:
         return val if ac is None else \
             val + float(cauchy_derivative(ac, x + 1e-30j).real)
 
-    comps = [(x, x) for x in xs]
-    if ac is not None:  # an atom inside the ac interval merges into it
-        a, b = mu.ac.support
-        comps = sorted([c for c in comps if not a <= c[0] <= b] + [(a, b)])
+    comps = mu.support_components()
     roots = []
     for (_, lo), (hi, _) in zip(comps, comps[1:]):
         gap = hi - lo
@@ -395,13 +390,7 @@ def _recover_companion(mu: Measure) -> Measure:
             out = out - atom.w / (z - atom.x)
         return out
 
-    a, b = mu.ac.support
-    x = _chebyshev_roots(a, b, _COMPANION_GRID)
-    dist = np.minimum(x - a, b - x)
-    sched = InversionSchedule.geometric(start=1e-5, ratio=0.5, levels=8)
-    inv = stieltjes_invert(g_ac, x, heights=sched.anchored(dist))
-    tab = build_table(x, inv.values, support=(a, b), edge_orders="fit",
-                      expected_mass=None)
+    tab = _invert_on(g_ac, *mu.ac.support, _COMPANION_TOP, _COMPANION_LEVELS)
     mass = tab.mass()
     if abs(atom_mass + mass - 1.0) > _COMPANION_MASS_TOL:
         raise CompanionRecoveryError(

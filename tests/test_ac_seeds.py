@@ -3,10 +3,11 @@ and arcsine families, the atom + table mixture, and two constant tables with
 atoms outside them.
 
 Each power is gated at the moment tolerances of acceptance criterion 12 and
-at the maximum-entropy bound.  The uniform and arcsine powers also go through
-the subordination route and are gated at the cross-route bound of criterion
-06 against the flow route; the mixture stays flow-only, because the
-subordination route does not yet finish on table seeds.
+at the support containment bound, and the powers of the families and the
+mixture at the maximum-entropy bound.  The uniform and arcsine powers also
+go through the subordination route and are gated at the cross-route bound
+of criterion 06 against the flow route; the mixture stays flow-only, because
+the subordination route takes 20 to 50 s per power of a table seed.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from freeclt import (
     clt_density_subordination,
     free_entropy,
     make_measure,
+    support_check,
 )
 from freeclt.pipeline import _compare_densities
 
@@ -49,11 +51,12 @@ def _assert_moments(dens):
 
 @pytest.mark.parametrize("n", [4, 64])
 @pytest.mark.parametrize("seed", ["uniform", "arcsine", "mixture"])
-def test_flow_power_of_ac_seed(ac_powers, seed, n):
+def test_flow_power_of_ac_seed(ac_seeds, ac_powers, seed, n):
     dens = ac_powers[(seed, n)]
     assert dens.path == "flow"
     assert dens.atoms == ()  # the mixture's atom (w = 0.2) dies at n >= 2
     _assert_moments(dens)
+    assert support_check(dens, ac_seeds[seed])["ok"]
     chi = free_entropy(dens.tables).value
     assert chi <= CHI_SEMICIRCLE + TOL_CHI
 
@@ -65,6 +68,7 @@ def test_subordination_power_of_ac_seed(ac_seeds, ac_powers, seed, n):
     assert dens.path == "subordination"
     assert dens.atoms == ()
     _assert_moments(dens)
+    assert support_check(dens, ac_seeds[seed])["ok"]
     assert _compare_densities(ac_powers[(seed, n)], dens)["sup_diff"] < 5e-4
 
 
@@ -73,7 +77,9 @@ def test_subordination_power_of_ac_seed(ac_seeds, ac_powers, seed, n):
 def test_flow_power_of_table_seed_with_outer_atoms(table_atom_seeds, seed, n):
     # the companion carries atoms off the seed's support; every seed atom
     # (w <= 0.2) dies at n >= 2
-    dens = clt_density_flow(table_atom_seeds[seed], n)
+    mu = table_atom_seeds[seed]
+    dens = clt_density_flow(mu, n)
     assert dens.path == "flow"
     assert dens.atoms == ()
     _assert_moments(dens)
+    assert support_check(dens, mu)["ok"]

@@ -196,6 +196,17 @@ class TestMakeMeasure:
         assert m.mean() == pytest.approx(0.0, abs=1e-12)
         assert m.variance() == pytest.approx(1.0, abs=1e-12)
 
+    def test_support_components_merge_inner_atoms(self, bernoulli):
+        assert bernoulli.support_components() == ((-1.0, -1.0), (1.0, 1.0))
+        m = make_measure({
+            "atoms": [{"x": 3.0, "w": 0.1}, {"x": 0.5, "w": 0.2},
+                      {"x": -2.0, "w": 0.1}],
+            "density": {"family": "uniform", "params": {"a": -1.0, "b": 1.0}},
+        }, mass_tol=math.inf)
+        # the atom at 0.5 lies inside [-1, 1] and merges into it
+        assert m.support_components() == ((-2.0, -2.0), (-1.0, 1.0),
+                                          (3.0, 3.0))
+
 
 class TestMomentMaps:
     def test_translate_dilate_laws(self, bernoulli):

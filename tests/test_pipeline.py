@@ -363,6 +363,17 @@ class TestSeveralIntervals:
         assert len(intervals) == len(expected)
         assert np.max(np.abs(np.array(intervals) - np.array(expected))) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 16])
+    def test_atom_inside_the_table_adds_no_candidates(self, mixture, n):
+        # the seed's atom at 0 lies inside its table, so it merges into the
+        # table's component: the candidates are the images of the table's
+        # edges and of one fold on each side of it
+        assert np.unique(pipeline._edge_candidates(mixture, n)).size <= 4
+        intervals, _, _ = _support_intervals(mixture, n)
+        expected = clt_density_flow(mixture, n).intervals()
+        assert len(intervals) == len(expected) == 1
+        assert np.max(np.abs(np.array(intervals) - np.array(expected))) < 1e-7
+
     def test_one_table_across_a_gap_fails_the_mass_gate(self, monkeypatch):
         # without the inner edges +-1.188 the gaps on either side of the
         # surviving centre atom merge, and one table spans the gap between

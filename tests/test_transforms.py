@@ -10,7 +10,6 @@ from freeclt import (
     DomainError,
     InvalidArgumentError,
     InversionError,
-    InversionSchedule,
     cauchy,
     cauchy_derivative,
     companion_measure,
@@ -128,31 +127,36 @@ class TestCauchyOfMeasure:
             assert np.max(np.abs(f * cauchy(m, z) - 1.0)) < 1e-12
 
 
+def _invert_semicircle(heights):
+    x = np.linspace(-1.0, 1.0, 11)
+    return stieltjes_invert(lambda z: semicircle_cauchy(1.0, z), x, heights)
+
+
 class TestInversionSchedule:
+    """The height ladders stieltjes_invert extrapolates along."""
+
     def test_geometric_is_decreasing(self):
-        s = InversionSchedule.geometric(start=1e-5, ratio=0.5, levels=6)
-        assert all(b < a for a, b in zip(s.heights, s.heights[1:]))
+        h = transforms._ladder(1e-5, 6, np.array([1.0]))[:, 0]
+        assert all(b < a for a, b in zip(h, h[1:]))
 
     @pytest.mark.parametrize("bad", [
-        lambda: InversionSchedule((1e-6,)),
-        lambda: InversionSchedule((1e-8, 1e-6)),
-        lambda: InversionSchedule((1e-6, -1e-7)),
-        lambda: InversionSchedule((1e-6, 1e-14)),
-        lambda: InversionSchedule.geometric(ratio=1.5),
+        lambda: _invert_semicircle((1e-6,)),
+        lambda: _invert_semicircle((1e-8, 1e-6)),
+        lambda: _invert_semicircle((1e-6, -1e-7)),
+        lambda: _invert_semicircle((1e-6, 1e-14)),
     ])
     def test_rejects_bad_ladders(self, bad):
         with pytest.raises(InvalidArgumentError):
             bad()
 
     def test_anchored_caps_at_quarter_distance(self):
-        s = InversionSchedule.geometric(start=1e-5, ratio=0.5, levels=6)
         dist = np.array([4e-5, 1.0])
-        H = s.anchored(dist)
+        H = transforms._ladder(1e-5, 6, dist)
         # near an edge the top height shrinks to dist/4; far away it keeps
-        # the schedule's own start
+        # the ladder's own top
         assert H[0, 0] == pytest.approx(1e-5, abs=1e-12)
         assert H[0, 1] == pytest.approx(1e-5, abs=1e-12)
-        near = s.anchored(np.array([4e-7]))
+        near = transforms._ladder(1e-5, 6, np.array([4e-7]))
         assert near[0, 0] == pytest.approx(1e-7, rel=1e-6)
         assert np.all(np.diff(H, axis=0) < 0.0)
         assert np.min(H) >= 1e-9 * (1.0 - 1e-12)
@@ -161,13 +165,15 @@ class TestInversionSchedule:
 class TestStieltjesInversion:
     def test_recovers_semicircle_density(self):
         x = np.linspace(-1.95, 1.95, 301)
-        res = stieltjes_invert(lambda z: semicircle_cauchy(1.0, z), x)
+        res = stieltjes_invert(lambda z: semicircle_cauchy(1.0, z), x,
+                               1e-6 * 0.5 ** np.arange(6))
         assert np.max(np.abs(res.values - semicircle_density(x))) < 1e-9
 
     def test_flags_negative_density(self):
         x = np.linspace(-1.0, 1.0, 11)
         with pytest.raises(InversionError):
-            stieltjes_invert(lambda z: -semicircle_cauchy(1.0, z), x)
+            stieltjes_invert(lambda z: -semicircle_cauchy(1.0, z), x,
+                             1e-6 * 0.5 ** np.arange(6))
 
 
 class TestSupportDetection:
