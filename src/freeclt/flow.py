@@ -35,6 +35,8 @@ _PSI_BISECT_TOL = 1e-13
 _CAUCHY_BOUND_SLACK = 1e-9  # slack on |G| <= 1/sqrt(t)
 _AC_NODES = 4096            # Gauss-theta nodes for an ac part of the kernel
 _REFINE_PASSES = 3          # curve refinement passes where the image is sparse
+_BLOCK_ENTRIES = 2 ** 15    # entries of one (points x nodes) work array
+_WARM_STRIDE = 8            # height solve: every 8th sorted point starts cold
 
 
 class FlowKernel:
@@ -68,9 +70,10 @@ class FlowKernel:
         flat_u = u.ravel()
         flat_v = np.broadcast_to(v, u.shape).ravel()
         out = {name: np.zeros(flat_u.shape) for name in which}
+        rows = _block_rows(self)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in range(0, flat_u.size, 512):
-                sl = slice(lo, min(lo + 512, flat_u.size))
+            for lo in range(0, flat_u.size, rows):
+                sl = slice(lo, min(lo + rows, flat_u.size))
                 du = flat_u[sl, None] - self.nodes[None, :]
                 D = du * du + (flat_v[sl, None]) ** 2
                 w = self.weights[None, :]
@@ -95,6 +98,100 @@ class FlowKernel:
                                 ("M2", "M2x"))
 
 
+def _block_rows(kernel: FlowKernel) -> int:
+    """Rows per block of a (points x nodes) work array: about _BLOCK_ENTRIES
+    entries, so a block stays in L2 -- 8 rows for an ac kernel, every point
+    at once for an atomic one."""
+    return max(1, _BLOCK_ENTRIES // kernel.nodes.size)
+
+
+def _newton_blocks(kernel: FlowKernel, u: np.ndarray, guess) -> np.ndarray:
+    """Rows (s, J, M2, M2x) at s = v^2 for the flat points u, block by block.
+
+    Cold (guess None): the monotone climb from s0 = max(0, max_j(w_j t - a_j)).
+    Warm: one unconditional Newton step from max(guess, s0), clamped at s0,
+    then the same climb.  Once a block stops, its work arrays hold 1/(a + s)
+    and its square at the final s, which give J and M2x directly.
+    """
+    t = kernel.t
+    x, w = kernel.nodes, kernel.weights
+    wt = w * t
+    rows = _block_rows(kernel)
+    shape = (min(rows, u.size), x.size)
+    du, a, r, r2 = (np.empty(shape) for _ in range(4))
+    out = np.empty((4, u.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, u.size, rows):
+            k = min(rows, u.size - lo)
+            du_k, a_k, r_k, r2_k = du[:k], a[:k], r[:k], r2[:k]
+            np.subtract(u[lo:lo + k, None], x, out=du_k)
+            np.multiply(du_k, du_k, out=a_k)      # (u - x)^2, fixed per block
+            np.subtract(wt, a_k, out=r_k)
+            s0 = np.maximum(np.max(r_k, axis=1), 0.0)
+            s = s0 if guess is None else np.maximum(guess[lo:lo + k], s0)
+            warm = guess is not None
+            for _ in range(_V_NEWTON_MAX):
+                np.add(a_k, s[:, None], out=r_k)
+                np.reciprocal(r_k, out=r_k)
+                I = r_k @ w
+                np.multiply(r_k, r_k, out=r2_k)
+                M2 = r2_k @ w
+                step = (t * I - 1.0) * I / M2
+                if warm:
+                    # from any start, one step lands at or below the root
+                    s = np.maximum(s + step, s0)
+                    warm = False
+                    continue
+                active = step > _V_STEP_RTOL * s
+                if not active.any():
+                    break
+                s = np.where(active, s + step, s)
+            else:
+                raise ConsistencyError(
+                    "flow height Newton solve did not converge in %d steps"
+                    % _V_NEWTON_MAX)
+            np.multiply(r_k, du_k, out=r_k)
+            np.multiply(r2_k, du_k, out=r2_k)
+            out[0, lo:lo + k] = s
+            out[1, lo:lo + k] = r_k @ w
+            out[2, lo:lo + k] = M2
+            out[3, lo:lo + k] = r2_k @ w
+    return out
+
+
+def _height_sums(kernel: FlowKernel, u):
+    """(v, J, M2, M2x) at the curve height v(u), from one Newton solve.
+
+    J, M2 and M2x are the kernel sums at (u, v(u)), taken from the solve's
+    last iterate.  When u spans more than one block, every _WARM_STRIDE-th
+    point of the sorted u is solved cold and the others start from s
+    interpolated between those; 1/I is concave and increasing in s, so one
+    Newton step from any start lands at or below the root, and the clamp at
+    s0 keeps it above a lower bound -- the climb then ends where a cold
+    solve does.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    flat = u.ravel()
+    if flat.size <= _block_rows(kernel):
+        sums = _newton_blocks(kernel, flat, None)
+    else:
+        order = np.argsort(flat, kind="stable")
+        us = flat[order]
+        cold = np.zeros(us.size, dtype=bool)
+        cold[::_WARM_STRIDE] = True
+        sorted_sums = np.empty((4, us.size))
+        sorted_sums[:, cold] = _newton_blocks(kernel, us[cold], None)
+        guess = np.interp(us[~cold], us[cold], sorted_sums[0, cold])
+        sorted_sums[:, ~cold] = _newton_blocks(kernel, us[~cold], guess)
+        sums = np.empty_like(sorted_sums)
+        sums[:, order] = sorted_sums
+    s, J, M2, M2x = (row.reshape(u.shape) for row in sums)
+    v = np.sqrt(s)
+    if np.any(v > math.sqrt(kernel.t) * (1.0 + 1e-12)):
+        raise ConsistencyError("flow height exceeded sqrt(t)")
+    return v, J, M2, M2x
+
+
 def flow_v(kernel: FlowKernel, u) -> np.ndarray:
     """Height function: the unique v >= 0 with I(u, v) = 1/t, or 0.
 
@@ -110,39 +207,7 @@ def flow_v(kernel: FlowKernel, u) -> np.ndarray:
     positive and v stays 0.  Iteration stops once a step falls below
     2.2e-16 relative to s.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    t = kernel.t
-    x, w = kernel.nodes, kernel.weights
-    wt = w * t
-    flat = u.ravel()
-    s = np.empty(flat.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, flat.size, 512):
-            sl = slice(lo, min(lo + 512, flat.size))
-            a = np.subtract.outer(flat[sl], x)
-            np.multiply(a, a, out=a)          # (u - x)^2, fixed per chunk
-            work = np.subtract(wt, a)
-            sk = np.maximum(np.max(work, axis=1), 0.0)
-            for _ in range(_V_NEWTON_MAX):
-                np.add(a, sk[:, None], out=work)
-                np.reciprocal(work, out=work)
-                I = work @ w
-                np.multiply(work, work, out=work)
-                M2 = work @ w
-                step = (t * I - 1.0) * I / M2
-                active = step > _V_STEP_RTOL * sk
-                if not np.any(active):
-                    break
-                sk = np.where(active, sk + step, sk)
-            else:
-                raise ConsistencyError(
-                    "flow height Newton solve did not converge in %d steps"
-                    % _V_NEWTON_MAX)
-            s[sl] = sk
-    v = np.sqrt(s).reshape(u.shape)
-    if np.any(v > math.sqrt(t) * (1.0 + 1e-12)):
-        raise ConsistencyError("flow height exceeded sqrt(t)")
-    return v
+    return _height_sums(kernel, u)[0]
 
 
 def flow_psi(kernel: FlowKernel, u, v) -> np.ndarray:
@@ -153,8 +218,14 @@ def flow_psi(kernel: FlowKernel, u, v) -> np.ndarray:
 
 def flow_map(kernel: FlowKernel, u):
     """(v, psi) at the curve height."""
-    v = flow_v(kernel, u)
-    return v, flow_psi(kernel, u, v)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    v, J, _, _ = _height_sums(kernel, u)
+    return v, u + kernel.t * J
+
+
+def _psi_prime(t: float, v, M2, M2x):
+    """d psi / du where v > 0: 2 t (M2x^2 + v^2 M2^2) / M2."""
+    return 2.0 * t * (M2x ** 2 + (v * M2) ** 2) / M2
 
 
 def psi_derivative(kernel: FlowKernel, u, v) -> np.ndarray:
@@ -171,7 +242,7 @@ def psi_derivative(kernel: FlowKernel, u, v) -> np.ndarray:
     M2, M2x = kernel.second_moments(u, v)
     pos = v > 0
     out = np.empty_like(u)
-    out[pos] = 2.0 * kernel.t * (M2x[pos] ** 2 + (v[pos] * M2[pos]) ** 2) / M2[pos]
+    out[pos] = _psi_prime(kernel.t, v[pos], M2[pos], M2x[pos])
     if np.any(~pos):
         I0 = kernel.integral_I(u[~pos], np.zeros(np.count_nonzero(~pos)))
         out[~pos] = 1.0 - kernel.t * I0
@@ -274,9 +345,9 @@ def flow_curve(kernel: FlowKernel, points_per_region: int = 1401) -> FlowCurve:
     us, vs, ps, ridx = [], [], [], []
     for k, (g, h) in enumerate(regions):
         u = _chebyshev_extrema(g, h, points_per_region)
-        v = flow_v(kernel, u)
-        v[0] = v[-1] = 0.0  # exact at region ends
-        psi = flow_psi(kernel, u, v)
+        v, psi = flow_map(kernel, u)
+        v[[0, -1]] = 0.0  # exact at region ends
+        psi[[0, -1]] = flow_psi(kernel, u[[0, -1]], v[[0, -1]])
         span = psi[-1] - psi[0]
         dx_max = span / (points_per_region - 1) * 6.0
         for _ in range(_REFINE_PASSES):
@@ -284,8 +355,7 @@ def flow_curve(kernel: FlowKernel, points_per_region: int = 1401) -> FlowCurve:
             if gaps.size == 0:
                 break
             u_new = 0.5 * (u[gaps] + u[gaps + 1])
-            v_new = flow_v(kernel, u_new)
-            psi_new = flow_psi(kernel, u_new, v_new)
+            v_new, psi_new = flow_map(kernel, u_new)
             u = np.insert(u, gaps + 1, u_new)
             v = np.insert(v, gaps + 1, v_new)
             psi = np.insert(psi, gaps + 1, psi_new)
@@ -343,7 +413,7 @@ def flow_invert_psi(kernel: FlowKernel, x) -> np.ndarray:
     hi = x + rt * (1.0 + 1e-9) + 1e-12
 
     def psi_of(u):
-        return flow_psi(kernel, u, flow_v(kernel, u))
+        return flow_map(kernel, u)[1]
 
     flo = psi_of(lo) - x
     fhi = psi_of(hi) - x
@@ -368,8 +438,7 @@ def flow_cauchy(kernel: FlowKernel, x) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = flow_invert_psi(kernel, x)
-    v = flow_v(kernel, u)
-    j = kernel.integral_J(u, v)
+    v, j, _, _ = _height_sums(kernel, u)
     g = j - 1j * v / kernel.t
     bound = 1.0 / math.sqrt(kernel.t) + _CAUCHY_BOUND_SLACK
     if np.any(np.abs(g) > bound):

@@ -130,6 +130,49 @@ def _diff_breakpoints(tables: Sequence[DensityTable]) -> List[float]:
     return sorted(pts)
 
 
+def _diff_reference(tables: Sequence[DensityTable],
+                    x: np.ndarray) -> np.ndarray:
+    return _density_sum(tables, x) - _REFERENCE.density(x)
+
+
+@lru_cache(maxsize=1)
+def _lp_pieces(tables: Tuple[DensityTable, ...]
+               ) -> Tuple[Tuple[float, ...], Tuple[float, ...],
+                          Tuple[float, ...]]:
+    """(ends, signs, widths) of the half-pieces ``lp_distance`` integrates.
+
+    The supports' endpoints split the line into panels, and each panel is
+    cut again at the sign changes of the difference, found by a 257-point
+    scan and ``brentq``.  None of this depends on p, so the last table set's
+    pieces are kept: the L^p distances of one report row share them.
+    """
+    def diff_at(x: float) -> float:
+        return float(_diff_reference(tables, np.array([x]))[0])
+
+    bps = _diff_breakpoints(tables)
+    ends, signs, widths = [], [], []
+    for lo, hi in zip(bps, bps[1:]):
+        if hi - lo < 1e-14:
+            continue
+        # split the panel at sign changes so |diff|^p is smooth inside
+        scan = np.linspace(lo, hi, 257)[1:-1]
+        vals = _diff_reference(tables, scan)
+        cuts = [lo]
+        for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
+            cuts.append(float(brentq(diff_at, scan[i], scan[i + 1],
+                                     xtol=1e-14)))
+        cuts.append(hi)
+        for a, b in zip(cuts, cuts[1:]):
+            if b - a < 1e-14:
+                continue
+            mid = 0.5 * (a + b)
+            for end, sign in ((a, 1.0), (b, -1.0)):
+                ends.append(end)
+                signs.append(sign)
+                widths.append(math.sqrt(abs(mid - end)))
+    return tuple(ends), tuple(signs), tuple(widths)
+
+
 def lp_distance(obj: TableLike, p: float) -> float:
     """L^p distance (quasi-norm for p < 1) between the density and the
     semicircle density, integrated over the union of their supports.
@@ -158,34 +201,7 @@ def lp_distance(obj: TableLike, p: float) -> float:
             if order is not None and order < 0.0 \
                     and p * order <= -1.0 + 1e-12:
                 return math.inf
-    bps = _diff_breakpoints(tables)
-
-    def diff(x: np.ndarray) -> np.ndarray:
-        return _density_sum(tables, x) - _REFERENCE.density(x)
-
-    def diff_at(x: float) -> float:
-        return float(diff(np.array([x]))[0])
-
-    ends, signs, widths = [], [], []
-    for lo, hi in zip(bps, bps[1:]):
-        if hi - lo < 1e-14:
-            continue
-        # split the panel at sign changes so |diff|^p is smooth inside
-        scan = np.linspace(lo, hi, 257)[1:-1]
-        vals = diff(scan)
-        cuts = [lo]
-        for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-            cuts.append(float(brentq(diff_at, scan[i], scan[i + 1],
-                                     xtol=1e-14)))
-        cuts.append(hi)
-        for a, b in zip(cuts, cuts[1:]):
-            if b - a < 1e-14:
-                continue
-            mid = 0.5 * (a + b)
-            for end, sign in ((a, 1.0), (b, -1.0)):
-                ends.append(end)
-                signs.append(sign)
-                widths.append(math.sqrt(abs(mid - end)))
+    ends, signs, widths = _lp_pieces(tables)
     ends_a = np.array(ends)[:, None]
     signs_a = np.array(signs)[:, None]
     # deep refinement rounds nodes next to an end onto it, where a singular
@@ -196,7 +212,8 @@ def lp_distance(obj: TableLike, p: float) -> float:
         end = ends_a[owner]
         x = end + signs_a[owner] * s * s
         x = np.where(x == end, inner_a[owner], x)
-        return 2.0 * s * np.abs(diff(x.ravel()).reshape(s.shape)) ** p
+        return 2.0 * s * np.abs(_diff_reference(tables, x.ravel())
+                                .reshape(s.shape)) ** p
 
     val, err = _gk21_integrals(integrand, np.array(widths))
     bad = ~np.isfinite(val) | (err > 1e-8 + 1e-6 * np.abs(val))

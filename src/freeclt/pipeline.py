@@ -47,10 +47,10 @@ from .transforms import (
 from .flow import (
     FlowCurve,
     FlowKernel,
+    _height_sums,
+    _psi_prime,
     flow_curve,
     flow_map,
-    flow_v,
-    psi_derivative,
     region_integral,
 )
 
@@ -190,11 +190,12 @@ def clt_density_flow(mu: Measure, n: int,
     # substitutions, valid for both soft (+1/2) and singular (-1/2) edges;
     # mass, mean and second moment share one height solve per node
     def quotient_moments_u(u: np.ndarray) -> np.ndarray:
-        v = np.maximum(flow_v(kernel, u), 1e-300)
-        psi = u + t * kernel.integral_J(u, v)
-        a = psi - (psi - u) / t
+        v, j, m2, m2x = _height_sums(kernel, u)
+        v = np.maximum(v, 1e-300)
+        psi = u + t * j
+        a = psi - j
         p = (v / t) / (a * a + (v / t) ** 2) / np.pi
-        dpsi = psi_derivative(kernel, u, v)
+        dpsi = _psi_prime(t, v, m2, m2x)
         return np.stack([psi ** k * p * dpsi for k in (0, 1, 2)])
 
     mass = mean = second = 0.0

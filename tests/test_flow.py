@@ -24,7 +24,7 @@ from freeclt import (
 )
 from freeclt import flow
 
-from conftest import semicircle_density
+from conftest import OUTER_ATOM_SPEC, semicircle_density
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +139,129 @@ class TestHeightNewtonSolve:
         (g, h), = flow_region(uniform_kernel)
         with pytest.raises(ConsistencyError):
             flow_v(uniform_kernel, np.linspace(g, h, 11)[1:-1])
+
+
+class TestHeightSolve:
+    """flow._height_sums: v with the kernel sums J, M2 and M2x at the curve
+    height, by blocks of flow._block_rows(kernel) points, warm-started from
+    every 8th sorted point once u spans more than one block."""
+
+    @pytest.fixture(scope="class")
+    def kernels(self, delta0, two_atoms, uniform):
+        # the outer-atom seed's companion has an atom in a gap of its table
+        outer = companion_measure(make_measure(OUTER_ATOM_SPEC))
+        return {"point_mass": FlowKernel(delta0, 1.0),
+                "two_atoms": FlowKernel(two_atoms, 0.7),
+                "uniform": FlowKernel(companion_measure(uniform), 0.75),
+                "outer_atom": FlowKernel(outer, 0.75)}
+
+    @staticmethod
+    def _probe(kernel, count):
+        regions = flow_region(kernel)
+        return np.linspace(regions[0][0] - 0.5, regions[-1][1] + 0.5, count)
+
+    @staticmethod
+    def _rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["point_mass", "two_atoms", "uniform"])
+    def test_sums_match_the_kernel(self, kernels, name):
+        kernel = kernels[name]
+        u = self._probe(kernel, 301)
+        v, J, M2, M2x = flow._height_sums(kernel, u)
+        pos = v > 0
+        assert 0 < np.count_nonzero(pos) < u.size
+        assert np.max(np.abs(kernel.t * kernel.integral_I(u[pos], v[pos])
+                             - 1.0)) < 1e-13
+        assert self._rel(J, kernel.integral_J(u, v)) < 1e-13
+        want_M2, want_M2x = kernel.second_moments(u, v)
+        assert self._rel(M2, want_M2) < 1e-13
+        assert self._rel(M2x, want_M2x) < 1e-13
+        assert self._rel(flow._psi_prime(kernel.t, v[pos], M2[pos], M2x[pos]),
+                         psi_derivative(kernel, u[pos], v[pos])) < 1e-13
+
+    def test_point_mass_closed_form(self, kernels):
+        # v^2 = t - u^2, J = u/t, M2 = 1/t^2, M2x = u/t^2 with t = 1
+        u = np.linspace(-0.99, 0.99, 201)
+        v, J, M2, M2x = flow._height_sums(kernels["point_mass"], u)
+        assert np.max(np.abs(v - np.sqrt(1.0 - u * u))) < 1e-13
+        assert np.max(np.abs(J - u)) < 1e-13
+        assert np.max(np.abs(M2 - 1.0)) < 1e-13
+        assert np.max(np.abs(M2x - u)) < 1e-13
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_sizes_around_one_block(self, kernels, extra):
+        kernel = kernels["uniform"]
+        (g, h), = flow_region(kernel)
+        u = np.linspace(g, h, flow._block_rows(kernel) + extra + 2)[1:-1]
+        v, J, M2, M2x = flow._height_sums(kernel, u)
+        assert np.all(v > 0.0)
+        assert np.max(np.abs(kernel.t * kernel.integral_I(u, v) - 1.0)) \
+            < 1e-13
+        assert self._rel(J, kernel.integral_J(u, v)) < 1e-13
+        want_M2, want_M2x = kernel.second_moments(u, v)
+        assert self._rel(M2, want_M2) < 1e-13
+        assert self._rel(M2x, want_M2x) < 1e-13
+
+    def test_unsorted_points(self, kernels):
+        kernel = kernels["uniform"]
+        u = self._probe(kernel, 101)
+        perm = np.random.default_rng(7).permutation(u.size)
+        in_order = flow._height_sums(kernel, u)
+        shuffled = flow._height_sums(kernel, u[perm])
+        for got, want in zip(shuffled, in_order):
+            assert np.array_equal(got, want[perm])
+
+    def test_shape_is_kept(self, kernels):
+        kernel = kernels["uniform"]
+        u = self._probe(kernel, 60).reshape(3, 20)
+        for got, want in zip(flow._height_sums(kernel, u),
+                             flow._height_sums(kernel, u.ravel())):
+            assert got.shape == u.shape
+            assert np.array_equal(got.ravel(), want)
+
+    def test_zero_outside_every_region(self, kernels):
+        for kernel in kernels.values():
+            regions = flow_region(kernel)
+            u = np.concatenate([np.linspace(regions[0][0] - 3.0,
+                                            regions[0][0], 40, endpoint=False),
+                                np.linspace(regions[-1][1], regions[-1][1]
+                                            + 3.0, 41)[1:]])
+            v, J, M2, M2x = flow._height_sums(kernel, u)
+            assert np.all(v == 0.0)
+            zero = np.zeros_like(u)
+            assert self._rel(J, kernel.integral_J(u, zero)) < 1e-13
+            assert self._rel(M2, kernel.second_moments(u, zero)[0]) < 1e-13
+
+    def test_exactly_on_an_atom(self, kernels):
+        # warm-started blocks of an ac kernel meet I(u, 0) = +inf
+        kernel = kernels["outer_atom"]
+        (atom,) = kernel.nu.atoms
+        g, h = next(r for r in flow_region(kernel) if r[0] < atom.x < r[1])
+        u = np.sort(np.append(np.linspace(g, h, 50)[1:-1], atom.x))
+        v, J, _, _ = flow._height_sums(kernel, u)
+        assert u.size > flow._block_rows(kernel)
+        assert np.all(v > 0.0) and np.all(np.isfinite(J))
+        assert np.max(np.abs(kernel.t * kernel.integral_I(u, v) - 1.0)) \
+            < 1e-13
+
+    @pytest.mark.parametrize("name", ["uniform", "outer_atom"])
+    def test_warm_matches_cold(self, kernels, name):
+        kernel = kernels[name]
+        u = self._probe(kernel, 1401)
+        s = flow._height_sums(kernel, u)[0] ** 2
+        cold = flow._newton_blocks(kernel, u, None)[0]
+        big = cold > 1e-8 * np.max(cold)
+        assert np.max(np.abs(s[big] - cold[big]) / cold[big]) < 1e-12
+        assert np.all(s[cold == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("count", [5, 101])
+    def test_iteration_cap_raises(self, kernels, monkeypatch, count):
+        kernel = kernels["uniform"]
+        monkeypatch.setattr(flow, "_V_NEWTON_MAX", 1)
+        (g, h), = flow_region(kernel)
+        with pytest.raises(ConsistencyError):
+            flow._height_sums(kernel, np.linspace(g, h, count + 2)[1:-1])
 
 
 class TestImageMap:
