@@ -335,9 +335,6 @@ class FlowCurve:
         """J along the curve, recovered from psi = u + t*J."""
         return (self.psi - self.u) / self.t
 
-    def psi_prime(self) -> np.ndarray:
-        return psi_derivative(self.kernel, self.u, self.v)
-
 
 def flow_curve(kernel: FlowKernel, points_per_region: int = 1401) -> FlowCurve:
     """Sample the curve on each region, refining where the image is sparse."""

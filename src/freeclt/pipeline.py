@@ -13,10 +13,9 @@ quotient -- no fixed-point iteration anywhere.
 
 Route 2 (subordination): omega(Z) solves omega = Z/n + (1-1/n)/G_mu(omega);
 then the transform of the power at Z is G_mu(omega(Z)), rescaled back to the
-normalized variable.  For a seed with no ac part, omega at a real point is
-an eigenvalue of a k x k matrix (k atoms), so the density comes straight
-from boundary values on the real axis; with an ac part it is recovered by
-extrapolating boundary values along a height ladder.
+normalized variable.  The density comes straight from boundary values
+omega(Z + i0) on the real axis: an eigenvalue of a k x k matrix for a seed
+of k atoms, else a Newton solve at real Z, where Im omega > 0 in the support.
 
 Atoms: the n-th power has an atom at n*x exactly when an atom of mu at x has
 weight w > 1 - 1/n, with weight n*w - (n-1); normalization moves it to
@@ -39,7 +38,6 @@ from .measures import (Atom, DensityTable, Measure, _chebyshev_roots,
                        build_table, dilate)
 from .transforms import (
     _INVERSION_GRID,
-    _invert_on,
     cauchy,
     cauchy_derivative,
     companion_measure,
@@ -55,16 +53,16 @@ from .flow import (
 )
 
 DEFAULT_GRID = (-3.0, 3.0, 1201)
-DEFAULT_EPS = 1e-6          # top of the inversion ladder for route 2
-_EPS_LEVELS = 6             # heights in that ladder
 TOL_FIXED_POINT = 1e-13
 _OMEGA_MAX_ITER = 10_000    # Picard and Newton steps of one omega solve
 _PICARD_DAMPING = 0.8
 _PICARD_MAX = 400
 _NEWTON_MAX = 60
+_AXIS_START = 1e-3          # height of the solve that starts an axis solve
+_AXIS_STRIDE = 8            # roots between the continuation's anchors
 _MOMENT_NODES = 320         # Gauss nodes per half-region for flow moments
 _SUPPORT_IM = 1e-6          # Im omega above which a candidate gap is support
-_MASS_TOL = 1e-6            # largest |mass - 1| a subordination power may have
+_MASS_TOL = 1e-6            # largest |mass - 1| a power may have
 _PROBE_POINTS = 257         # cross-route comparison grid
 _TAIL_CONSTANT = 72.0       # constant of the tail decay inequality
 _SUPPORT_TOL = 1e-6         # largest mass a power may have outside its bound
@@ -209,6 +207,9 @@ def clt_density_flow(mu: Measure, n: int,
         mass += a.w
         mean += a.w * a.x
         second += a.w * a.x ** 2
+    if abs(mass - 1.0) > _MASS_TOL:
+        raise ConsistencyError(f"flow power n={n} has mass {mass:.12g}, "
+                               f"not 1 within {_MASS_TOL:g}")
     return CltDensity(n, "flow", atoms, tuple(tables), mass, mean,
                       second - mean ** 2, curve=curve)
 
@@ -291,6 +292,27 @@ def _phi_factory(mu: Measure, n: int):
     return phi, phi_prime
 
 
+def _newton_candidate(phi, phi_prime, z, w, h):
+    """Newton step for omega = phi(Z, omega) from w, h = phi(Z, w) - w, capped
+    and backtracked while Im omega <= Im Z / 4 (<= 0 at real Z); a point
+    still blocked takes a damped Picard update, which never loses height."""
+    step = -h / (phi_prime(w) - 1.0)
+    cap = 0.5 * (1.0 + np.abs(w))
+    scale = np.minimum(1.0, cap / np.maximum(np.abs(step), 1e-300))
+    cand = w + scale * step
+    for _try in range(8):
+        bad = cand.imag <= 0.25 * z.imag
+        if not np.any(bad):
+            break
+        scale = np.where(bad, 0.3 * scale, scale)
+        cand = w + scale * step
+    still_bad = cand.imag <= 0.25 * z.imag
+    if np.any(still_bad):
+        pic = (1.0 - _PICARD_DAMPING) * w + _PICARD_DAMPING * phi(z, w)
+        cand[still_bad] = pic[still_bad]
+    return cand
+
+
 def _omega_grid(mu: Measure, n: int, z_big):
     """Solve omega = Z/n + (1-1/n) F_mu(omega) for an array of Z.
 
@@ -325,26 +347,8 @@ def _omega_grid(mu: Measure, n: int, z_big):
             iters += 1
             wp = w[pending]
             zp = z[pending]
-            h = phi(zp, wp) - wp
-            step = -h / (phi_prime(wp) - 1.0)
-            cap = 0.5 * (1.0 + np.abs(wp))
-            scale = np.minimum(1.0, cap / np.maximum(np.abs(step), 1e-300))
-            cand = wp + scale * step
-            # backtrack any candidate that dips toward the real axis; omega
-            # must stay well inside the upper half-plane for the transforms
-            for _try in range(8):
-                bad = cand.imag <= 0.25 * zp.imag
-                if not np.any(bad):
-                    break
-                scale = np.where(bad, 0.3 * scale, scale)
-                cand = wp + scale * step
-            still_bad = cand.imag <= 0.25 * zp.imag
-            if np.any(still_bad):
-                # blocked Newton candidates take a plain Picard update, which
-                # never loses height, rather than freezing in place
-                pic = (1.0 - lam) * wp + lam * phi(zp, wp)
-                cand[still_bad] = pic[still_bad]
-            w[pending] = cand
+            w[pending] = cand = _newton_candidate(phi, phi_prime, zp, wp,
+                                                  phi(zp, wp) - wp)
             h_new = np.abs(phi(zp, cand) - cand)
             pending = pending[h_new > TOL_FIXED_POINT]
     if pending.size:
@@ -415,20 +419,64 @@ def _omega_roots(mu: Measure, n: int, z_big):
     return omega, float(np.max(res, initial=0.0))
 
 
-def _atomic_boundary_density(mu: Measure, n: int, x: np.ndarray):
-    """Density of the normalized n-th power at real x from _omega_roots.
+def _omega_axis(mu: Measure, n: int, z: np.ndarray):
+    """omega(Z + i0) at the sorted real Z of one support interval of a seed
+    with an ac part, where Im omega > 0 (Belinschi 2008): a solve at height
+    _AXIS_START starts the middle Z, every _AXIS_STRIDE-th Z follows it by
+    continuation outward, and the others start from omega interpolated
+    between those.  Newton stops once |phi(Z, w) - w| <= TOL_FIXED_POINT, or
+    raises FixedPointError after _NEWTON_MAX steps.  Returns (omega,
+    iterations, residual)."""
+    phi, phi_prime = _phi_factory(mu, n)
 
-    At Z = sqrt(n) x, G_mu(omega) = (n-1)/(n omega - Z), so
-    p(x) = -sqrt(n) Im[(n-1)/(n omega - Z)]/pi, and p = 0 where
-    Im omega <= 0.  Returns (p, residual).
-    """
+    def newton(zz, w):
+        w = np.array(w, dtype=complex)
+        todo = np.arange(zz.size)
+        for steps in range(_NEWTON_MAX + 1):
+            h = phi(zz[todo], w[todo]) - w[todo]
+            keep = np.abs(h) > TOL_FIXED_POINT
+            todo, h = todo[keep], h[keep]
+            if todo.size == 0:
+                return w, steps
+            if steps < _NEWTON_MAX:
+                w[todo] = _newton_candidate(phi, phi_prime, zz[todo],
+                                            w[todo], h)
+        raise FixedPointError(
+            "boundary fixed point stalled at %d points" % todo.size,
+            residual=float(np.max(np.abs(h))), iterations=_NEWTON_MAX)
+
+    mid = z.size // 2
+    anchors = np.arange(mid % _AXIS_STRIDE, z.size, _AXIS_STRIDE)
+    w, iters, _ = _omega_grid(mu, n, z[mid:mid + 1] + 1j * _AXIS_START)
+    omega = np.empty(z.size, dtype=complex)
+    for side in (anchors[anchors >= mid], anchors[anchors <= mid][::-1]):
+        for i in side:
+            w, steps = newton(z[i:i + 1], w)
+            omega[i], iters = w[0], max(iters, steps)
+        w = omega[mid:mid + 1]
+    rest = np.setdiff1d(np.arange(z.size), anchors)
+    omega[rest], steps = newton(z[rest], np.interp(z[rest], z[anchors],
+                                                   omega[anchors]))
+    res = float(np.max(np.abs(phi(z, omega) - omega)))
+    return omega, max(iters, steps), res
+
+
+def _boundary_density(mu: Measure, n: int, x: np.ndarray):
+    """Density of the normalized n-th power at the sorted real x of one
+    support interval, from omega(Z + i0) at Z = sqrt(n) x (_omega_roots for a
+    seed with no ac part, else _omega_axis): G_mu(omega) = (n-1)/(n omega -
+    Z), so p(x) = -sqrt(n) Im[(n-1)/(n omega - Z)]/pi, 0 where Im omega <= 0.
+    Returns (p, iterations, residual)."""
     rt = math.sqrt(n)
     z = rt * np.asarray(x, dtype=float)
-    omega, res = _omega_roots(mu, n, z)
+    if mu.ac is None:
+        (omega, res), iters = _omega_roots(mu, n, z), 0
+    else:
+        omega, iters, res = _omega_axis(mu, n, z)
     up = omega.imag > 0.0
     p = np.zeros(z.shape)
     p[up] = -rt * np.imag((n - 1) / (n * omega[up] - z[up])) / np.pi
-    return p, res
+    return p, iters, res
 
 
 def _support_intervals(mu: Measure, n: int):
@@ -462,43 +510,27 @@ def _support_intervals(mu: Measure, n: int):
 def clt_density_subordination(mu: Measure, n: int) -> CltDensity:
     """Density of the normalized n-th power from subordination boundary values.
 
-    Boundary values on the real axis come from _atomic_boundary_density for
-    a seed with no ac part, and from the extrapolated height ladder
-    otherwise.  One table per support interval; raises ConsistencyError
-    when the total mass misses 1 by more than _MASS_TOL.
+    Boundary values on the real axis at the Chebyshev roots of each support
+    interval come from _boundary_density, one table per interval; raises
+    ConsistencyError when the total mass misses 1 by more than _MASS_TOL.
     """
     n = _require_power(n)
     _require_standardized(mu)
     if n == 1:
         return _seed_only(mu, "subordination")
     atoms = atoms_of_power(mu, n)
-    rt = math.sqrt(n)
     intervals, max_iters, max_res = _support_intervals(mu, n)
     if not intervals:
         raise ConsistencyError("no continuous part found for the power")
 
-    def transform_ac(z: np.ndarray) -> np.ndarray:
-        nonlocal max_iters, max_res
-        z = np.asarray(z, dtype=complex)
-        w, iters, res = _omega_grid(mu, n, rt * z)
-        max_iters = max(max_iters, iters)
-        max_res = max(max_res, float(np.max(res)))
-        out = rt * cauchy(mu, w)
-        for a in atoms:
-            out = out - a.w / (z - a.x)
-        return out
-
     tables = []
     mass = e1 = e2 = 0.0
     for a, b in intervals:
-        if mu.ac is None:
-            x = _chebyshev_roots(a, b, _INVERSION_GRID)
-            p, res = _atomic_boundary_density(mu, n, x)
-            max_res = max(max_res, res)
-            tab = build_table(x, p, support=(a, b), edge_orders="fit",
-                              expected_mass=None)
-        else:
-            tab = _invert_on(transform_ac, a, b, DEFAULT_EPS, _EPS_LEVELS)
+        x = _chebyshev_roots(a, b, _INVERSION_GRID)
+        p, iters, res = _boundary_density(mu, n, x)
+        max_iters, max_res = max(max_iters, iters), max(max_res, res)
+        tab = build_table(x, p, support=(a, b), edge_orders="fit",
+                          expected_mass=None)
         tables.append(tab)
         m0, mean, var = tab.moments()
         mass += m0

@@ -35,8 +35,6 @@ from .measures import (
 
 _TABLE_NODES = 4096       # quadrature size for transforms of tabulated parts
 _COMPANION_MASS_TOL = 2e-6  # recovered-component mass budget
-_COMPANION_TOP = 1e-5       # top of the companion's inversion ladder
-_COMPANION_LEVELS = 8
 _COMPANION_LOCK = threading.Lock()
 
 
@@ -178,22 +176,8 @@ def reciprocal_cauchy(m: Measure, z):
 
 # -- boundary-value inversion ---------------------------------------------
 
-_INVERSION_GRID = 801     # Chebyshev roots per inverted interval
-_LADDER_RATIO = 0.5       # ratio between consecutive heights
-_LADDER_FLOOR = 1e-9      # smallest height of an anchored ladder
+_INVERSION_GRID = 801     # Chebyshev roots per tabulated interval
 _TOL_DENSITY = 1e-8       # negative values above -max(this, 3 err) clamp to 0
-
-
-def _ladder(top: float, levels: int, dist: np.ndarray) -> np.ndarray:
-    """Per-point geometric ladder of heights (levels, len(dist)), its top
-    capped at dist/4 so that extrapolation stays inside the local
-    analyticity radius near support edges."""
-    heights = [top * _LADDER_RATIO ** k for k in range(levels)]
-    dist = np.asarray(dist, dtype=float)
-    start = np.minimum(heights[0], np.maximum(dist, 0.0) / 4.0)
-    start = np.maximum(start, _LADDER_FLOOR / (heights[-1] / heights[0]))
-    ratios = np.asarray(heights) / heights[0]
-    return np.maximum(ratios[:, None] * start[None, :], _LADDER_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -249,17 +233,6 @@ def stieltjes_invert(transform: Callable[[np.ndarray], np.ndarray], x,
             "extrapolated density %.3g < 0 at x=%.6g" % (values[i], x[i]),
             x=float(x[i]))
     return InversionResult(np.maximum(values, 0.0), err)
-
-
-def _invert_on(transform: Callable[[np.ndarray], np.ndarray], a: float,
-               b: float, top: float, levels: int) -> DensityTable:
-    """Density table on [a, b] from boundary inversion of transform on the
-    Chebyshev roots, with a ladder of levels heights from top down."""
-    x = _chebyshev_roots(a, b, _INVERSION_GRID)
-    dist = np.minimum(x - a, b - x)
-    inv = stieltjes_invert(transform, x, _ladder(top, levels, dist))
-    return build_table(x, inv.values, support=(a, b), edge_orders="fit",
-                       expected_mass=None)
 
 
 # -- companion recovery -----------------------------------------------------
@@ -358,7 +331,7 @@ def companion_measure(mu: Measure) -> Measure:
     and mean equal to the third moment of mu.  The atoms of nu are the real
     zeros of G_mu in the gaps of supp mu; its continuous part has density
     p_mu / |G_mu(x + i0)|^2, so it lives on the support of mu's ac part and
-    is recovered there by extrapolated boundary inversion.
+    is tabulated there from the boundary values of G_mu on the real axis.
 
     nu does not depend on the power, so it is recovered once per (frozen)
     mu instance and memoized on it; every power, row or ladder of the same
@@ -384,13 +357,10 @@ def _recover_companion(mu: Measure) -> Measure:
                 "atomic companion mass %.12g differs from 1" % atom_mass)
         return Measure(atoms, None)
 
-    def g_ac(z):
-        out = np.asarray(z, dtype=complex) - 1.0 / cauchy(mu, z)
-        for atom in atoms:
-            out = out - atom.w / (z - atom.x)
-        return out
-
-    tab = _invert_on(g_ac, *mu.ac.support, _COMPANION_TOP, _COMPANION_LEVELS)
+    x = _chebyshev_roots(*mu.ac.support, _INVERSION_GRID)
+    p = mu.ac.density(x) / np.abs(cauchy(mu, x + 1e-30j)) ** 2  # G(x + i0)
+    tab = build_table(x, p, support=mu.ac.support, edge_orders="fit",
+                      expected_mass=None)
     mass = tab.mass()
     if abs(atom_mass + mass - 1.0) > _COMPANION_MASS_TOL:
         raise CompanionRecoveryError(

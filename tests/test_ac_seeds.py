@@ -4,10 +4,11 @@ atoms outside them.
 
 Each power is gated at the moment tolerances of acceptance criterion 12 and
 at the support containment bound, and the powers of the families and the
-mixture at the maximum-entropy bound.  The uniform and arcsine powers also
-go through the subordination route and are gated at the cross-route bound
-of criterion 06 against the flow route; the mixture stays flow-only, because
-the subordination route takes 20 to 50 s per power of a table seed.
+mixture at the maximum-entropy bound.  The families, the mixture and the
+constant tables also go through the subordination route, whose boundary
+values come straight from the real axis, and are gated at the cross-route
+bound of criterion 06 against the flow route.  A seed whose atom survives
+inside its table fails the mass gate of both routes.
 """
 
 import pytest
@@ -15,15 +16,22 @@ import pytest
 from freeclt import (
     CHI_SEMICIRCLE,
     TOL_CHI,
+    ConsistencyError,
     clt_density_flow,
     clt_density_subordination,
+    companion_measure,
     free_entropy,
     make_measure,
     support_check,
 )
 from freeclt.pipeline import _compare_densities
 
-from conftest import INNER_OUTER_ATOM_SPEC, OUTER_ATOM_SPEC
+from conftest import (
+    INNER_OUTER_ATOM_SPEC,
+    MIXTURE_SPEC,
+    OUTER_ATOM_SPEC,
+    _constant_table_spec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +70,7 @@ def test_flow_power_of_ac_seed(ac_seeds, ac_powers, seed, n):
 
 
 @pytest.mark.parametrize("n", [4, 64])
-@pytest.mark.parametrize("seed", ["uniform", "arcsine"])
+@pytest.mark.parametrize("seed", ["uniform", "arcsine", "mixture"])
 def test_subordination_power_of_ac_seed(ac_seeds, ac_powers, seed, n):
     dens = clt_density_subordination(ac_seeds[seed], n)
     assert dens.path == "subordination"
@@ -83,3 +91,41 @@ def test_flow_power_of_table_seed_with_outer_atoms(table_atom_seeds, seed, n):
     assert dens.atoms == ()
     _assert_moments(dens)
     assert support_check(dens, mu)["ok"]
+
+
+@pytest.mark.parametrize("seed,n", [("outer_atom", 4), ("outer_atom", 64),
+                                    ("inner_outer_atoms", 4)])
+def test_both_routes_of_table_seed_with_outer_atoms(table_atom_seeds, seed,
+                                                    n):
+    mu = table_atom_seeds[seed]
+    flow = clt_density_flow(mu, n)
+    dens = clt_density_subordination(mu, n)
+    assert dens.path == "subordination"
+    assert dens.atoms == ()
+    _assert_moments(dens)
+    assert support_check(dens, mu)["ok"]
+    assert _compare_densities(flow, dens)["sup_diff"] < 5e-4
+
+
+def test_mixture_companion_and_flow_variance_keep_their_mass():
+    # the companion's table mass defect passes one for one into the
+    # variance of every flow power
+    mu = make_measure(MIXTURE_SPEC)
+    nu = companion_measure(mu)
+    assert abs(sum(a.w for a in nu.atoms) + nu.ac.mass() - 1.0) < 1e-10
+    assert abs(clt_density_flow(mu, 16).variance - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("atom,height,n", [((0.0, 0.6), 0.2, 2),
+                                           ((0.0, 0.8), 0.1, 4)])
+@pytest.mark.parametrize("route", [clt_density_flow,
+                                   clt_density_subordination],
+                         ids=["flow", "subordination"])
+def test_surviving_atom_inside_the_table_fails_the_mass_gate(
+        route, atom, height, n):
+    # the power keeps an atom of weight 0.2 at 0, inside its ac interval;
+    # neither route resolves the density next to it, so both refuse the
+    # power rather than return a table with the wrong mass
+    mu = make_measure(_constant_table_spec([atom], height))
+    with pytest.raises(ConsistencyError):
+        route(mu, n)

@@ -10,6 +10,7 @@ from freeclt import convergence_report, functionals, make_measure
 from freeclt.cli import _jsonable, main
 
 from conftest import ASYM_SPEC, BERNOULLI_SPEC, FOUR_GAP_SPEC, SEMICIRCLE_SPEC
+from conftest import _constant_table_spec
 from conftest import kesten_density
 
 
@@ -97,6 +98,17 @@ class TestFunctionalsCommand:
         assert "Fisher information" not in err
         assert main(["functionals", "--measure", spec, "--n", "4,16",
                      "--require-finite", "--out", str(out)]) == 0
+
+    def test_surviving_inner_atom_exits_2(self, tmp_path, capsys):
+        # the power at n = 2 keeps an atom inside its ac interval; the flow
+        # route's tables miss the density next to it, and its mass gate
+        # turns that into a solver error instead of a report row
+        spec = json.dumps(_constant_table_spec([(0.0, 0.6)], 0.2))
+        out = tmp_path / "fun.json"
+        assert main(["functionals", "--measure", spec, "--n", "2",
+                     "--out", str(out)]) == 2
+        assert "has mass 0.9949" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_atomless_divergent_row_names_fisher_information(
             self, tmp_path, capsys):

@@ -25,7 +25,7 @@ from freeclt import (
 from freeclt import pipeline
 from freeclt.measures import _chebyshev_roots
 from freeclt.pipeline import (
-    _atomic_boundary_density,
+    _boundary_density,
     _compare_densities,
     _omega_roots,
     _support_intervals,
@@ -271,7 +271,7 @@ class TestAtomicBoundaryValues:
         for a, b in intervals:
             x = _chebyshev_roots(a, b, 801)
             x = x[_interior(x, a, b)]
-            p, res = _atomic_boundary_density(mu, n, x)
+            p, _, res = _boundary_density(mu, n, x)
             assert np.max(np.abs(p - atomic_power_density(spec, n, x))) <= 1e-11
             assert res < 1e-12
 
@@ -280,7 +280,7 @@ class TestAtomicBoundaryValues:
         mu = make_measure(TWENTY_ATOM_SPEC)
         for tab in clt_density_flow(mu, n).tables:
             sel = _interior(tab.grid, *tab.support)
-            p, _ = _atomic_boundary_density(mu, n, tab.grid[sel])
+            p, _, _ = _boundary_density(mu, n, tab.grid[sel])
             assert np.max(np.abs(p - tab.values[sel])) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4, 16])

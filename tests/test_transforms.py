@@ -135,10 +135,6 @@ def _invert_semicircle(heights):
 class TestInversionSchedule:
     """The height ladders stieltjes_invert extrapolates along."""
 
-    def test_geometric_is_decreasing(self):
-        h = transforms._ladder(1e-5, 6, np.array([1.0]))[:, 0]
-        assert all(b < a for a, b in zip(h, h[1:]))
-
     @pytest.mark.parametrize("bad", [
         lambda: _invert_semicircle((1e-6,)),
         lambda: _invert_semicircle((1e-8, 1e-6)),
@@ -148,18 +144,6 @@ class TestInversionSchedule:
     def test_rejects_bad_ladders(self, bad):
         with pytest.raises(InvalidArgumentError):
             bad()
-
-    def test_anchored_caps_at_quarter_distance(self):
-        dist = np.array([4e-5, 1.0])
-        H = transforms._ladder(1e-5, 6, dist)
-        # near an edge the top height shrinks to dist/4; far away it keeps
-        # the ladder's own top
-        assert H[0, 0] == pytest.approx(1e-5, abs=1e-12)
-        assert H[0, 1] == pytest.approx(1e-5, abs=1e-12)
-        near = transforms._ladder(1e-5, 6, np.array([4e-7]))
-        assert near[0, 0] == pytest.approx(1e-7, rel=1e-6)
-        assert np.all(np.diff(H, axis=0) < 0.0)
-        assert np.min(H) >= 1e-9 * (1.0 - 1e-12)
 
 
 class TestStieltjesInversion:
