@@ -253,7 +253,9 @@ def flow_region(kernel: FlowKernel) -> Tuple[Tuple[float, float], ...]:
     """Maximal open intervals where the height is positive.
 
     I(., 0) is convex on each gap between support components and decays to
-    zero at infinity, so each boundary is a simple crossing of 1/t.
+    zero at infinity, so each boundary is a simple crossing of 1/t -- or
+    the support point itself, when I(., 0) stays <= 1/t next to it (a
+    density that vanishes fast enough there).
     """
     t = kernel.t
     target = 1.0 / t
@@ -264,37 +266,31 @@ def flow_region(kernel: FlowKernel) -> Tuple[Tuple[float, float], ...]:
 
     f = lambda x: i0(x) - target
 
+    def crossing(pt: float, sign: float, d: float, far: float) -> float:
+        # the crossing between the support point pt and far, where f < 0:
+        # step in from pt + sign * d until f > 0, or end on pt
+        while f(pt + sign * d) <= 0:
+            if pt + sign * d == pt:
+                return pt
+            d *= 0.25
+        a, b = sorted((pt + sign * d, far))
+        return brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
+
     hull_lo, hull_hi = comps[0][0], comps[-1][1]
     scale = max(1.0, abs(hull_lo), abs(hull_hi), math.sqrt(t))
 
     def outer_crossing(hull_pt: float, sign: float) -> float:
-        # I diverges approaching the support and decays to 0 far away, so a
-        # unique crossing of 1/t lies on each side of the hull.
-        d = 1e-12 * scale
-        while f(hull_pt + sign * d) <= 0:
-            d *= 0.25
-            if d < 1e-300:
-                raise ConsistencyError("no divergence of I at the support hull")
-        inner = hull_pt + sign * d
+        # I decays to 0 far away, so one crossing of 1/t lies on each side
+        # of the hull
         step = math.sqrt(t)
         while f(hull_pt + sign * step) > 0:
             step *= 2.0
-        outer = hull_pt + sign * step
-        a, b = (outer, inner) if sign < 0 else (inner, outer)
-        return brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
+        return crossing(hull_pt, sign, 1e-12 * scale, hull_pt + sign * step)
 
     g0 = outer_crossing(hull_lo, -1.0)
     h_last = outer_crossing(hull_hi, +1.0)
 
     # interior gaps: convexity gives at most two crossings per gap
-    def inner_point(pt: float, sign: float, gap: float) -> float:
-        d = 1e-9 * gap
-        while f(pt + sign * d) <= 0:
-            d *= 0.25
-            if d < 1e-300:
-                raise ConsistencyError("no divergence of I at a support point")
-        return pt + sign * d
-
     cuts = []  # (h_i, g_{i+1}) pairs where the region splits
     for (_, c_hi), (c_lo, _) in zip(comps, comps[1:]):
         gap = c_lo - c_hi
@@ -305,9 +301,8 @@ def flow_region(kernel: FlowKernel) -> Tuple[Tuple[float, float], ...]:
         if res.fun >= target:
             continue  # gap stays inside one region
         xm = float(res.x)
-        h_i = brentq(f, inner_point(c_hi, +1.0, gap), xm, xtol=1e-14, rtol=8.9e-16)
-        g_i = brentq(f, xm, inner_point(c_lo, -1.0, gap), xtol=1e-14, rtol=8.9e-16)
-        cuts.append((h_i, g_i))
+        cuts.append((crossing(c_hi, +1.0, 1e-9 * gap, xm),
+                     crossing(c_lo, -1.0, 1e-9 * gap, xm)))
 
     edges = [g0]
     for h_i, g_i in cuts:

@@ -558,7 +558,9 @@ def make_measure(spec: dict, mass_tol: float = TOL_MASS) -> Measure:
              "density": {"family": ..., "params": {...}} or {"table": [[x, p], ...]},
              "standardize": bool}
     All fields optional but at least one component required.  Unknown fields
-    are rejected.  Mass is checked against 1, never renormalized.
+    are rejected.  Mass is checked against 1 within mass_tol, or within
+    TABLE_MASS_TOL if that is larger and the spec has a table; it is never
+    renormalized.
     """
     if not isinstance(spec, dict):
         raise InvalidSpecError("measure spec must be an object")
@@ -587,9 +589,8 @@ def make_measure(spec: dict, mass_tol: float = TOL_MASS) -> Measure:
             rows = np.asarray(dens["table"], dtype=float)
             if rows.ndim != 2 or rows.shape[1] != 2:
                 raise InvalidSpecError("table must be a list of [x, p] pairs")
-            atom_mass = sum(a.w for a in atoms)
-            ac = build_table(rows[:, 0], rows[:, 1],
-                             expected_mass=1.0 - atom_mass)
+            # no gate of the table's own: the measure's mass is gated below
+            ac = build_table(rows[:, 0], rows[:, 1], expected_mass=None)
         else:
             raise InvalidSpecError("density needs either a family or a table")
     m = Measure(tuple(atoms), ac)

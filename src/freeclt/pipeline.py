@@ -16,6 +16,8 @@ then the transform of the power at Z is G_mu(omega(Z)), rescaled back to the
 normalized variable.  The density comes straight from boundary values
 omega(Z + i0) on the real axis: an eigenvalue of a k x k matrix for a seed
 of k atoms, else a Newton solve at real Z, where Im omega > 0 in the support.
+The support itself is read off the real fold map
+Z(omega) = n omega - (n-1)/G_mu(omega), with no omega solve.
 
 Atoms: the n-th power has an atom at n*x exactly when an atom of mu at x has
 weight w > 1 - 1/n, with weight n*w - (n-1); normalization moves it to
@@ -61,7 +63,6 @@ _NEWTON_MAX = 60
 _AXIS_START = 1e-3          # height of the solve that starts an axis solve
 _AXIS_STRIDE = 8            # roots between the continuation's anchors
 _MOMENT_NODES = 320         # Gauss nodes per half-region for flow moments
-_SUPPORT_IM = 1e-6          # Im omega above which a candidate gap is support
 _MASS_TOL = 1e-6            # largest |mass - 1| a power may have
 _PROBE_POINTS = 257         # cross-route comparison grid
 _TAIL_CONSTANT = 72.0       # constant of the tail decay inequality
@@ -105,10 +106,11 @@ class CltDensity:
     weight criterion) and has one entry per support interval.  Moments
     include atom contributions.  curve is set on the flow route.  On the
     subordination route, residual is the largest
-    |Z/n + (1-1/n) F_mu(omega) - omega| over the solved points, and
-    iterations the largest Picard/Newton count of an omega solve; for a
-    seed with no ac part omega comes from an eigenproblem, so iterations
-    is 0 and residual is taken over the points with Im omega > 0.
+    |Z/n + (1-1/n) F_mu(omega) - omega| over the tables' nodes, and
+    iterations the largest Picard/Newton count of their omega solves; the
+    support comes from the fold map and solves nothing.  For a seed with no
+    ac part omega comes from an eigenproblem, so iterations is 0 and
+    residual is taken over the nodes with Im omega > 0.
     """
 
     n: int
@@ -221,61 +223,6 @@ class SubordinationResult:
     omega: complex
     iterations: int
     residual: float
-
-
-def _real_z_map(mu: Measure, n: int, w: np.ndarray):
-    """Z(omega) = n*omega - (n-1) F(omega) and Z' on the real axis off supp.
-
-    Spectral edges of the n-th power are critical values of this map: the
-    subordination solution omega(Z) turns complex exactly past a fold.  At
-    atoms of mu, F vanishes, so atom locations map to n*x.
-    """
-    z = np.asarray(w, dtype=float) + 1e-30j
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = cauchy(mu, z)
-        gp = cauchy_derivative(mu, z)
-        f = np.real(1.0 / g)
-        fp = np.real(-gp / (g * g))
-    f = np.where(np.isfinite(f), f, 0.0)
-    return n * np.asarray(w, float) - (n - 1) * f, n - (n - 1) * fp
-
-
-def _edge_candidates(mu: Measure, n: int) -> np.ndarray:
-    """Normalized candidate support edges of the n-th power.
-
-    Candidates: images of seed support points (atoms and ac endpoints), and
-    critical values of the real map Z(omega) on each maximal interval where
-    the reciprocal transform is real-analytic (outside the seed support).
-    """
-    from scipy.optimize import brentq
-
-    comps = mu.support_components()
-    hull_lo, hull_hi = comps[0][0], comps[-1][1]
-    reach = 4.0 + math.sqrt(n)
-    segments = [(hull_lo - reach, hull_lo)]
-    for (_, c_hi), (c_lo, _) in zip(comps, comps[1:]):
-        if c_lo - c_hi > 1e-10:
-            segments.append((c_hi, c_lo))
-    segments.append((hull_hi, hull_hi + reach))
-
-    cands = [n * pt for seg in comps for pt in seg]
-
-    def zprime(w: float) -> float:
-        return float(_real_z_map(mu, n, np.array([w]))[1][0])
-
-    for lo, hi in segments:
-        pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-        grid = np.linspace(lo + pad, hi - pad, 1501)
-        _, zp = _real_z_map(mu, n, grid)
-        sign = np.sign(zp)
-        flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        for i in flips:
-            root = brentq(zprime, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
-            cands.append(float(_real_z_map(mu, n, np.array([root]))[0][0]))
-    out = np.sort(np.asarray(cands)) / math.sqrt(n)
-    # drop fold images that blew up on a pole of F (zero of the transform)
-    bound = 2.0 + max(abs(hull_lo), abs(hull_hi)) + 1.0
-    return out[np.abs(out) <= bound]
 
 
 def _phi_factory(mu: Measure, n: int):
@@ -482,29 +429,56 @@ def _boundary_density(mu: Measure, n: int, x: np.ndarray):
 def _support_intervals(mu: Measure, n: int):
     """Support intervals of the ac part of the normalized n-th power.
 
-    Every edge is one of _edge_candidates, so the support is a union of
-    gaps between adjacent candidates.  A gap is support exactly when omega
-    turns complex inside it; omega at the gap midpoints decides all gaps at
-    once (on the axis for a seed with no ac part, else one solve just above
-    it), and adjacent support gaps merge.  Returns (intervals, iterations,
-    residual) of that solve.
+    The complement of the support is the image of the increasing branches
+    of the fold map Z(omega) = n omega - (n-1)/G_mu(omega) on the real axis
+    off the seed's support (Huang, IMRN 2015).  h = n G^2 + (n-1) G' = G^2 Z'
+    has Z''s sign and stays finite where G = 0.  On each gap of the seed's
+    support and on the two outer rays, each run of a 1501-point grid where
+    h > 0 is one branch.  A branch ends at a fold, a root of h in the grid
+    cell next to the run, or at the segment's end: Z(e + i0) at an atom or
+    ac endpoint e (n e at an atom), +-inf at the far end of a ray.  The
+    support is the positive-length gaps between the sorted branch images.
     """
-    cands = np.unique(_edge_candidates(mu, n))
-    mid = 0.5 * (cands[:-1] + cands[1:])
-    z = math.sqrt(n) * mid
-    if mu.ac is None:
-        w, res = _omega_roots(mu, n, z)
-        iters = 0
-    else:
-        w, iters, res = _omega_grid(mu, n, z + 1e-12j)
-    inside = np.imag(w) > _SUPPORT_IM
-    intervals = []
-    for i in np.flatnonzero(inside):
-        if i > 0 and inside[i - 1]:
-            intervals[-1] = (intervals[-1][0], float(cands[i + 1]))
-        else:
-            intervals.append((float(cands[i]), float(cands[i + 1])))
-    return intervals, iters, float(np.max(res, initial=0.0))
+    from scipy.optimize import brentq
+
+    def h(w):
+        z = np.asarray(w, dtype=float) + 1e-30j
+        g = cauchy(mu, z)
+        return np.real(n * g * g + (n - 1) * cauchy_derivative(mu, z))
+
+    def image(w: float) -> float:
+        z = np.array([w + 1e-30j])
+        return float(np.real(n * z - (n - 1) / cauchy(mu, z))[0])
+
+    def fold(lo: float, hi: float) -> float:
+        return image(brentq(lambda w: float(h([w])[0]), lo, hi,
+                            xtol=1e-15, rtol=8.9e-16))
+
+    comps = mu.support_components()
+    hull_lo, hull_hi = comps[0][0], comps[-1][1]
+    reach = 4.0 + math.sqrt(n)
+    segments = [(hull_lo - reach, hull_lo, -math.inf, None)]
+    for (_, c_hi), (c_lo, _) in zip(comps, comps[1:]):
+        if c_lo - c_hi > 1e-10:
+            segments.append((c_hi, c_lo, None, None))
+    segments.append((hull_hi, hull_hi + reach, None, math.inf))
+
+    branches = []
+    for lo, hi, lo_image, hi_image in segments:
+        pad = 1e-9 * max(1.0, abs(lo), abs(hi))
+        grid = np.linspace(lo + pad, hi - pad, 1501)
+        up = np.concatenate(([False], h(grid) > 0.0, [False]))
+        steps = np.diff(up.astype(np.int8))
+        for i, j in zip(np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)):
+            start = fold(grid[i - 1], grid[i]) if i > 0 else (
+                image(lo) if lo_image is None else lo_image)
+            end = fold(grid[j - 1], grid[j]) if j < grid.size else (
+                image(hi) if hi_image is None else hi_image)
+            branches.append((start, end))
+    branches.sort()
+    rt = math.sqrt(n)
+    return [(e / rt, s / rt) for (_, e), (s, _) in zip(branches, branches[1:])
+            if s > e]
 
 
 def clt_density_subordination(mu: Measure, n: int) -> CltDensity:
@@ -519,12 +493,13 @@ def clt_density_subordination(mu: Measure, n: int) -> CltDensity:
     if n == 1:
         return _seed_only(mu, "subordination")
     atoms = atoms_of_power(mu, n)
-    intervals, max_iters, max_res = _support_intervals(mu, n)
+    intervals = _support_intervals(mu, n)
     if not intervals:
         raise ConsistencyError("no continuous part found for the power")
 
     tables = []
-    mass = e1 = e2 = 0.0
+    mass = e1 = e2 = max_res = 0.0
+    max_iters = 0
     for a, b in intervals:
         x = _chebyshev_roots(a, b, _INVERSION_GRID)
         p, iters, res = _boundary_density(mu, n, x)

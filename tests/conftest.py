@@ -117,6 +117,26 @@ OUTER_ATOM_SPEC = _constant_table_spec([(3.0, 0.1)], 0.45)
 INNER_OUTER_ATOM_SPEC = _constant_table_spec(
     [(-3.0, 0.1), (0.25, 0.2), (2.5, 0.1)], 0.3)
 
+
+# seeds whose table vanishes faster than linearly at its edges, so G_mu' is
+# finite there, and at small n the power's support edges are the images of
+# the table's edges rather than folds: 401 rows of (1 - x^2)^k on [-1, 1],
+# scaled to the mass that the atoms outside it leave
+def _bump_spec(k, atoms=()):
+    x = np.linspace(-1.0, 1.0, 401)
+    norm = {2: 15.0 / 16.0, 3: 35.0 / 32.0}[k]  # 1 / int (1 - x^2)^k dx
+    mass = 1.0 - sum(w for _, w in atoms)
+    p = mass * norm * (1.0 - x * x) ** k
+    return {"atoms": [{"x": a, "w": w} for a, w in atoms],
+            "density": {"table": [[float(a), float(b)] for a, b in zip(x, p)]},
+            "standardize": True}
+
+
+BUMP2_SPEC = _bump_spec(2)
+BUMP3_SPEC = _bump_spec(3)
+ATOM_BUMP_SPEC = _bump_spec(2, [(1.5, 0.3)])
+
+
 @pytest.fixture()
 def measure_file_factory(tmp_path):
     def write(spec, name="measure.json"):

@@ -1,16 +1,19 @@
 """End-to-end powers of seeds with an absolutely continuous part: the uniform
-and arcsine families, the atom + table mixture, and two constant tables with
-atoms outside them.
+and arcsine families, the atom + table mixture, two constant tables with
+atoms outside them, and tables that vanish faster than linearly at their
+edges.
 
 Each power is gated at the moment tolerances of acceptance criterion 12 and
 at the support containment bound, and the powers of the families and the
 mixture at the maximum-entropy bound.  The families, the mixture and the
 constant tables also go through the subordination route, whose boundary
 values come straight from the real axis, and are gated at the cross-route
-bound of criterion 06 against the flow route.  A seed whose atom survives
-inside its table fails the mass gate of both routes.
+bound of criterion 06 against the flow route, as are tables that vanish
+faster than linearly at their edges.  A seed whose atom survives inside its
+table fails the mass gate of both routes.
 """
 
+import numpy as np
 import pytest
 
 from freeclt import (
@@ -27,6 +30,9 @@ from freeclt import (
 from freeclt.pipeline import _compare_densities
 
 from conftest import (
+    ATOM_BUMP_SPEC,
+    BUMP2_SPEC,
+    BUMP3_SPEC,
     INNER_OUTER_ATOM_SPEC,
     MIXTURE_SPEC,
     OUTER_ATOM_SPEC,
@@ -129,3 +135,21 @@ def test_surviving_atom_inside_the_table_fails_the_mass_gate(
     mu = make_measure(_constant_table_spec([atom], height))
     with pytest.raises(ConsistencyError):
         route(mu, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16])
+@pytest.mark.parametrize("spec", [BUMP2_SPEC, BUMP3_SPEC, ATOM_BUMP_SPEC],
+                         ids=["bump2", "bump3", "atom_bump"])
+def test_both_routes_of_a_table_that_vanishes_fast_at_its_edges(spec, n):
+    # G_mu' stays finite at the table's edges: at small n the power's edges
+    # are the images of those edges on the subordination route, and the
+    # flow route's regions end on the companion's edges
+    mu = make_measure(spec)
+    flow = clt_density_flow(mu, n)
+    sub = clt_density_subordination(mu, n)
+    assert len(flow.intervals()) == len(sub.intervals())
+    assert np.max(np.abs(np.array(flow.intervals())
+                         - np.array(sub.intervals()))) < 1e-8
+    assert _compare_densities(flow, sub)["sup_diff"] < 5e-4
+    _assert_moments(flow)
+    _assert_moments(sub)

@@ -161,6 +161,20 @@ class TestMakeMeasure:
             })
         assert m.atom_mass + m.ac_mass == pytest.approx(1.5)
 
+    def test_table_mass_honours_mass_tol(self):
+        # a 17-row constant table whose mass misses 1 by 5e-5: over the
+        # default table tolerance of 1e-5, within mass_tol = 1e-3
+        def spec(excess):
+            rows = [[-1.0 + k / 8.0, 0.5 * (1.0 + excess)] for k in range(17)]
+            return {"density": {"table": rows}}
+
+        with pytest.raises(InvalidSpecError):
+            make_measure(spec(5e-5))
+        m = make_measure(spec(5e-5), mass_tol=1e-3)
+        assert m.ac_mass == pytest.approx(1.0 + 5e-5, abs=1e-12)
+        assert make_measure(spec(5e-6)).ac_mass == pytest.approx(
+            1.0 + 5e-6, abs=1e-12)
+
     @pytest.mark.parametrize("spec", [
         {},
         {"atoms": [{"x": 0.0, "w": 0.5}, {"x": 0.0, "w": 0.5}]},

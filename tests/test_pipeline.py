@@ -267,7 +267,7 @@ class TestAtomicBoundaryValues:
         # rng 12 at n = 2 (mass off by 8e-5, a grid too coarse for a sharp
         # interior minimum) is checked too
         mu = make_measure(spec)
-        intervals, _, _ = _support_intervals(mu, n)
+        intervals = _support_intervals(mu, n)
         for a, b in intervals:
             x = _chebyshev_roots(a, b, 801)
             x = x[_interior(x, a, b)]
@@ -290,7 +290,7 @@ class TestAtomicBoundaryValues:
     def test_root_leaves_the_axis_at_each_edge(self, spec, n):
         # offset min(1e-4, a quarter of the adjacent gap) to each side
         mu = make_measure(spec)
-        intervals, _, _ = _support_intervals(mu, n)
+        intervals = _support_intervals(mu, n)
         rt = math.sqrt(n)
         for i, (a, b) in enumerate(intervals):
             gap_left = a - intervals[i - 1][1] if i > 0 else math.inf
@@ -358,7 +358,7 @@ class TestSeveralIntervals:
     @pytest.mark.parametrize("seed", range(1, 13))
     def test_intervals_match_flow_route(self, seed, n):
         mu = make_measure(three_atom_spec(seed))
-        intervals, _, _ = _support_intervals(mu, n)
+        intervals = _support_intervals(mu, n)
         expected = clt_density_flow(mu, n).intervals()
         assert len(intervals) == len(expected)
         assert np.max(np.abs(np.array(intervals) - np.array(expected))) < 1e-12
@@ -366,27 +366,26 @@ class TestSeveralIntervals:
     @pytest.mark.parametrize("n", [2, 3, 4, 16])
     def test_atom_inside_the_table_adds_no_candidates(self, mixture, n):
         # the seed's atom at 0 lies inside its table, so it merges into the
-        # table's component: the candidates are the images of the table's
-        # edges and of one fold on each side of it
-        assert np.unique(pipeline._edge_candidates(mixture, n)).size <= 4
-        intervals, _, _ = _support_intervals(mixture, n)
+        # table's component and adds no edge: one interval, as on the flow
+        # route
+        intervals = _support_intervals(mixture, n)
         expected = clt_density_flow(mixture, n).intervals()
         assert len(intervals) == len(expected) == 1
         assert np.max(np.abs(np.array(intervals) - np.array(expected))) < 1e-7
 
     def test_one_table_across_a_gap_fails_the_mass_gate(self, monkeypatch):
-        # without the inner edges +-1.188 the gaps on either side of the
-        # surviving centre atom merge, and one table spans the gap between
-        # the two intervals
-        real = pipeline._edge_candidates
+        # without the inner edges +-1.188 the intervals on either side of
+        # the surviving centre atom merge, and one table spans the gap
+        # between them
+        real = pipeline._support_intervals
 
         def without_inner_edges(mu, n):
-            c = real(mu, n)
-            inner = (np.abs(c) > 0.5) & (np.abs(c) < 2.0)
-            assert np.count_nonzero(inner) == 2
-            return c[~inner]
+            (a, b), (c, d) = real(mu, n)
+            assert -2.0 < b < -0.5 and 0.5 < c < 2.0
+            return [(a, d)]
 
-        monkeypatch.setattr(pipeline, "_edge_candidates", without_inner_edges)
+        monkeypatch.setattr(pipeline, "_support_intervals",
+                            without_inner_edges)
         mu = make_measure(THREE_GAP_SPEC)
         with pytest.raises(ConsistencyError, match="n=2"):
             clt_density_subordination(mu, 2)
