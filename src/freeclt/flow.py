@@ -31,12 +31,13 @@ from .measures import Measure, _chebyshev_extrema, _leggauss, build_table
 
 _V_NEWTON_MAX = 60          # monotone Newton needs about a dozen steps
 _V_STEP_RTOL = 2.2e-16      # stop once a step is below this share of v^2
+_V_RESID_FLOOR = 8.8e-16    # ... or once t*I - 1 is at most 4 rounding units
 _PSI_BISECT_TOL = 1e-13
 _CAUCHY_BOUND_SLACK = 1e-9  # slack on |G| <= 1/sqrt(t)
 _AC_NODES = 4096            # Gauss-theta nodes for an ac part of the kernel
 _REFINE_PASSES = 3          # curve refinement passes where the image is sparse
 _BLOCK_ENTRIES = 2 ** 15    # entries of one (points x nodes) work array
-_WARM_STRIDE = 8            # height solve: every 8th sorted point starts cold
+_WARM_STRIDE = 8            # height solve: every 8th sorted point is an anchor
 
 
 class FlowKernel:
@@ -110,8 +111,10 @@ def _newton_blocks(kernel: FlowKernel, u: np.ndarray, guess) -> np.ndarray:
 
     Cold (guess None): the monotone climb from s0 = max(0, max_j(w_j t - a_j)).
     Warm: one unconditional Newton step from max(guess, s0), clamped at s0,
-    then the same climb.  Once a block stops, its work arrays hold 1/(a + s)
-    and its square at the final s, which give J and M2x directly.
+    then the same climb.  A row stops once its step is below _V_STEP_RTOL * s
+    or its residual t I - 1 is at most _V_RESID_FLOOR: past that the step is
+    rounding noise.  Once a block stops, its work arrays hold 1/(a + s) and
+    its square at the final s, which give J and M2x directly.
     """
     t = kernel.t
     x, w = kernel.nodes, kernel.weights
@@ -136,13 +139,14 @@ def _newton_blocks(kernel: FlowKernel, u: np.ndarray, guess) -> np.ndarray:
                 I = r_k @ w
                 np.multiply(r_k, r_k, out=r2_k)
                 M2 = r2_k @ w
-                step = (t * I - 1.0) * I / M2
+                resid = t * I - 1.0
+                step = resid * I / M2
                 if warm:
                     # from any start, one step lands at or below the root
                     s = np.maximum(s + step, s0)
                     warm = False
                     continue
-                active = step > _V_STEP_RTOL * s
+                active = (step > _V_STEP_RTOL * s) & (resid > _V_RESID_FLOOR)
                 if not active.any():
                     break
                 s = np.where(active, s + step, s)
@@ -164,11 +168,12 @@ def _height_sums(kernel: FlowKernel, u):
 
     J, M2 and M2x are the kernel sums at (u, v(u)), taken from the solve's
     last iterate.  When u spans more than one block, every _WARM_STRIDE-th
-    point of the sorted u is solved cold and the others start from s
-    interpolated between those; 1/I is concave and increasing in s, so one
-    Newton step from any start lands at or below the root, and the clamp at
-    s0 keeps it above a lower bound -- the climb then ends where a cold
-    solve does.
+    point of the sorted u and its last point are solved cold (the anchors),
+    and the others start from the cubic Hermite guess through the anchors'
+    s = v^2 and slopes ds/du = -2 M2x / M2 (implicit differentiation of
+    I(u, s) = 1/t).  1/I is concave and increasing in s, so one Newton step
+    from any start lands at or below the root, and the clamp at s0 keeps it
+    above a lower bound -- the climb then ends where a cold solve does.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     flat = u.ravel()
@@ -179,9 +184,10 @@ def _height_sums(kernel: FlowKernel, u):
         us = flat[order]
         cold = np.zeros(us.size, dtype=bool)
         cold[::_WARM_STRIDE] = True
+        cold[-1] = True
         sorted_sums = np.empty((4, us.size))
         sorted_sums[:, cold] = _newton_blocks(kernel, us[cold], None)
-        guess = np.interp(us[~cold], us[cold], sorted_sums[0, cold])
+        guess = _hermite_guess(us, sorted_sums, cold)
         sorted_sums[:, ~cold] = _newton_blocks(kernel, us[~cold], guess)
         sums = np.empty_like(sorted_sums)
         sums[:, order] = sorted_sums
@@ -190,6 +196,25 @@ def _height_sums(kernel: FlowKernel, u):
     if np.any(v > math.sqrt(kernel.t) * (1.0 + 1e-12)):
         raise ConsistencyError("flow height exceeded sqrt(t)")
     return v, J, M2, M2x
+
+
+def _hermite_guess(us: np.ndarray, sums: np.ndarray, cold: np.ndarray):
+    """s at the sorted points us[~cold] from the cubic Hermite interpolant
+    through the anchors us[cold], whose rows (s, J, M2, M2x) are filled in
+    sums; the anchors are every _WARM_STRIDE-th point and the last one.
+    The slope is 0 where s = 0 or the sums are not finite."""
+    s, M2, M2x = sums[0, cold], sums[2, cold], sums[3, cold]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = -2.0 * M2x / M2
+    slope = np.where((s > 0.0) & np.isfinite(slope), slope, 0.0)
+    ua = us[cold]
+    k = np.nonzero(~cold)[0] // _WARM_STRIDE  # left anchor of each point
+    h = ua[k + 1] - ua[k]
+    tau = np.divide(us[~cold] - ua[k], h, out=np.zeros_like(h), where=h > 0)
+    sl, sr = s[k], s[k + 1]
+    ml, mr = h * slope[k], h * slope[k + 1]
+    return sl + tau * (ml + tau * (3.0 * (sr - sl) - 2.0 * ml - mr
+                                   + tau * (2.0 * (sl - sr) + ml + mr)))
 
 
 def flow_v(kernel: FlowKernel, u) -> np.ndarray:
@@ -205,7 +230,11 @@ def flow_v(kernel: FlowKernel, u) -> np.ndarray:
     w_j / (a_j + s) <= 1/t, so u on an atom or a node (I(u, 0) = +inf)
     needs no special case.  Where I(u, 0) <= 1/t the first step is not
     positive and v stays 0.  Iteration stops once a step falls below
-    2.2e-16 relative to s.
+    2.2e-16 relative to s, or once the residual t I - 1 is at most
+    4 * 2.2e-16, where a step is rounding noise.  When u spans more than
+    one block, the points between its cold-solved anchors start from a
+    cubic Hermite guess through the anchors' s and slopes
+    ds/du = -2 M2x / M2 (see _height_sums).
     """
     return _height_sums(kernel, u)[0]
 
@@ -355,10 +384,12 @@ def flow_curve(kernel: FlowKernel, points_per_region: int = 1401) -> FlowCurve:
         # points can collide at machine precision; keep a strictly
         # increasing subsequence (the dropped points carry density ~ 0)
         delta = 1e-13 * max(1.0, float(np.max(np.abs(psi))))
-        keep = [0]
-        for i in range(1, psi.size):
-            if psi[i] > psi[keep[-1]] + delta:
+        vals = psi.tolist()
+        keep, last = [0], vals[0]
+        for i in range(1, len(vals)):
+            if vals[i] > last + delta:
                 keep.append(i)
+                last = vals[i]
         if keep[-1] != psi.size - 1:
             keep[-1] = psi.size - 1  # preserve the exact region endpoint
         u, v, psi = u[keep], v[keep], psi[keep]
@@ -397,10 +428,14 @@ def flow_invert_psi(kernel: FlowKernel, x) -> np.ndarray:
     """Solve psi(u) = x for real x; psi is increasing on the whole line.
 
     The bracket uses |psi(u) - u| <= sqrt(t), a consequence of the modulus
-    bound |G| <= 1/sqrt(t) for the convolved transform.
+    bound |G| <= 1/sqrt(t) for the convolved transform.  Each point still
+    open takes a Newton step with psi' from the same height solve where
+    v > 0 and the step stays inside its bracket, and bisects otherwise,
+    until the bracket is narrower than _PSI_BISECT_TOL.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    rt = math.sqrt(kernel.t)
+    t = kernel.t
+    rt = math.sqrt(t)
     lo = x - rt * (1.0 + 1e-9) - 1e-12
     hi = x + rt * (1.0 + 1e-9) + 1e-12
 
@@ -411,14 +446,27 @@ def flow_invert_psi(kernel: FlowKernel, x) -> np.ndarray:
     fhi = psi_of(hi) - x
     if np.any(flo > 0) or np.any(fhi < 0):
         raise FlowInversionError("inversion bracket failed; map not monotone?")
+    # a step of at least half the width test toward the root lets a
+    # converged Newton iterate close its bracket from the other side
+    half = 0.5 * _PSI_BISECT_TOL
+    u = 0.5 * (lo + hi)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = psi_of(mid) - x
-        take_lo = fm < 0
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-        if np.max(hi - lo) < _PSI_BISECT_TOL:
+        todo = hi - lo >= _PSI_BISECT_TOL
+        if not todo.any():
             break
+        ui, lo_i, hi_i = u[todo], lo[todo], hi[todo]
+        v, J, M2, M2x = _height_sums(kernel, ui)
+        f = ui + t * J - x[todo]
+        below = f < 0
+        lo_i = np.where(below, ui, lo_i)
+        hi_i = np.where(below, hi_i, ui)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -f / _psi_prime(t, v, M2, M2x)
+        step = np.where(below, np.maximum(step, half), np.minimum(step, -half))
+        newton = ui + step
+        inside = (v > 0) & (newton > lo_i) & (newton < hi_i)
+        u[todo] = np.where(inside, newton, 0.5 * (lo_i + hi_i))
+        lo[todo], hi[todo] = lo_i, hi_i
     return 0.5 * (lo + hi)
 
 

@@ -23,6 +23,7 @@ from freeclt import (
     region_integral,
 )
 from freeclt import flow
+from freeclt.measures import _chebyshev_extrema
 
 from conftest import OUTER_ATOM_SPEC, semicircle_density
 
@@ -144,7 +145,8 @@ class TestHeightNewtonSolve:
 class TestHeightSolve:
     """flow._height_sums: v with the kernel sums J, M2 and M2x at the curve
     height, by blocks of flow._block_rows(kernel) points, warm-started from
-    every 8th sorted point once u spans more than one block."""
+    a Hermite guess through every 8th sorted point and the last once u spans
+    more than one block."""
 
     @pytest.fixture(scope="class")
     def kernels(self, delta0, two_atoms, uniform):
@@ -163,6 +165,12 @@ class TestHeightSolve:
     @staticmethod
     def _rel(got, want):
         return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    @staticmethod
+    def _assert_matches_cold(s, cold):
+        big = cold > 1e-8 * np.max(cold)
+        assert np.max(np.abs(s[big] - cold[big]) / cold[big]) < 1e-12
+        assert np.all(s[cold == 0.0] == 0.0)
 
     @pytest.mark.parametrize("name", ["point_mass", "two_atoms", "uniform"])
     def test_sums_match_the_kernel(self, kernels, name):
@@ -251,9 +259,60 @@ class TestHeightSolve:
         u = self._probe(kernel, 1401)
         s = flow._height_sums(kernel, u)[0] ** 2
         cold = flow._newton_blocks(kernel, u, None)[0]
-        big = cold > 1e-8 * np.max(cold)
-        assert np.max(np.abs(s[big] - cold[big]) / cold[big]) < 1e-12
-        assert np.all(s[cold == 0.0] == 0.0)
+        self._assert_matches_cold(s, cold)
+
+    @pytest.mark.parametrize("name", ["uniform", "outer_atom"])
+    @pytest.mark.parametrize("factor", [0.0, 0.1, 10.0])
+    def test_warm_from_any_guess(self, kernels, name, factor):
+        kernel = kernels[name]
+        u = self._probe(kernel, 1401)
+        cold = flow._newton_blocks(kernel, u, None)[0]
+        s = flow._newton_blocks(kernel, u, factor * cold)[0]
+        self._assert_matches_cold(s, cold)
+
+    @pytest.mark.parametrize("name", ["uniform", "outer_atom"])
+    def test_warm_from_a_nan_slope(self, kernels, name):
+        # every other anchor has no finite slope: the guess uses slope 0
+        kernel = kernels[name]
+        u = self._probe(kernel, 1401)
+        anchors = np.zeros(u.size, dtype=bool)
+        anchors[::flow._WARM_STRIDE] = True
+        anchors[-1] = True
+        sums = np.full((4, u.size), np.nan)
+        sums[:, anchors] = flow._newton_blocks(kernel, u[anchors], None)
+        sums[2, np.nonzero(anchors)[0][::2]] = np.nan
+        guess = flow._hermite_guess(u, sums, anchors)
+        assert np.all(np.isfinite(guess))
+        s = flow._newton_blocks(kernel, u[~anchors], guess)[0]
+        cold = flow._newton_blocks(kernel, u[~anchors], None)[0]
+        self._assert_matches_cold(s, cold)
+
+    def test_warm_blocks_take_three_passes(self, kernels, monkeypatch):
+        # structural guard: one np.reciprocal call per Newton pass of a block
+        kernel = kernels["uniform"]
+        (g, h), = flow_region(kernel)
+        u = _chebyshev_extrema(g, h, 1401)
+        passes, blocks = [0], [0]
+        reciprocal, newton_blocks = np.reciprocal, flow._newton_blocks
+
+        def counted_reciprocal(*args, **kwargs):
+            passes[0] += 1
+            return reciprocal(*args, **kwargs)
+
+        def counted_blocks(kernel, u, guess):
+            if guess is None:
+                return newton_blocks(kernel, u, guess)
+            monkeypatch.setattr(flow.np, "reciprocal", counted_reciprocal)
+            try:
+                return newton_blocks(kernel, u, guess)
+            finally:
+                monkeypatch.setattr(flow.np, "reciprocal", reciprocal)
+                blocks[0] += -(-u.size // flow._block_rows(kernel))
+
+        monkeypatch.setattr(flow, "_newton_blocks", counted_blocks)
+        flow._height_sums(kernel, u)
+        assert blocks[0] > 100
+        assert passes[0] <= 3 * blocks[0]
 
     @pytest.mark.parametrize("count", [5, 101])
     def test_iteration_cap_raises(self, kernels, monkeypatch, count):
