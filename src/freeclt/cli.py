@@ -24,23 +24,16 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
-    CompanionRecoveryError,
-    ConsistencyError,
     DegenerateMeasureError,
     DivergenceError,
-    DomainError,
-    FixedPointError,
-    FlowInversionError,
     FreecltError,
     InvalidArgumentError,
     InvalidSpecError,
-    InversionError,
-    QuadratureError,
 )
 from .measures import Measure, measure_from_json
 from .pipeline import (
@@ -71,9 +64,6 @@ _EXIT_DIVERGENT = 3
 
 _INVALID_ERRORS = (InvalidSpecError, InvalidArgumentError,
                    DegenerateMeasureError)
-_SOLVER_ERRORS = (FixedPointError, InversionError, QuadratureError,
-                  ConsistencyError, FlowInversionError,
-                  CompanionRecoveryError, DomainError)
 
 
 # -- config parsing -----------------------------------------------------------
@@ -90,24 +80,13 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _parse_int_list(text: str, what: str) -> List[int]:
+def _parse_list(text: str, what: str, kind=int) -> list:
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        values = [kind(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
+        noun = "integer" if kind is int else "number"
         raise InvalidArgumentError(
-            f"{what} must be a comma-separated integer list, got "
-            f"{text!r}") from exc
-    if not values:
-        raise InvalidArgumentError(f"{what} must not be empty")
-    return values
-
-
-def _parse_float_list(text: str, what: str) -> List[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise InvalidArgumentError(
-            f"{what} must be a comma-separated number list, got "
+            f"{what} must be a comma-separated {noun} list, got "
             f"{text!r}") from exc
     if not values:
         raise InvalidArgumentError(f"{what} must not be empty")
@@ -173,8 +152,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     mu = measure_from_json(args.measure)
-    n_list = sorted(set(_parse_int_list(args.n, "--n")))
-    p_list = _parse_float_list(args.p, "--p")
+    n_list = sorted(set(_parse_list(args.n, "--n")))
+    p_list = _parse_list(args.p, "--p", float)
     x = _parse_grid(args.grid) if args.grid else default_grid()
     out = Path(args.out)
     prefix = args.csv_prefix if args.csv_prefix else str(
@@ -193,8 +172,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_functionals(args: argparse.Namespace) -> int:
     mu = measure_from_json(args.measure)
-    n_list = _parse_int_list(args.n, "--n")
-    p_list = _parse_float_list(args.p, "--p")
+    n_list = _parse_list(args.n, "--n")
+    p_list = _parse_list(args.p, "--p", float)
     report = convergence_report(mu, n_list, p_list)
     payload = report.to_dict()
     if args.require_finite:
@@ -217,7 +196,7 @@ def _cmd_functionals(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     mu = measure_from_json(args.measure)
-    n_list = sorted(set(_parse_int_list(args.n, "--n")))
+    n_list = sorted(set(_parse_list(args.n, "--n")))
     rows = [cross_check(mu, n) for n in n_list]
     if args.out:
         _write_json(args.out, {"rows": rows})
@@ -321,7 +300,7 @@ def _verify_properties(mu: Measure, n_sample: Sequence[int]):
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     mu = measure_from_json(args.measure)
-    n_sample = sorted(set(_parse_int_list(args.n, "--n"))) if args.n else [2, 4, 8]
+    n_sample = sorted(set(_parse_list(args.n, "--n"))) if args.n else [2, 4, 8]
     failed = 0
     for name, ok, detail in _verify_properties(mu, n_sample):
         if ok is None:
@@ -431,10 +410,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _INVALID_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
-    except _SOLVER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_SOLVER
-    except FreecltError as exc:  # catch-all for library errors
+    except FreecltError as exc:  # every other library error: a solver fault
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_SOLVER
 

@@ -35,7 +35,8 @@ _V_RESID_FLOOR = 8.8e-16    # ... or once t*I - 1 is at most 4 rounding units
 _PSI_BISECT_TOL = 1e-13
 _CAUCHY_BOUND_SLACK = 1e-9  # slack on |G| <= 1/sqrt(t)
 _AC_NODES = 4096            # Gauss-theta nodes for an ac part of the kernel
-_REFINE_PASSES = 3          # curve refinement passes where the image is sparse
+_CURVE_POINTS = 1401        # Chebyshev extrema of the curve on each region
+_MOMENT_NODES = 320         # Gauss nodes per half-region of region_integral
 _BLOCK_ENTRIES = 2 ** 15    # entries of one (points x nodes) work array
 _WARM_STRIDE = 8            # height solve: every 8th sorted point is an anchor
 
@@ -360,26 +361,19 @@ class FlowCurve:
         return (self.psi - self.u) / self.t
 
 
-def flow_curve(kernel: FlowKernel, points_per_region: int = 1401) -> FlowCurve:
-    """Sample the curve on each region, refining where the image is sparse."""
+def flow_curve(kernel: FlowKernel) -> FlowCurve:
+    """Sample the curve at _CURVE_POINTS Chebyshev extrema of each region.
+
+    No refinement pass: psi' = 2 t (M2x^2 + v^2 M2^2) / M2 <= 2 t I = 2 on
+    the curve (Cauchy-Schwarz: M2x^2 <= M2 (I - v^2 M2)), so an image gap is
+    at most twice its u gap."""
     regions = flow_region(kernel)
     us, vs, ps, ridx = [], [], [], []
     for k, (g, h) in enumerate(regions):
-        u = _chebyshev_extrema(g, h, points_per_region)
+        u = _chebyshev_extrema(g, h, _CURVE_POINTS)
         v, psi = flow_map(kernel, u)
         v[[0, -1]] = 0.0  # exact at region ends
         psi[[0, -1]] = flow_psi(kernel, u[[0, -1]], v[[0, -1]])
-        span = psi[-1] - psi[0]
-        dx_max = span / (points_per_region - 1) * 6.0
-        for _ in range(_REFINE_PASSES):
-            gaps = np.nonzero(np.diff(psi) > dx_max)[0]
-            if gaps.size == 0:
-                break
-            u_new = 0.5 * (u[gaps] + u[gaps + 1])
-            v_new, psi_new = flow_map(kernel, u_new)
-            u = np.insert(u, gaps + 1, u_new)
-            v = np.insert(v, gaps + 1, v_new)
-            psi = np.insert(psi, gaps + 1, psi_new)
         # near critical points psi flattens cubically and adjacent image
         # points can collide at machine precision; keep a strictly
         # increasing subsequence (the dropped points carry density ~ 0)
@@ -487,9 +481,10 @@ def flow_cauchy(kernel: FlowKernel, x) -> np.ndarray:
 
 
 def region_integral(kernel: FlowKernel, region: Tuple[float, float],
-                    integrand, nodes: int = 256):
+                    integrand):
     """Integral over one region in the u variable with square-root endpoint
-    substitutions: s = sqrt(u - g) (resp. sqrt(h - u)) on each half.
+    substitutions: s = sqrt(u - g) (resp. sqrt(h - u)) on each half, each
+    half on _MOMENT_NODES Gauss-Legendre nodes.
 
     integrand(u) must be vectorized; heights vanish like sqrt at the region
     ends so the substituted integrand is smooth there.  A scalar integrand
@@ -498,7 +493,7 @@ def region_integral(kernel: FlowKernel, region: Tuple[float, float],
     """
     g, h = region
     mid = 0.5 * (g + h)
-    x_gl, w_gl = _leggauss(nodes)
+    x_gl, w_gl = _leggauss(_MOMENT_NODES)
     total = 0.0
     for left in (True, False):
         smax = math.sqrt(mid - g) if left else math.sqrt(h - mid)

@@ -62,7 +62,6 @@ _PICARD_MAX = 400
 _NEWTON_MAX = 60
 _AXIS_START = 1e-3          # height of the solve that starts an axis solve
 _AXIS_STRIDE = 8            # roots between the continuation's anchors
-_MOMENT_NODES = 320         # Gauss nodes per half-region for flow moments
 _MASS_TOL = 1e-6            # largest |mass - 1| a power may have
 _PROBE_POINTS = 257         # cross-route comparison grid
 _TAIL_CONSTANT = 72.0       # constant of the tail decay inequality
@@ -152,21 +151,43 @@ def _seed_only(mu: Measure, path: str) -> CltDensity:
 
 # -- route 1: explicit flow -------------------------------------------------
 
-def _quotient_values(curve: FlowCurve, sel: np.ndarray):
-    """Density of the power at x = psi(u): (1/pi) (v/t) / (A^2 + (v/t)^2)."""
-    t = curve.t
-    x = curve.psi[sel]
-    v = curve.v[sel]
-    j = curve.j_values()[sel]
+def _quotient(t: float, x, j, v):
+    """Density of the power at x = psi(u) from J and the height v there:
+    (1/pi) (v/t) / ((x - J)^2 + (v/t)^2)."""
     a = x - j
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = (v / t) / (a * a + (v / t) ** 2) / np.pi
-    return x, p, a
+        return (v / t) / (a * a + (v / t) ** 2) / np.pi
 
 
-def clt_density_flow(mu: Measure, n: int,
-                     points_per_region: int = 1401) -> CltDensity:
-    """Density of the normalized n-th power through the flow parametrization."""
+def _quotient_values(curve: FlowCurve, sel: np.ndarray):
+    """(x, p) at the curve points sel: the image points and the density."""
+    x = curve.psi[sel]
+    return x, _quotient(curve.t, x, curve.j_values()[sel], curve.v[sel])
+
+
+def _power(n: int, path: str, atoms, tables, moments, **extra) -> CltDensity:
+    """The power from its tables, their raw moments (m0, m1, m2) and its
+    atoms; ConsistencyError when the mass misses 1 by more than _MASS_TOL."""
+    mass = mean = second = 0.0
+    for m0, m1, m2 in moments:
+        mass += float(m0)
+        mean += float(m1)
+        second += float(m2)
+    for a in atoms:
+        mass += a.w
+        mean += a.w * a.x
+        second += a.w * a.x ** 2
+    if abs(mass - 1.0) > _MASS_TOL:
+        raise ConsistencyError(f"{path} power n={n} has mass {mass:.12g}, "
+                               f"not 1 within {_MASS_TOL:g}")
+    return CltDensity(n, path, atoms, tuple(tables), mass, mean,
+                      second - mean ** 2, **extra)
+
+
+def clt_density_flow(mu: Measure, n: int) -> CltDensity:
+    """Density of the normalized n-th power through the flow parametrization:
+    one table per region of flow_curve, from the quotient at its image
+    points, and moments from region_integral in u (mass gate in _power)."""
     n = _require_power(n)
     _require_standardized(mu)
     if n == 1:
@@ -175,13 +196,11 @@ def clt_density_flow(mu: Measure, n: int,
     t = (n - 1) / n
     nu_s = dilate(nu, 1.0 / math.sqrt(n))
     kernel = FlowKernel(nu_s, t)
-    curve = flow_curve(kernel, points_per_region)
-    atoms = atoms_of_power(mu, n)
+    curve = flow_curve(kernel)
 
     tables = []
     for k, _ in enumerate(curve.regions):
-        sel = curve.region_index == k
-        x, p, _ = _quotient_values(curve, sel)
+        x, p = _quotient_values(curve, curve.region_index == k)
         good = np.isfinite(p)
         tables.append(build_table(x[good], p[good], support=(x[0], x[-1]),
                                   edge_orders="fit", expected_mass=None))
@@ -193,27 +212,14 @@ def clt_density_flow(mu: Measure, n: int,
         v, j, m2, m2x = _height_sums(kernel, u)
         v = np.maximum(v, 1e-300)
         psi = u + t * j
-        a = psi - j
-        p = (v / t) / (a * a + (v / t) ** 2) / np.pi
+        p = _quotient(t, psi, j, v)
         dpsi = _psi_prime(t, v, m2, m2x)
         return np.stack([psi ** k * p * dpsi for k in (0, 1, 2)])
 
-    mass = mean = second = 0.0
-    for reg in curve.regions:
-        m0, m1, m2 = region_integral(kernel, reg, quotient_moments_u,
-                                     _MOMENT_NODES)
-        mass += float(m0)
-        mean += float(m1)
-        second += float(m2)
-    for a in atoms:
-        mass += a.w
-        mean += a.w * a.x
-        second += a.w * a.x ** 2
-    if abs(mass - 1.0) > _MASS_TOL:
-        raise ConsistencyError(f"flow power n={n} has mass {mass:.12g}, "
-                               f"not 1 within {_MASS_TOL:g}")
-    return CltDensity(n, "flow", atoms, tuple(tables), mass, mean,
-                      second - mean ** 2, curve=curve)
+    moments = [region_integral(kernel, reg, quotient_moments_u)
+               for reg in curve.regions]
+    return _power(n, "flow", atoms_of_power(mu, n), tables, moments,
+                  curve=curve)
 
 
 # -- route 2: subordination fixed point --------------------------------------
@@ -485,8 +491,8 @@ def clt_density_subordination(mu: Measure, n: int) -> CltDensity:
     """Density of the normalized n-th power from subordination boundary values.
 
     Boundary values on the real axis at the Chebyshev roots of each support
-    interval come from _boundary_density, one table per interval; raises
-    ConsistencyError when the total mass misses 1 by more than _MASS_TOL.
+    interval come from _boundary_density, one table per interval; the mass
+    gate is _power's.
     """
     n = _require_power(n)
     _require_standardized(mu)
@@ -497,9 +503,8 @@ def clt_density_subordination(mu: Measure, n: int) -> CltDensity:
     if not intervals:
         raise ConsistencyError("no continuous part found for the power")
 
-    tables = []
-    mass = e1 = e2 = max_res = 0.0
-    max_iters = 0
+    tables, moments = [], []
+    max_res, max_iters = 0.0, 0
     for a, b in intervals:
         x = _chebyshev_roots(a, b, _INVERSION_GRID)
         p, iters, res = _boundary_density(mu, n, x)
@@ -508,19 +513,9 @@ def clt_density_subordination(mu: Measure, n: int) -> CltDensity:
                           expected_mass=None)
         tables.append(tab)
         m0, mean, var = tab.moments()
-        mass += m0
-        e1 += m0 * mean
-        e2 += m0 * (var + mean ** 2)
-    for at in atoms:
-        mass += at.w
-        e1 += at.w * at.x
-        e2 += at.w * at.x ** 2
-    if abs(mass - 1.0) > _MASS_TOL:
-        raise ConsistencyError(
-            f"subordination power n={n} has mass {mass:.12g}, "
-            f"not 1 within {_MASS_TOL:g}")
-    return CltDensity(n, "subordination", atoms, tuple(tables), mass, e1,
-                      e2 - e1 ** 2, residual=max_res, iterations=max_iters)
+        moments.append((m0, m0 * mean, m0 * (var + mean ** 2)))
+    return _power(n, "subordination", atoms, tables, moments,
+                  residual=max_res, iterations=max_iters)
 
 
 # -- consistency and structure checks ----------------------------------------
@@ -565,8 +560,9 @@ def _compare_densities(d1: CltDensity, d2: CltDensity) -> dict:
 def tail_bound_check(mu: Measure, n: int, eps: float = 0.05) -> dict:
     """Decay inequality for the power with index n+1 near the spectral edge.
 
-    Along the flow curve of the (n+1)-st power, at image points x = psi(u)
-    with |x| > 2 - 2*eps, the density obeys
+    Along the flow curve of the (n+1)-st power -- the curve that
+    clt_density_flow samples -- at image points x = psi(u) with
+    |x| > 2 - 2*eps, the density obeys
         pi * p(x) <= 72 * v(u) / (1 + |x|)^2,
     for n >= 3 and eps in (0, 1/10).  Returns the worst ratio and where.
     """
@@ -576,10 +572,9 @@ def tail_bound_check(mu: Measure, n: int, eps: float = 0.05) -> dict:
     if not (0.0 < eps < 0.1):
         raise InvalidArgumentError("eps must lie in (0, 1/10)")
     m = n + 1
-    dens = clt_density_flow(mu, m, points_per_region=801)
-    curve = dens.curve
+    curve = clt_density_flow(mu, m).curve
     sel = np.abs(curve.psi) > 2.0 - 2.0 * eps
-    x, p, _ = _quotient_values(curve, sel)
+    x, p = _quotient_values(curve, sel)
     v = curve.v[sel]
     lhs = np.pi * p
     rhs = _TAIL_CONSTANT * v / (1.0 + np.abs(x)) ** 2

@@ -366,6 +366,4 @@ def _recover_companion(mu: Measure) -> Measure:
         raise CompanionRecoveryError(
             "companion mass %.9g (atoms %.3g + table %.9g) differs from 1"
             % (atom_mass + mass, atom_mass, mass))
-    tab = DensityTable(tab.grid, tab.values, tab.support, tab.edge_orders,
-                       expected_mass=mass)
     return Measure(atoms, tab)

@@ -1,12 +1,13 @@
 """CLI tests: commands, exit codes, deterministic serialization."""
 
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from freeclt import convergence_report, functionals, make_measure
+from freeclt import cli, convergence_report, errors, functionals, make_measure
 from freeclt.cli import _jsonable, main
 
 from conftest import ASYM_SPEC, BERNOULLI_SPEC, FOUR_GAP_SPEC, SEMICIRCLE_SPEC
@@ -251,3 +252,35 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("cls", [
+        c for _, c in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(c, errors.FreecltError)],
+        ids=lambda c: c.__name__)
+    def test_every_library_error_maps_to_its_exit_code(self, cls, capsys,
+                                                       monkeypatch):
+        def failing(mu, n):
+            raise cls(f"{cls.__name__} at n={n}")
+
+        monkeypatch.setattr(cli, "cross_check", failing)
+        code = main(["compare", "--measure", INLINE_BERN, "--n", "4"])
+        expected = {errors.InvalidSpecError: 1,
+                    errors.InvalidArgumentError: 1,
+                    errors.DegenerateMeasureError: 1,
+                    errors.DivergenceError: 3}.get(cls, 2)
+        assert code == expected
+        assert capsys.readouterr().err == f"error: {cls.__name__} at n=4\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "4,x"], "--n must be a comma-separated integer list, "
+                         "got '4,x'"),
+        (["--n", ",", "--p", "1"], "--n must not be empty"),
+        (["--n", "4", "--p", "1,y"], "--p must be a comma-separated number "
+                                     "list, got '1,y'"),
+        (["--n", "4", "--p", " "], "--p must not be empty")],
+        ids=["int", "empty-int", "number", "empty-number"])
+    def test_list_parse_errors(self, tmp_path, capsys, argv, message):
+        code = main(["functionals", "--measure", INLINE_BERN, *argv,
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

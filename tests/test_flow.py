@@ -9,6 +9,7 @@ from freeclt import (
     ConsistencyError,
     FlowKernel,
     InvalidArgumentError,
+    clt_density_flow,
     companion_measure,
     flow_cauchy,
     flow_curve,
@@ -25,7 +26,15 @@ from freeclt import (
 from freeclt import flow
 from freeclt.measures import _chebyshev_extrema
 
-from conftest import OUTER_ATOM_SPEC, semicircle_density
+from conftest import (
+    ASYM_SPEC,
+    BERNOULLI_SPEC,
+    FOUR_GAP_SPEC,
+    OUTER_ATOM_SPEC,
+    THREE_GAP_SPEC,
+    UNIFORM_SPEC,
+    semicircle_density,
+)
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +365,46 @@ class TestImageMap:
             curve = flow_curve(kernel)
             g = curve.j_values() - 1j * curve.v / t
             assert np.max(np.abs(g)) <= 1.0 / math.sqrt(t) + 1e-10
+
+
+class TestFixedCurve:
+    """The curve needs no refinement: psi' <= 2 t I = 2 where v > 0, so an
+    image gap is at most twice its u gap, and the sampled u are exactly the
+    _CURVE_POINTS Chebyshev extrema of each region."""
+
+    CASES = ([(FOUR_GAP_SPEC, 2), (THREE_GAP_SPEC, 2)]
+             + [(spec, n) for spec in (BERNOULLI_SPEC, ASYM_SPEC, UNIFORM_SPEC)
+                for n in (2, 3, 4, 16)])
+    IDS = (["four-2", "three-2"]
+           + [f"{name}-{n}" for name in ("fair", "asym", "uniform")
+              for n in (2, 3, 4, 16)])
+
+    @pytest.fixture(scope="class", params=CASES, ids=IDS)
+    def curve(self, request):
+        spec, n = request.param
+        return clt_density_flow(make_measure(spec), n).curve
+
+    def test_psi_prime_at_most_two(self, curve):
+        v, _, m2, m2x = flow._height_sums(curve.kernel, curve.u)
+        pos = v > 0
+        assert pos.any()
+        dpsi = flow._psi_prime(curve.t, v[pos], m2[pos], m2x[pos])
+        assert np.max(dpsi) <= 2.0 * (1.0 + 1e-12)
+
+    def test_image_gaps_at_most_twice_the_u_gaps(self, curve):
+        for k in range(len(curve.regions)):
+            sel = curve.region_index == k
+            du = np.diff(curve.u[sel])
+            dpsi = np.diff(curve.psi[sel])
+            assert np.all(dpsi <= 2.0 * (1.0 + 1e-9) * du)
+
+    def test_u_are_the_chebyshev_extrema(self, curve):
+        for k, (g, h) in enumerate(curve.regions):
+            u = curve.u[curve.region_index == k]
+            assert u.size <= flow._CURVE_POINTS
+            if u.size == flow._CURVE_POINTS:  # the filter dropped nothing
+                assert np.array_equal(
+                    u, _chebyshev_extrema(g, h, flow._CURVE_POINTS))
 
 
 class TestRegionsAndMass:

@@ -148,6 +148,12 @@ class TestConsistencyChecks:
         assert rep["mean_gap"] < 1e-8
         assert rep["variance_gap"] < 1e-7
 
+    @pytest.mark.parametrize("seed,n", [("bernoulli", 2), ("asym", 3)])
+    def test_cross_check_at_singular_edges(self, request, seed, n):
+        # both powers have -1/2 edges, so the sup skips their neighbourhoods
+        rep = cross_check(request.getfixturevalue(seed), n)
+        assert rep["sup_diff"] < 1e-9
+
     def test_tail_bound_holds(self, bernoulli):
         # at n = 5 the (n+1)-st power's support radius 2 sqrt(5/6) ~ 1.826
         # stays inside the near-edge zone |x| > 1.9: a vacuous pass
@@ -159,6 +165,10 @@ class TestConsistencyChecks:
         assert rep10["ok"] is True
         assert rep10["points_checked"] > 0
         assert rep10["max_ratio"] <= 1.0
+        # the check reads the curve of the power itself
+        curve = clt_density_flow(bernoulli, 11).curve
+        assert rep10["points_checked"] == np.count_nonzero(
+            np.abs(curve.psi) > 1.9)
 
     def test_tail_bound_argument_domain(self, bernoulli):
         with pytest.raises(InvalidArgumentError):

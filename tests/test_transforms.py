@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from freeclt import (
+    DensityTable,
     DomainError,
     InvalidArgumentError,
     InversionError,
     cauchy,
     cauchy_derivative,
+    clt_density_flow,
     companion_measure,
     convergence_report,
     find_support_interval,
@@ -268,6 +270,22 @@ class TestCompanionReuse:
         report = convergence_report(mu, (4, 8, 16))
         assert sorted(report.rows) == [4, 8, 16]
         assert len(recoveries) == 1
+
+    def test_flow_power_of_a_cached_seed_takes_no_table_mass(
+            self, uniform, monkeypatch):
+        # the companion table carries no mass gate, so the dilated copy of
+        # each flow power does not re-run it
+        clt_density_flow(uniform, 4)
+        calls = []
+        mass = DensityTable.mass
+
+        def counting(self):
+            calls.append(self)
+            return mass(self)
+
+        monkeypatch.setattr(DensityTable, "mass", counting)
+        clt_density_flow(uniform, 4)
+        assert calls == []
 
     def test_same_object_for_same_seed(self, recoveries):
         mu = make_measure(MIXTURE_SPEC)
