@@ -51,6 +51,7 @@ _ENTROPY_CONSTANT = 0.75 + 0.5 * math.log(2.0 * math.pi)
 _REFERENCE = SemicircleFamily(1.0)
 _FISHER_NODES = 512       # Gauss nodes per table for the cubic integral
 _ENERGY_NODES = 512       # Gauss nodes per table for the log energy
+_LP_CUT_FLOOR = 1e3 * np.finfo(float).eps  # noise floor of a density difference
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,15 @@ def _lp_pieces(tables: Tuple[DensityTable, ...]
 
     The supports' endpoints split the line into panels, and each panel is
     cut again at the sign changes of the difference, found by a 257-point
-    scan and ``brentq``.  None of this depends on p, so the last table set's
-    pieces are kept: the L^p distances of one report row share them.
+    scan and ``brentq``.  A sign change between two scan points counts only
+    if the difference at one of them exceeds a rounding floor,
+    ``_LP_CUT_FLOOR`` times the larger of the two densities' maxima on the
+    scan.  A power that equals the semicircle to rounding (the semicircle
+    seed's) has a difference of pure noise, which changes sign every few
+    points; cutting there gives 100-160 half-pieces instead of 2, and the
+    Gauss-Kronrod work grows with them, for no accuracy.  None of this
+    depends on p, so the last table set's pieces are kept: the L^p
+    distances of one report row share them.
     """
     def diff_at(x: float) -> float:
         return float(_diff_reference(tables, np.array([x]))[0])
@@ -156,9 +164,14 @@ def _lp_pieces(tables: Tuple[DensityTable, ...]
             continue
         # split the panel at sign changes so |diff|^p is smooth inside
         scan = np.linspace(lo, hi, 257)[1:-1]
-        vals = _diff_reference(tables, scan)
+        dens, ref = _density_sum(tables, scan), _REFERENCE.density(scan)
+        vals = dens - ref
+        floor = _LP_CUT_FLOOR * max(np.max(dens), np.max(ref))
+        crossing = ((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+                    & (np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
+                       > floor))
         cuts = [lo]
-        for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
+        for i in np.nonzero(crossing)[0]:
             cuts.append(float(brentq(diff_at, scan[i], scan[i + 1],
                                      xtol=1e-14)))
         cuts.append(hi)

@@ -104,11 +104,17 @@ def _table_cauchy(tab: DensityTable, z: np.ndarray,
 
     Subtracts the density value at the projected real part so that the
     quadrature integrand stays bounded when z approaches the support; the
-    subtracted constant is added back in closed form.
+    subtracted constant is added back in closed form.  The table's nodes,
+    jacobians and density values there are built on its first transform
+    and kept on the (frozen) table.
     """
     a, b = tab.support
-    xq, jac = gauss_theta_nodes(a, b, _TABLE_NODES)
-    pq = tab.density(xq)
+    nodes = tab.__dict__.get("_cauchy_nodes")
+    if nodes is None:
+        xq, jac = gauss_theta_nodes(a, b, _TABLE_NODES)
+        nodes = (xq, jac, tab.density(xq))
+        object.__setattr__(tab, "_cauchy_nodes", nodes)
+    xq, jac, pq = nodes
     flat = z.ravel()
     out = np.empty(flat.shape, dtype=complex)
     xstar = np.clip(flat.real, a, b)

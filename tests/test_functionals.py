@@ -161,6 +161,15 @@ class TestLpDistance:
         assert lp_distance(kesten_table(m), p) == pytest.approx(
             KESTEN_LP_REFERENCE[m][p], abs=1e-10)
 
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_rounding_noise_is_not_cut(self, n):
+        # the semicircle seed's power is the semicircle to rounding, so the
+        # sign changes of the difference are noise: the pieces are the panel
+        # halves alone, each end a support end or +/-2
+        tables = tuple(flow_power("semicircle", n).tables)
+        ends, _, _ = functionals._lp_pieces(tables)
+        assert set(ends) <= set(functionals._diff_breakpoints(tables))
+
     def test_divergence_probe_on_singular_edge(self, arcsine_table):
         # the arcsine edge exponent is -1/2, so |diff|^2 ~ d^-1 diverges
         assert lp_distance(arcsine_table, 2.0) == math.inf
@@ -347,6 +356,14 @@ class TestReports:
         assert row["lp"]["1.0"] == pytest.approx(BERNOULLI_PINS[4]["l1"],
                                                  abs=1.5e-6)
         assert row["flags"] == []
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_semicircle_seed_row_exact_to_rounding(self, n):
+        row = report_row(make_measure(SEMICIRCLE_SPEC), n,
+                         dens=flow_power("semicircle", n))
+        assert abs(row["chi"] - CHI_SEMICIRCLE) < 1e-14
+        assert abs(row["phi"] - 1.0) < 1e-14
+        assert all(v < 1e-14 for v in row["lp"].values())
 
     def test_convergence_report_flags_divergence(self, bernoulli):
         rep = convergence_report(bernoulli, (2, 4), p_list=(1.0, 2.0))

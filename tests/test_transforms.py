@@ -128,6 +128,25 @@ class TestCauchyOfMeasure:
             assert np.all(f.imag >= z.imag * (1.0 - 1e-12))
             assert np.max(np.abs(f * cauchy(m, z) - 1.0)) < 1e-12
 
+    def test_table_nodes_built_once(self, monkeypatch):
+        m = make_measure(OUTER_ATOM_SPEC)
+        assert isinstance(m.ac, DensityTable)
+        calls = []
+        real = transforms.gauss_theta_nodes
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(transforms, "gauss_theta_nodes", counted)
+        z = _random_upper_points(count=20, seed=3)
+        first = cauchy(m, z)
+        assert len(calls) == 1
+        calls.clear()
+        np.testing.assert_array_equal(cauchy(m, z), first)
+        cauchy_derivative(m, z)
+        assert calls == []
+
 
 def _invert_semicircle(heights):
     x = np.linspace(-1.0, 1.0, 11)
