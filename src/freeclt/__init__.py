@@ -16,7 +16,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     FixedPointError,
-    FlowInversionError,
     FreecltError,
     InvalidArgumentError,
     InvalidSpecError,
@@ -53,15 +52,11 @@ from .transforms import (
 from .flow import (
     FlowCurve,
     FlowKernel,
-    flow_cauchy,
     flow_curve,
-    flow_density,
-    flow_invert_psi,
     flow_map,
     flow_psi,
     flow_region,
     flow_v,
-    psi_derivative,
     region_integral,
 )
 from .pipeline import (
@@ -108,7 +103,6 @@ __all__ = [
     "InversionError",
     "CompanionRecoveryError",
     "ConsistencyError",
-    "FlowInversionError",
     "FixedPointError",
     # measures
     "Atom",
@@ -141,12 +135,8 @@ __all__ = [
     "flow_v",
     "flow_psi",
     "flow_map",
-    "psi_derivative",
     "flow_region",
     "flow_curve",
-    "flow_density",
-    "flow_invert_psi",
-    "flow_cauchy",
     "region_integral",
     # pipeline
     "default_grid",

@@ -49,10 +49,6 @@ class ConsistencyError(FreecltError):
     """An internal mathematical invariant was violated (likely a bug upstream)."""
 
 
-class FlowInversionError(FreecltError):
-    """Monotone inversion of the flow map failed to bracket a root."""
-
-
 class FixedPointError(FreecltError):
     """Subordination fixed-point iteration did not reach tolerance."""
 

@@ -16,24 +16,18 @@ to the real line is increasing and maps region closures onto the support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import (
-    ConsistencyError,
-    FlowInversionError,
-    InvalidArgumentError,
-)
-from .measures import Measure, _chebyshev_extrema, _leggauss, build_table
+from .errors import ConsistencyError, InvalidArgumentError
+from .measures import Measure, _chebyshev_extrema, _leggauss
 
 _V_NEWTON_MAX = 60          # monotone Newton needs about a dozen steps
 _V_STEP_RTOL = 2.2e-16      # stop once a step is below this share of v^2
 _V_RESID_FLOOR = 8.8e-16    # ... or once t*I - 1 is at most 4 rounding units
-_PSI_BISECT_TOL = 1e-13
-_CAUCHY_BOUND_SLACK = 1e-9  # slack on |G| <= 1/sqrt(t)
 _AC_NODES = 4096            # Gauss-theta nodes for an ac part of the kernel
 _CURVE_POINTS = 1401        # Chebyshev extrema of the curve on each region
 _MOMENT_NODES = 320         # Gauss nodes per half-region of region_integral
@@ -114,22 +108,28 @@ def _newton_blocks(kernel: FlowKernel, u: np.ndarray, guess) -> np.ndarray:
     Warm: one unconditional Newton step from max(guess, s0), clamped at s0,
     then the same climb.  A row stops once its step is below _V_STEP_RTOL * s
     or its residual t I - 1 is at most _V_RESID_FLOOR: past that the step is
-    rounding noise.  Once a block stops, its work arrays hold 1/(a + s) and
-    its square at the final s, which give J and M2x directly.
+    rounding noise.  Each pass takes r = 1/(a + s) and r^2 against the two
+    columns W = [w, w x], so the last pass also gives J = u I - sum w x r
+    and M2x = u M2 - sum w x r^2.
     """
     t = kernel.t
     x, w = kernel.nodes, kernel.weights
     wt = w * t
     rows = _block_rows(kernel)
+    # BLAS takes a wide block (an ac kernel) fastest against a column-major
+    # W, and a tall one (atoms) against a row-major W
+    W = np.empty((x.size, 2), order="F" if x.size > rows else "C")
+    W[:, 0] = w
+    W[:, 1] = w * x
     shape = (min(rows, u.size), x.size)
-    du, a, r, r2 = (np.empty(shape) for _ in range(4))
+    a, r, r2 = (np.empty(shape) for _ in range(3))
     out = np.empty((4, u.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, u.size, rows):
             k = min(rows, u.size - lo)
-            du_k, a_k, r_k, r2_k = du[:k], a[:k], r[:k], r2[:k]
-            np.subtract(u[lo:lo + k, None], x, out=du_k)
-            np.multiply(du_k, du_k, out=a_k)      # (u - x)^2, fixed per block
+            u_k, a_k, r_k, r2_k = u[lo:lo + k], a[:k], r[:k], r2[:k]
+            np.subtract(u_k[:, None], x, out=a_k)
+            np.square(a_k, out=a_k)               # (u - x)^2, fixed per block
             np.subtract(wt, a_k, out=r_k)
             s0 = np.maximum(np.max(r_k, axis=1), 0.0)
             s = s0 if guess is None else np.maximum(guess[lo:lo + k], s0)
@@ -137,9 +137,10 @@ def _newton_blocks(kernel: FlowKernel, u: np.ndarray, guess) -> np.ndarray:
             for _ in range(_V_NEWTON_MAX):
                 np.add(a_k, s[:, None], out=r_k)
                 np.reciprocal(r_k, out=r_k)
-                I = r_k @ w
-                np.multiply(r_k, r_k, out=r2_k)
-                M2 = r2_k @ w
+                S1 = r_k @ W
+                np.square(r_k, out=r2_k)
+                S2 = r2_k @ W
+                I, M2 = S1[:, 0], S2[:, 0]
                 resid = t * I - 1.0
                 step = resid * I / M2
                 if warm:
@@ -155,43 +156,38 @@ def _newton_blocks(kernel: FlowKernel, u: np.ndarray, guess) -> np.ndarray:
                 raise ConsistencyError(
                     "flow height Newton solve did not converge in %d steps"
                     % _V_NEWTON_MAX)
-            np.multiply(r_k, du_k, out=r_k)
-            np.multiply(r2_k, du_k, out=r2_k)
             out[0, lo:lo + k] = s
-            out[1, lo:lo + k] = r_k @ w
+            out[1, lo:lo + k] = u_k * I - S1[:, 1]
             out[2, lo:lo + k] = M2
-            out[3, lo:lo + k] = r2_k @ w
+            out[3, lo:lo + k] = u_k * M2 - S2[:, 1]
     return out
 
 
-def _height_sums(kernel: FlowKernel, u):
+def _height_sums(kernel: FlowKernel, u, anchors=None):
     """(v, J, M2, M2x) at the curve height v(u), from one Newton solve.
 
     J, M2 and M2x are the kernel sums at (u, v(u)), taken from the solve's
-    last iterate.  When u spans more than one block, every _WARM_STRIDE-th
-    point of the sorted u and its last point are solved cold (the anchors),
-    and the others start from the cubic Hermite guess through the anchors'
-    s = v^2 and slopes ds/du = -2 M2x / M2 (implicit differentiation of
-    I(u, s) = 1/t).  1/I is concave and increasing in s, so one Newton step
-    from any start lands at or below the root, and the clamp at s0 keeps it
-    above a lower bound -- the climb then ends where a cold solve does.
+    last iterate.  Points that fit in one block are solved cold.  More
+    start from the cubic Hermite guess through anchors: the given ones
+    (rows from _anchor_rows of points already solved), or else every
+    _WARM_STRIDE-th point of the sorted u and its last point, solved by
+    this same scheme, recursively, so only the last level (one block) is
+    solved cold.  The guess takes the anchors' s = v^2 and slopes
+    ds/du = -2 M2x / M2 (implicit differentiation of I(u, s) = 1/t).  1/I
+    is concave and increasing in s, so one Newton step from any start lands
+    at or below the root, and the clamp at s0 keeps it above a lower bound
+    -- the climb then ends where a cold solve does.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     flat = u.ravel()
     if flat.size <= _block_rows(kernel):
         sums = _newton_blocks(kernel, flat, None)
+    elif anchors is not None:
+        sums = _newton_blocks(kernel, flat, _hermite_guess(anchors, flat))
     else:
         order = np.argsort(flat, kind="stable")
-        us = flat[order]
-        cold = np.zeros(us.size, dtype=bool)
-        cold[::_WARM_STRIDE] = True
-        cold[-1] = True
-        sorted_sums = np.empty((4, us.size))
-        sorted_sums[:, cold] = _newton_blocks(kernel, us[cold], None)
-        guess = _hermite_guess(us, sorted_sums, cold)
-        sorted_sums[:, ~cold] = _newton_blocks(kernel, us[~cold], guess)
-        sums = np.empty_like(sorted_sums)
-        sums[:, order] = sorted_sums
+        sums = np.empty((4, flat.size))
+        sums[:, order] = _sorted_sums(kernel, flat[order])
     s, J, M2, M2x = (row.reshape(u.shape) for row in sums)
     v = np.sqrt(s)
     if np.any(v > math.sqrt(kernel.t) * (1.0 + 1e-12)):
@@ -199,19 +195,41 @@ def _height_sums(kernel: FlowKernel, u):
     return v, J, M2, M2x
 
 
-def _hermite_guess(us: np.ndarray, sums: np.ndarray, cold: np.ndarray):
-    """s at the sorted points us[~cold] from the cubic Hermite interpolant
-    through the anchors us[cold], whose rows (s, J, M2, M2x) are filled in
-    sums; the anchors are every _WARM_STRIDE-th point and the last one.
-    The slope is 0 where s = 0 or the sums are not finite."""
-    s, M2, M2x = sums[0, cold], sums[2, cold], sums[3, cold]
+def _sorted_sums(kernel: FlowKernel, us: np.ndarray) -> np.ndarray:
+    """Rows (s, J, M2, M2x) at the sorted points us: cold within one block,
+    else warm from the anchors every _WARM_STRIDE-th point and the last,
+    which are solved the same way."""
+    if us.size <= _block_rows(kernel):
+        return _newton_blocks(kernel, us, None)
+    anchor = np.zeros(us.size, dtype=bool)
+    anchor[::_WARM_STRIDE] = True
+    anchor[-1] = True
+    sums = np.empty((4, us.size))
+    sums[:, anchor] = _sorted_sums(kernel, us[anchor])
+    s, _, M2, M2x = sums[:, anchor]
+    guess = _hermite_guess(_anchor_rows(us[anchor], s, M2, M2x), us[~anchor])
+    sums[:, ~anchor] = _newton_blocks(kernel, us[~anchor], guess)
+    return sums
+
+
+def _anchor_rows(u, s, M2, M2x) -> np.ndarray:
+    """Rows (u, s, ds/du) of solved points for _hermite_guess, with
+    ds/du = -2 M2x / M2, and 0 where s = 0 or the sums are not finite."""
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = -2.0 * M2x / M2
-    slope = np.where((s > 0.0) & np.isfinite(slope), slope, 0.0)
-    ua = us[cold]
-    k = np.nonzero(~cold)[0] // _WARM_STRIDE  # left anchor of each point
+    return np.vstack([u, s, np.where((s > 0.0) & np.isfinite(slope),
+                                     slope, 0.0)])
+
+
+def _hermite_guess(anchors: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """s at the points u from the cubic Hermite interpolant through the
+    anchors, rows (u, s, ds/du) sorted by u, with at least two columns; a
+    point outside them takes the nearer end value."""
+    ua, s, slope = anchors
+    k = np.clip(np.searchsorted(ua, u, side="right") - 1, 0, ua.size - 2)
     h = ua[k + 1] - ua[k]
-    tau = np.divide(us[~cold] - ua[k], h, out=np.zeros_like(h), where=h > 0)
+    tau = np.divide(u - ua[k], h, out=np.zeros_like(h), where=h > 0)
+    tau = np.clip(tau, 0.0, 1.0)
     sl, sr = s[k], s[k + 1]
     ml, mr = h * slope[k], h * slope[k + 1]
     return sl + tau * (ml + tau * (3.0 * (sr - sl) - 2.0 * ml - mr
@@ -233,9 +251,9 @@ def flow_v(kernel: FlowKernel, u) -> np.ndarray:
     positive and v stays 0.  Iteration stops once a step falls below
     2.2e-16 relative to s, or once the residual t I - 1 is at most
     4 * 2.2e-16, where a step is rounding noise.  When u spans more than
-    one block, the points between its cold-solved anchors start from a
-    cubic Hermite guess through the anchors' s and slopes
-    ds/du = -2 M2x / M2 (see _height_sums).
+    one block, each point starts from a cubic Hermite guess through the
+    s and slopes ds/du = -2 M2x / M2 of anchors solved the same way,
+    recursively, so only one block is solved cold (see _height_sums).
     """
     return _height_sums(kernel, u)[0]
 
@@ -256,27 +274,6 @@ def flow_map(kernel: FlowKernel, u):
 def _psi_prime(t: float, v, M2, M2x):
     """d psi / du where v > 0: 2 t (M2x^2 + v^2 M2^2) / M2."""
     return 2.0 * t * (M2x ** 2 + (v * M2) ** 2) / M2
-
-
-def psi_derivative(kernel: FlowKernel, u, v) -> np.ndarray:
-    """d psi / du along the curve.
-
-    Where v > 0 differentiate I(u, v(u)) = 1/t implicitly:
-      v' = -M2x / (v M2),   psi' = 2 t (M2x^2 + v^2 M2^2) / M2.
-    Where v = 0 the map is u + t G_nu(u), so psi' = 1 - t I(u, 0).
-    The derivative jumps at region ends; the positive-height branch is used
-    for curve integrals (the integrand carries a factor of the density).
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    M2, M2x = kernel.second_moments(u, v)
-    pos = v > 0
-    out = np.empty_like(u)
-    out[pos] = _psi_prime(kernel.t, v[pos], M2[pos], M2x[pos])
-    if np.any(~pos):
-        I0 = kernel.integral_I(u[~pos], np.zeros(np.count_nonzero(~pos)))
-        out[~pos] = 1.0 - kernel.t * I0
-    return out
 
 
 def flow_region(kernel: FlowKernel) -> Tuple[Tuple[float, float], ...]:
@@ -343,7 +340,10 @@ def flow_region(kernel: FlowKernel) -> Tuple[Tuple[float, float], ...]:
 
 @dataclass(frozen=True, eq=False)
 class FlowCurve:
-    """Sampled flow curve: u-grid with heights and image points, per region."""
+    """Sampled flow curve: u-grid with heights and image points, per region.
+
+    _anchors holds the rows (u, s, ds/du) of every solved curve point, the
+    dropped ones too, sorted by u, for warm height solves on the regions."""
 
     kernel: FlowKernel
     regions: Tuple[Tuple[float, float], ...]
@@ -351,6 +351,7 @@ class FlowCurve:
     v: np.ndarray
     psi: np.ndarray
     region_index: np.ndarray
+    _anchors: np.ndarray = field(repr=False)
 
     @property
     def t(self) -> float:
@@ -361,6 +362,20 @@ class FlowCurve:
         return (self.psi - self.u) / self.t
 
 
+def _increasing_subsequence(psi: np.ndarray, delta: float):
+    """Indices of the greedy subsequence of psi that rises by more than
+    delta at each step, ending on the last point."""
+    vals = psi.tolist()
+    keep, last = [0], vals[0]
+    for i in range(1, len(vals)):
+        if vals[i] > last + delta:
+            keep.append(i)
+            last = vals[i]
+    if keep[-1] != psi.size - 1:
+        keep[-1] = psi.size - 1  # preserve the exact region endpoint
+    return keep
+
+
 def flow_curve(kernel: FlowKernel) -> FlowCurve:
     """Sample the curve at _CURVE_POINTS Chebyshev extrema of each region.
 
@@ -368,25 +383,21 @@ def flow_curve(kernel: FlowKernel) -> FlowCurve:
     the curve (Cauchy-Schwarz: M2x^2 <= M2 (I - v^2 M2)), so an image gap is
     at most twice its u gap."""
     regions = flow_region(kernel)
-    us, vs, ps, ridx = [], [], [], []
+    us, vs, ps, ridx, anchors = [], [], [], [], []
     for k, (g, h) in enumerate(regions):
         u = _chebyshev_extrema(g, h, _CURVE_POINTS)
-        v, psi = flow_map(kernel, u)
+        v, J, M2, M2x = _height_sums(kernel, u)
+        anchors.append(_anchor_rows(u, v * v, M2, M2x))
+        psi = u + kernel.t * J
         v[[0, -1]] = 0.0  # exact at region ends
         psi[[0, -1]] = flow_psi(kernel, u[[0, -1]], v[[0, -1]])
         # near critical points psi flattens cubically and adjacent image
         # points can collide at machine precision; keep a strictly
         # increasing subsequence (the dropped points carry density ~ 0)
         delta = 1e-13 * max(1.0, float(np.max(np.abs(psi))))
-        vals = psi.tolist()
-        keep, last = [0], vals[0]
-        for i in range(1, len(vals)):
-            if vals[i] > last + delta:
-                keep.append(i)
-                last = vals[i]
-        if keep[-1] != psi.size - 1:
-            keep[-1] = psi.size - 1  # preserve the exact region endpoint
-        u, v, psi = u[keep], v[keep], psi[keep]
+        if not np.all(psi[1:] > psi[:-1] + delta):
+            keep = _increasing_subsequence(psi, delta)
+            u, v, psi = u[keep], v[keep], psi[keep]
         if np.any(np.diff(psi) <= 0):
             raise ConsistencyError(
                 "flow image grid not strictly increasing in region %d" % k)
@@ -395,89 +406,8 @@ def flow_curve(kernel: FlowKernel) -> FlowCurve:
         ps.append(psi)
         ridx.append(np.full(u.shape, k, dtype=int))
     return FlowCurve(kernel, regions, np.concatenate(us), np.concatenate(vs),
-                     np.concatenate(ps), np.concatenate(ridx))
-
-
-def flow_density(nu: Measure, t: float):
-    """Density table of the free convolution of nu with the semicircle law.
-
-    Returns (curve, table).  The density at psi(u) is v(u)/(pi t); region
-    ends map to support edges where the density vanishes like a square root.
-    """
-    curve = flow_curve(FlowKernel(nu, t))
-    tables = []
-    for k, _ in enumerate(curve.regions):
-        sel = curve.region_index == k
-        x = curve.psi[sel]
-        p = curve.v[sel] / (np.pi * t)
-        tables.append(build_table(x, p, support=(x[0], x[-1]),
-                                  edge_orders=(0.5, 0.5), expected_mass=None))
-    if len(tables) != 1:
-        # multi-region supports stay as separate tables for the caller
-        return curve, tuple(tables)
-    return curve, tables[0]
-
-
-def flow_invert_psi(kernel: FlowKernel, x) -> np.ndarray:
-    """Solve psi(u) = x for real x; psi is increasing on the whole line.
-
-    The bracket uses |psi(u) - u| <= sqrt(t), a consequence of the modulus
-    bound |G| <= 1/sqrt(t) for the convolved transform.  Each point still
-    open takes a Newton step with psi' from the same height solve where
-    v > 0 and the step stays inside its bracket, and bisects otherwise,
-    until the bracket is narrower than _PSI_BISECT_TOL.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = kernel.t
-    rt = math.sqrt(t)
-    lo = x - rt * (1.0 + 1e-9) - 1e-12
-    hi = x + rt * (1.0 + 1e-9) + 1e-12
-
-    def psi_of(u):
-        return flow_map(kernel, u)[1]
-
-    flo = psi_of(lo) - x
-    fhi = psi_of(hi) - x
-    if np.any(flo > 0) or np.any(fhi < 0):
-        raise FlowInversionError("inversion bracket failed; map not monotone?")
-    # a step of at least half the width test toward the root lets a
-    # converged Newton iterate close its bracket from the other side
-    half = 0.5 * _PSI_BISECT_TOL
-    u = 0.5 * (lo + hi)
-    for _ in range(60):
-        todo = hi - lo >= _PSI_BISECT_TOL
-        if not todo.any():
-            break
-        ui, lo_i, hi_i = u[todo], lo[todo], hi[todo]
-        v, J, M2, M2x = _height_sums(kernel, ui)
-        f = ui + t * J - x[todo]
-        below = f < 0
-        lo_i = np.where(below, ui, lo_i)
-        hi_i = np.where(below, hi_i, ui)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -f / _psi_prime(t, v, M2, M2x)
-        step = np.where(below, np.maximum(step, half), np.minimum(step, -half))
-        newton = ui + step
-        inside = (v > 0) & (newton > lo_i) & (newton < hi_i)
-        u[todo] = np.where(inside, newton, 0.5 * (lo_i + hi_i))
-        lo[todo], hi[todo] = lo_i, hi_i
-    return 0.5 * (lo + hi)
-
-
-def flow_cauchy(kernel: FlowKernel, x) -> np.ndarray:
-    """Boundary Cauchy transform of the convolution at real x.
-
-    Equals J - i v/t at u = psi^{-1}(x); the modulus never exceeds 1/sqrt(t)
-    (checked, with a small slack, as an internal consistency guard).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = flow_invert_psi(kernel, x)
-    v, j, _, _ = _height_sums(kernel, u)
-    g = j - 1j * v / kernel.t
-    bound = 1.0 / math.sqrt(kernel.t) + _CAUCHY_BOUND_SLACK
-    if np.any(np.abs(g) > bound):
-        raise ConsistencyError("void: |G| exceeded 1/sqrt(t) on the boundary")
-    return g
+                     np.concatenate(ps), np.concatenate(ridx),
+                     np.hstack(anchors))
 
 
 def region_integral(kernel: FlowKernel, region: Tuple[float, float],

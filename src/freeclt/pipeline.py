@@ -207,9 +207,10 @@ def clt_density_flow(mu: Measure, n: int) -> CltDensity:
 
     # moments in the u variable: spectrally accurate with sqrt endpoint
     # substitutions, valid for both soft (+1/2) and singular (-1/2) edges;
-    # mass, mean and second moment share one height solve per node
+    # mass, mean and second moment share one height solve per node, warm
+    # from the curve's solved points
     def quotient_moments_u(u: np.ndarray) -> np.ndarray:
-        v, j, m2, m2x = _height_sums(kernel, u)
+        v, j, m2, m2x = _height_sums(kernel, u, curve._anchors)
         v = np.maximum(v, 1e-300)
         psi = u + t * j
         p = _quotient(t, psi, j, v)

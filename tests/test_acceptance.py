@@ -120,11 +120,14 @@ def test_criterion_03_kesten_oracle(bernoulli, m):
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_criterion_04_point_mass_flow_gives_semicircle(t):
-    from freeclt import flow_density, make_measure
+    from freeclt import FlowKernel, flow_curve, make_measure
     delta0 = make_measure({"atoms": [{"x": 0.0, "w": 1.0}]})
-    _, tab = flow_density(delta0, t)
-    x = np.linspace(-2.0 * math.sqrt(t), 2.0 * math.sqrt(t), 2001)
-    err = np.max(np.abs(tab.density(x) - semicircle_density(x, variance=t)))
+    curve = flow_curve(FlowKernel(delta0, t))
+    # the density at psi(u) is v(u)/(pi t); the ends map to the edges, where
+    # v = 0 exactly and the closed form is the root of rounding noise
+    assert np.all(curve.v[[0, -1]] == 0.0)
+    x, p = curve.psi[1:-1], curve.v[1:-1] / (math.pi * t)
+    err = np.max(np.abs(p - semicircle_density(x, variance=t)))
     assert err < 1e-10
 
 

@@ -11,19 +11,15 @@ from freeclt import (
     InvalidArgumentError,
     clt_density_flow,
     companion_measure,
-    flow_cauchy,
     flow_curve,
-    flow_density,
-    flow_invert_psi,
     flow_map,
     flow_psi,
     flow_region,
     flow_v,
     make_measure,
-    psi_derivative,
     region_integral,
 )
-from freeclt import flow
+from freeclt import flow, pipeline
 from freeclt.measures import _chebyshev_extrema
 
 from conftest import (
@@ -68,16 +64,24 @@ class TestPointMassClosedForm:
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_density_is_semicircle(self, delta0, t):
-        _, tab = flow_density(delta0, t)
-        x = np.linspace(-2.0 * math.sqrt(t), 2.0 * math.sqrt(t), 1001)
-        assert np.max(np.abs(tab.density(x)
-                             - semicircle_density(x, variance=t))) < 1e-10
+        curve = flow_curve(FlowKernel(delta0, t))
+        # the ends map to the edges +-2 sqrt(t), where v = 0 exactly and the
+        # closed form is the root of rounding noise
+        edge = 2.0 * math.sqrt(t)
+        assert np.all(curve.v[[0, -1]] == 0.0)
+        assert np.max(np.abs(curve.psi[[0, -1]] - [-edge, edge])) < 1e-15
+        p = curve.v[1:-1] / (math.pi * t)
+        assert np.max(np.abs(p - semicircle_density(curve.psi[1:-1],
+                                                    variance=t))) < 1e-10
 
     def test_cauchy_is_semicircle_branch(self, delta0):
-        kernel = FlowKernel(delta0, 1.0)
-        x = np.linspace(-1.9, 1.9, 41)
-        g = flow_cauchy(kernel, x)
-        expect = (x - 1j * np.sqrt(4.0 - x * x)) / 2.0
+        # the boundary value J - i v/t at x = psi(u)
+        curve = flow_curve(FlowKernel(delta0, 1.0))
+        x = curve.psi
+        inner = np.abs(x) <= 1.9
+        g = (curve.j_values() - 1j * curve.v / curve.t)[inner]
+        expect = (x[inner] - 1j * np.sqrt(4.0 - x[inner] ** 2)) / 2.0
+        assert np.count_nonzero(inner) > 1000
         assert np.max(np.abs(g - expect)) < 1e-12
 
 
@@ -153,9 +157,12 @@ class TestHeightNewtonSolve:
 
 class TestHeightSolve:
     """flow._height_sums: v with the kernel sums J, M2 and M2x at the curve
-    height, by blocks of flow._block_rows(kernel) points, warm-started from
-    a Hermite guess through every 8th sorted point and the last once u spans
-    more than one block."""
+    height, by blocks of flow._block_rows(kernel) points.  Once u spans more
+    than one block, each point starts from a Hermite guess through every 8th
+    sorted point and the last, which are solved the same way, recursively,
+    so only one block is solved cold; moment nodes that span more than one
+    block start from a guess through the curve's solved points and none is
+    cold."""
 
     @pytest.fixture(scope="class")
     def kernels(self, delta0, two_atoms, uniform):
@@ -195,7 +202,9 @@ class TestHeightSolve:
         assert self._rel(M2, want_M2) < 1e-13
         assert self._rel(M2x, want_M2x) < 1e-13
         assert self._rel(flow._psi_prime(kernel.t, v[pos], M2[pos], M2x[pos]),
-                         psi_derivative(kernel, u[pos], v[pos])) < 1e-13
+                         flow._psi_prime(kernel.t, v[pos], *kernel
+                                         .second_moments(u[pos], v[pos]))) \
+            < 1e-13
 
     def test_point_mass_closed_form(self, kernels):
         # v^2 = t - u^2, J = u/t, M2 = 1/t^2, M2x = u/t^2 with t = 1
@@ -287,10 +296,10 @@ class TestHeightSolve:
         anchors = np.zeros(u.size, dtype=bool)
         anchors[::flow._WARM_STRIDE] = True
         anchors[-1] = True
-        sums = np.full((4, u.size), np.nan)
-        sums[:, anchors] = flow._newton_blocks(kernel, u[anchors], None)
-        sums[2, np.nonzero(anchors)[0][::2]] = np.nan
-        guess = flow._hermite_guess(u, sums, anchors)
+        s, _, M2, M2x = flow._newton_blocks(kernel, u[anchors], None)
+        M2[::2] = np.nan
+        rows = flow._anchor_rows(u[anchors], s, M2, M2x)
+        guess = flow._hermite_guess(rows, u[~anchors])
         assert np.all(np.isfinite(guess))
         s = flow._newton_blocks(kernel, u[~anchors], guess)[0]
         cold = flow._newton_blocks(kernel, u[~anchors], None)[0]
@@ -323,6 +332,59 @@ class TestHeightSolve:
         assert blocks[0] > 100
         assert passes[0] <= 3 * blocks[0]
 
+    @staticmethod
+    def _spy_cold_rows(monkeypatch):
+        # sizes of the cold _newton_blocks calls, and the count of warm ones
+        cold, warm = [], [0]
+        newton_blocks = flow._newton_blocks
+
+        def spy(kernel, u, guess):
+            if guess is None:
+                cold.append(u.size)
+            else:
+                warm[0] += 1
+            return newton_blocks(kernel, u, guess)
+
+        monkeypatch.setattr(flow, "_newton_blocks", spy)
+        return cold, warm
+
+    def test_moments_solve_no_cold_row(self, uniform, monkeypatch):
+        cold, warm = self._spy_cold_rows(monkeypatch)
+        region_integral = pipeline.region_integral
+        in_moments = []
+
+        def spied_integral(kernel, region, integrand):
+            before = (len(cold), warm[0])
+            total = region_integral(kernel, region, integrand)
+            in_moments.append((len(cold) - before[0], warm[0] - before[1]))
+            return total
+
+        monkeypatch.setattr(pipeline, "region_integral", spied_integral)
+        clt_density_flow(uniform, 4)
+        assert len(in_moments) == 1
+        (cold_calls, warm_calls), = in_moments
+        assert cold_calls == 0 and warm_calls == 2  # one per half-region
+
+    @pytest.mark.parametrize("name", ["uniform", "outer_atom"])
+    def test_curve_cold_rows_at_most_one_block(self, kernels, name,
+                                               monkeypatch):
+        kernel = kernels[name]
+        cold, _ = self._spy_cold_rows(monkeypatch)
+        curve = flow_curve(kernel)
+        assert len(cold) == len(curve.regions)
+        assert max(cold) <= flow._block_rows(kernel)
+
+    def test_product_form_matches_the_kernel(self, kernels):
+        # J = u I - sum w x r and M2x = u M2 - sum w x r^2, off the origin
+        kernel = kernels["outer_atom"]
+        u = np.linspace(-5.0, 5.0, 2001)
+        v, J, M2, M2x = flow._height_sums(kernel, u)
+        assert 0 < np.count_nonzero(v > 0) < u.size
+        assert self._rel(J, kernel.integral_J(u, v)) < 1e-13
+        want_M2, want_M2x = kernel.second_moments(u, v)
+        assert self._rel(M2, want_M2) < 1e-13
+        assert self._rel(M2x, want_M2x) < 1e-13
+
     @pytest.mark.parametrize("count", [5, 101])
     def test_iteration_cap_raises(self, kernels, monkeypatch, count):
         kernel = kernels["uniform"]
@@ -344,20 +406,13 @@ class TestImageMap:
         kernel = FlowKernel(two_atoms, 0.9)
         (g, h) = flow_region(kernel)[0]
         u = np.linspace(g, h, 41)[5:-5]
-        v = flow_v(kernel, u)
+        v, _, M2, M2x = flow._height_sums(kernel, u)
         step = 1e-6
         num = (flow_psi(kernel, u + step, flow_v(kernel, u + step))
                - flow_psi(kernel, u - step, flow_v(kernel, u - step))) \
             / (2.0 * step)
-        assert np.max(np.abs(psi_derivative(kernel, u, v) - num)) < 1e-5
-
-    def test_invert_round_trip(self, two_atoms):
-        kernel = FlowKernel(two_atoms, 1.3)
-        (g, h), = flow_region(kernel)
-        u = np.linspace(g, h, 101)[1:-1]
-        _, psi = flow_map(kernel, u)
-        u_back = flow_invert_psi(kernel, psi)
-        assert np.max(np.abs(u_back - u)) < 1e-10
+        assert np.max(np.abs(flow._psi_prime(kernel.t, v, M2, M2x) - num)) \
+            < 1e-5
 
     def test_modulus_bound_along_curve(self, two_atoms):
         for t in (0.5, 1.0, 2.0):
@@ -407,6 +462,14 @@ class TestFixedCurve:
                     u, _chebyshev_extrema(g, h, flow._CURVE_POINTS))
 
 
+def _mass_integrand(kernel):
+    # density v/(pi t) times psi' along the curve
+    def integrand(u):
+        v, _, M2, M2x = flow._height_sums(kernel, u)
+        return v / (math.pi * kernel.t) * flow._psi_prime(kernel.t, v, M2, M2x)
+    return integrand
+
+
 class TestRegionsAndMass:
     def test_two_regions_at_small_time(self, two_atoms):
         regions = flow_region(FlowKernel(two_atoms, 0.2))
@@ -419,20 +482,16 @@ class TestRegionsAndMass:
         assert len(flow_region(FlowKernel(two_atoms, 2.0))) == 1
 
     def test_split_support_mass_adds_to_one(self, two_atoms):
-        curve, tables = flow_density(two_atoms, 0.2)
-        assert isinstance(tables, tuple) and len(tables) == 2
-        assert sum(tab.mass() for tab in tables) == pytest.approx(
-            1.0, abs=1e-8)
+        kernel = FlowKernel(two_atoms, 0.2)
+        regions = flow_region(kernel)
+        assert len(regions) == 2
+        assert sum(region_integral(kernel, reg, _mass_integrand(kernel))
+                   for reg in regions) == pytest.approx(1.0, abs=1e-8)
 
     def test_region_integral_recovers_mass(self, delta0):
         kernel = FlowKernel(delta0, 1.0)
         region, = flow_region(kernel)
-
-        def mass_integrand(u):
-            v = flow_v(kernel, u)
-            return v / (math.pi * kernel.t) * psi_derivative(kernel, u, v)
-
-        assert region_integral(kernel, region, mass_integrand) \
+        assert region_integral(kernel, region, _mass_integrand(kernel)) \
             == pytest.approx(1.0, abs=1e-10)
 
     def test_region_integral_of_stacked_integrand(self, delta0):
