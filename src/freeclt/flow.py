@@ -101,26 +101,91 @@ def _block_rows(kernel: FlowKernel) -> int:
     return max(1, _BLOCK_ENTRIES // kernel.nodes.size)
 
 
+def _node_columns(kernel: FlowKernel) -> np.ndarray:
+    """The two columns W = [w, w x] that every kernel pass takes its powers
+    of r = 1/(a + s) against.  BLAS takes a wide block (an ac kernel)
+    fastest against a column-major W, and a tall one (atoms) against a
+    row-major W."""
+    x = kernel.nodes
+    W = np.empty((x.size, 2), order="F" if x.size > _block_rows(kernel)
+                 else "C")
+    W[:, 0] = kernel.weights
+    W[:, 1] = kernel.weights * x
+    return W
+
+
 def _newton_blocks(kernel: FlowKernel, u: np.ndarray, guess) -> np.ndarray:
     """Rows (s, J, M2, M2x) at s = v^2 for the flat points u, block by block.
 
-    Cold (guess None): the monotone climb from s0 = max(0, max_j(w_j t - a_j)).
-    Warm: one unconditional Newton step from max(guess, s0), clamped at s0,
-    then the same climb.  A row stops once its step is below _V_STEP_RTOL * s
-    or its residual t I - 1 is at most _V_RESID_FLOOR: past that the step is
-    rounding noise.  Each pass takes r = 1/(a + s) and r^2 against the two
-    columns W = [w, w x], so the last pass also gives J = u I - sum w x r
-    and M2x = u M2 - sum w x r^2.
+    Cold (guess None): the monotone climb of _climb_blocks from s0.  Warm:
+    one pass at the guess s_g, clamped at 0, gives the Newton step d.  A
+    row with |d| <= sqrt(_V_STEP_RTOL) s_g is at the root to rounding and
+    stops after that one pass, at s = s_g + d, with its sums carried to s
+    to first order: I and sum w x r move by -d times M2 and sum w x r^2,
+    M2 and sum w x r^2 by -2 d times sum w r^3 and sum w x r^3, so the pass
+    also takes r^3 against W.  |f''/f'| <= 2/s for f = 1/I, so the step
+    leaves an error of at most d^2/s and the carried sums one of about
+    (d/s)^2 relative, both below the climb's own floor, from either side
+    of the root.  The other rows (tiny s near a region end, NaN on a node,
+    guesses far off) are gathered into full blocks and climb from
+    max(s_g + d, s0): from any start one Newton step lands at or below the
+    root, as 1/I is concave.
+    """
+    if guess is None:
+        return _climb_blocks(kernel, u, None)
+    t, x = kernel.t, kernel.nodes
+    W = _node_columns(kernel)
+    rows = _block_rows(kernel)
+    shape = (min(rows, u.size), x.size)
+    r, r2 = np.empty(shape), np.empty(shape)
+    out = np.empty((4, u.size))
+    start = np.empty(u.size)
+    exits = np.empty(u.size, dtype=bool)
+    exit_rtol = math.sqrt(_V_STEP_RTOL)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, u.size, rows):
+            k = min(rows, u.size - lo)
+            u_k, r_k, r2_k = u[lo:lo + k], r[:k], r2[:k]
+            s = np.maximum(guess[lo:lo + k], 0.0)
+            np.subtract(u_k[:, None], x, out=r_k)
+            np.square(r_k, out=r_k)
+            np.add(r_k, s[:, None], out=r_k)
+            np.reciprocal(r_k, out=r_k)
+            S1 = r_k @ W
+            np.square(r_k, out=r2_k)
+            S2 = r2_k @ W
+            np.multiply(r2_k, r_k, out=r_k)
+            S3 = r_k @ W
+            I, M2 = S1[:, 0], S2[:, 0]
+            d = (t * I - 1.0) * I / M2
+            I = I - d * M2
+            M2 = M2 - 2.0 * d * S3[:, 0]
+            start[lo:lo + k] = s + d
+            exits[lo:lo + k] = np.abs(d) <= exit_rtol * s
+            out[1, lo:lo + k] = u_k * I - (S1[:, 1] - d * S2[:, 1])
+            out[2, lo:lo + k] = M2
+            out[3, lo:lo + k] = u_k * M2 - (S2[:, 1] - 2.0 * d * S3[:, 1])
+    out[0] = start
+    climb = np.flatnonzero(~exits)
+    if climb.size:
+        out[:, climb] = _climb_blocks(kernel, u[climb], start[climb])
+    return out
+
+
+def _climb_blocks(kernel: FlowKernel, u: np.ndarray, start) -> np.ndarray:
+    """Rows (s, J, M2, M2x) by the monotone climb from
+    s0 = max(0, max_j(w_j t - a_j)), or from max(start, s0) with a NaN
+    start taken as s0.  A row stops once its step is below _V_STEP_RTOL * s
+    or its residual t I - 1 is at most _V_RESID_FLOOR: past that the step
+    is rounding noise.  Each pass takes r = 1/(a + s) and r^2 against the
+    two columns W = [w, w x], so the last pass also gives J = u I -
+    sum w x r and M2x = u M2 - sum w x r^2.
     """
     t = kernel.t
     x, w = kernel.nodes, kernel.weights
     wt = w * t
+    W = _node_columns(kernel)
     rows = _block_rows(kernel)
-    # BLAS takes a wide block (an ac kernel) fastest against a column-major
-    # W, and a tall one (atoms) against a row-major W
-    W = np.empty((x.size, 2), order="F" if x.size > rows else "C")
-    W[:, 0] = w
-    W[:, 1] = w * x
     shape = (min(rows, u.size), x.size)
     a, r, r2 = (np.empty(shape) for _ in range(3))
     out = np.empty((4, u.size))
@@ -132,8 +197,7 @@ def _newton_blocks(kernel: FlowKernel, u: np.ndarray, guess) -> np.ndarray:
             np.square(a_k, out=a_k)               # (u - x)^2, fixed per block
             np.subtract(wt, a_k, out=r_k)
             s0 = np.maximum(np.max(r_k, axis=1), 0.0)
-            s = s0 if guess is None else np.maximum(guess[lo:lo + k], s0)
-            warm = guess is not None
+            s = s0 if start is None else np.fmax(start[lo:lo + k], s0)
             for _ in range(_V_NEWTON_MAX):
                 np.add(a_k, s[:, None], out=r_k)
                 np.reciprocal(r_k, out=r_k)
@@ -143,11 +207,6 @@ def _newton_blocks(kernel: FlowKernel, u: np.ndarray, guess) -> np.ndarray:
                 I, M2 = S1[:, 0], S2[:, 0]
                 resid = t * I - 1.0
                 step = resid * I / M2
-                if warm:
-                    # from any start, one step lands at or below the root
-                    s = np.maximum(s + step, s0)
-                    warm = False
-                    continue
                 active = (step > _V_STEP_RTOL * s) & (resid > _V_RESID_FLOOR)
                 if not active.any():
                     break
@@ -167,16 +226,17 @@ def _height_sums(kernel: FlowKernel, u, anchors=None):
     """(v, J, M2, M2x) at the curve height v(u), from one Newton solve.
 
     J, M2 and M2x are the kernel sums at (u, v(u)), taken from the solve's
-    last iterate.  Points that fit in one block are solved cold.  More
-    start from the cubic Hermite guess through anchors: the given ones
-    (rows from _anchor_rows of points already solved), or else every
-    _WARM_STRIDE-th point of the sorted u and its last point, solved by
-    this same scheme, recursively, so only the last level (one block) is
-    solved cold.  The guess takes the anchors' s = v^2 and slopes
-    ds/du = -2 M2x / M2 (implicit differentiation of I(u, s) = 1/t).  1/I
-    is concave and increasing in s, so one Newton step from any start lands
-    at or below the root, and the clamp at s0 keeps it above a lower bound
-    -- the climb then ends where a cold solve does.
+    last pass, or carried from it to the root to first order.  Points that
+    fit in one block are solved cold.  More start from the cubic Hermite
+    guess through anchors: the given ones (rows from _anchor_rows of points
+    already solved), or else every _WARM_STRIDE-th point of the sorted u
+    and its last point, solved by this same scheme, recursively, so only
+    the last level (one block) is solved cold.  The guess takes the
+    anchors' s = v^2 and slopes ds/du = -2 M2x / M2 (implicit
+    differentiation of I(u, s) = 1/t).  A point whose guess is already at
+    the root to rounding stops after one pass over the nodes; the others
+    climb from where one Newton step lands, at or below the root, as a
+    cold solve does (see _newton_blocks).
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     flat = u.ravel()
@@ -253,7 +313,10 @@ def flow_v(kernel: FlowKernel, u) -> np.ndarray:
     4 * 2.2e-16, where a step is rounding noise.  When u spans more than
     one block, each point starts from a cubic Hermite guess through the
     s and slopes ds/du = -2 M2x / M2 of anchors solved the same way,
-    recursively, so only one block is solved cold (see _height_sums).
+    recursively, so only one block is solved cold (see _height_sums).  A
+    warm point stops after one pass over the nodes once its Newton step is
+    at most sqrt(2.2e-16) ~ 1.5e-8 relative to s, which leaves an error
+    below 2.2e-16 relative; the others climb on (see _newton_blocks).
     """
     return _height_sums(kernel, u)[0]
 
@@ -287,9 +350,12 @@ def flow_region(kernel: FlowKernel) -> Tuple[Tuple[float, float], ...]:
     t = kernel.t
     target = 1.0 / t
     comps = kernel.support_components
+    nodes, weights = kernel.nodes, kernel.weights
 
     def i0(x: float) -> float:
-        return float(kernel.integral_I(np.array([x]), np.array([0.0]))[0])
+        d = x - nodes
+        with np.errstate(divide="ignore"):
+            return float(np.sum(weights / (d * d)))
 
     f = lambda x: i0(x) - target
 
