@@ -162,7 +162,9 @@ class TestHeightSolve:
     sorted point and the last, which are solved the same way, recursively,
     so only one block is solved cold; moment nodes that span more than one
     block start from a guess through the curve's solved points and none is
-    cold."""
+    cold.  A warm point whose guess is at the root to rounding stops after
+    one pass over the nodes, with its sums carried to the root; the others
+    climb as a cold solve does."""
 
     @pytest.fixture(scope="class")
     def kernels(self, delta0, two_atoms, uniform):
@@ -305,7 +307,59 @@ class TestHeightSolve:
         cold = flow._newton_blocks(kernel, u[~anchors], None)[0]
         self._assert_matches_cold(s, cold)
 
-    def test_warm_blocks_take_three_passes(self, kernels, monkeypatch):
+    @staticmethod
+    def _inner_rows(kernel):
+        # cold rows (s, J, M2, M2x) at points well inside every region
+        u = np.concatenate([_chebyshev_extrema(g, h, 203)[1:-1]
+                            for g, h in flow_region(kernel)])
+        cold = flow._newton_blocks(kernel, u, None)
+        keep = cold[0] > 1e-8 * np.max(cold[0])
+        return u[keep], cold[:, keep]
+
+    @staticmethod
+    def _counted_newton_blocks(kernel, u, guess, monkeypatch):
+        # the rows, and the count of np.reciprocal calls: one per pass of a
+        # block over the nodes
+        passes = [0]
+        reciprocal = np.reciprocal
+
+        def counted_reciprocal(*args, **kwargs):
+            passes[0] += 1
+            return reciprocal(*args, **kwargs)
+
+        monkeypatch.setattr(flow.np, "reciprocal", counted_reciprocal)
+        try:
+            return flow._newton_blocks(kernel, u, guess), passes[0]
+        finally:
+            monkeypatch.setattr(flow.np, "reciprocal", reciprocal)
+
+    @pytest.mark.parametrize("name", ["uniform", "outer_atom"])
+    @pytest.mark.parametrize("offset", [-1e-10, 1e-10])
+    def test_guess_at_the_root_takes_one_pass(self, kernels, name, offset,
+                                              monkeypatch):
+        # the step is ~1e-10 s, so every row exits after its first pass,
+        # with its sums carried to the root
+        kernel = kernels[name]
+        u, cold = self._inner_rows(kernel)
+        rows, passes = self._counted_newton_blocks(
+            kernel, u, cold[0] * (1.0 + offset), monkeypatch)
+        assert passes == -(-u.size // flow._block_rows(kernel))
+        for got, want in zip(rows, cold):
+            assert self._rel(got, want) < 1e-13
+
+    @pytest.mark.parametrize("name", ["uniform", "outer_atom"])
+    @pytest.mark.parametrize("offset", [-1e-4, 1e-4])
+    def test_guess_off_the_root_climbs(self, kernels, name, offset,
+                                       monkeypatch):
+        kernel = kernels[name]
+        u, cold = self._inner_rows(kernel)
+        rows, passes = self._counted_newton_blocks(
+            kernel, u, cold[0] * (1.0 + offset), monkeypatch)
+        assert passes > -(-u.size // flow._block_rows(kernel))
+        for got, want in zip(rows, cold):
+            assert self._rel(got, want) < 1e-13
+
+    def test_warm_blocks_take_at_most_1_6_passes(self, kernels, monkeypatch):
         # structural guard: one np.reciprocal call per Newton pass of a block
         kernel = kernels["uniform"]
         (g, h), = flow_region(kernel)
@@ -330,7 +384,7 @@ class TestHeightSolve:
         monkeypatch.setattr(flow, "_newton_blocks", counted_blocks)
         flow._height_sums(kernel, u)
         assert blocks[0] > 100
-        assert passes[0] <= 3 * blocks[0]
+        assert passes[0] <= 1.6 * blocks[0]
 
     @staticmethod
     def _spy_cold_rows(monkeypatch):
