@@ -34,7 +34,6 @@ from .measures import (
     fit_edge_order,
     make_measure,
     measure_from_json,
-    moment,
     standardize,
     translate,
 )
@@ -44,7 +43,6 @@ from .transforms import (
     cauchy_derivative,
     companion_measure,
     find_support_interval,
-    reciprocal_cauchy,
     semicircle_cauchy,
     sqrt_upper,
     stieltjes_invert,
@@ -115,7 +113,6 @@ __all__ = [
     "fit_edge_order",
     "make_measure",
     "measure_from_json",
-    "moment",
     "translate",
     "dilate",
     "standardize",
@@ -124,7 +121,6 @@ __all__ = [
     "semicircle_cauchy",
     "cauchy",
     "cauchy_derivative",
-    "reciprocal_cauchy",
     "InversionResult",
     "stieltjes_invert",
     "find_support_interval",

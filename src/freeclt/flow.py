@@ -28,7 +28,6 @@ from .measures import Measure, _chebyshev_extrema, _leggauss
 _V_NEWTON_MAX = 60          # monotone Newton needs about a dozen steps
 _V_STEP_RTOL = 2.2e-16      # stop once a step is below this share of v^2
 _V_RESID_FLOOR = 8.8e-16    # ... or once t*I - 1 is at most 4 rounding units
-_AC_NODES = 4096            # Gauss-theta nodes for an ac part of the kernel
 _CURVE_POINTS = 1401        # Chebyshev extrema of the curve on each region
 _MOMENT_NODES = 320         # Gauss nodes per half-region of region_integral
 _BLOCK_ENTRIES = 2 ** 15    # entries of one (points x nodes) work array
@@ -52,7 +51,7 @@ class FlowKernel:
         xs = [a.x for a in nu.atoms]
         ws = [a.w for a in nu.atoms]
         if nu.ac is not None:
-            xq, wq = nu.ac.quad_nodes(_AC_NODES)
+            xq, wq = nu.ac.quad_nodes()
             xs = np.concatenate([np.asarray(xs), xq])
             ws = np.concatenate([np.asarray(ws), wq])
         self.nodes = np.asarray(xs, dtype=float)

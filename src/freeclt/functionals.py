@@ -21,8 +21,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import InvalidArgumentError, QuadratureError
-from .measures import (DensityTable, SemicircleFamily, _leggauss,
-                       gauss_theta_nodes)
+from .measures import DensityTable, SemicircleFamily, _leggauss
 from .pipeline import CltDensity, clt_density_flow
 
 __all__ = [
@@ -49,8 +48,7 @@ TOL_GAP = 1e-6   # slack on the entropy--Fisher inequality
 
 _ENTROPY_CONSTANT = 0.75 + 0.5 * math.log(2.0 * math.pi)
 _REFERENCE = SemicircleFamily(1.0)
-_FISHER_NODES = 512       # Gauss nodes per table for the cubic integral
-_ENERGY_NODES = 512       # Gauss nodes per table for the log energy
+_ENERGY_NODES = 512       # Gauss nodes per table for chi's energy and Phi
 _LP_CUT_FLOOR = 1e3 * np.finfo(float).eps  # noise floor of a density difference
 
 
@@ -92,6 +90,9 @@ def _density_sum(tables: Sequence[DensityTable], x: np.ndarray) -> np.ndarray:
 
 
 def _has_singular_edge(tables: Sequence[DensityTable]) -> bool:
+    """Whether a support endpoint carries a negative fitted exponent: the
+    sup of an unbounded density then depends on how far into the
+    singularity the grid reaches."""
     for tab in tables:
         for order in tab.edge_orders:
             if order is not None and order < 0:
@@ -101,15 +102,11 @@ def _has_singular_edge(tables: Sequence[DensityTable]) -> bool:
 
 # -- distances to the semicircle ----------------------------------------------
 
-def sup_distance(obj: TableLike, flagged: bool = False):
+def sup_distance(obj: TableLike) -> float:
     """Max of |p - p_semicircle| over the union evaluation grid.
 
     The density is extended by zero outside its support, so the graze
-    value at a support-edge mismatch is captured.  With ``flagged=True``
-    also returns whether the value is grid-dependent (true when any
-    support endpoint carries a negative fitted exponent: the sup of an
-    unbounded density depends on how far into the singularity the grid
-    reaches).
+    value at a support-edge mismatch is captured.
     """
     tables = _tables_of(obj)
     pieces = [np.linspace(-2.0, 2.0, 1201)]
@@ -118,10 +115,7 @@ def sup_distance(obj: TableLike, flagged: bool = False):
         pieces.append(np.asarray(tab.support))
     xs = np.unique(np.concatenate(pieces))
     diff = np.abs(_density_sum(tables, xs) - _REFERENCE.density(xs))
-    value = float(np.max(diff))
-    if flagged:
-        return value, _has_singular_edge(tables)
-    return value
+    return float(np.max(diff))
 
 
 def _diff_breakpoints(tables: Sequence[DensityTable]) -> List[float]:
@@ -429,9 +423,8 @@ def free_fisher(obj: TableLike) -> ExtendedReal:
                     math.inf, True,
                     diagnosis=(f"{side} endpoint exponent {order:g}: cubed "
                                "density is not integrable"))
-        x, jac = gauss_theta_nodes(tab.support[0], tab.support[1],
-                                   _FISHER_NODES)
-        total += float(np.sum(jac * tab.density(x) ** 3))
+        _, jac, p = tab._node_set(_ENERGY_NODES)
+        total += float(np.sum(jac * p ** 3))
     return ExtendedReal((4.0 * math.pi ** 2 / 3.0) * total, False)
 
 
@@ -470,7 +463,7 @@ def _report_row(mu, n: int, p_list: Sequence[float],
         dens = clt_density_flow(mu, n)
     tables = dens.tables
     flags: List[str] = []
-    sup, grid_dep = sup_distance(tables, flagged=True)
+    sup = sup_distance(tables)
     if dens.atoms:
         # sup and L^p are taken over the ac part; chi and Phi of a law
         # with an atom are -infinity and +infinity
@@ -484,7 +477,7 @@ def _report_row(mu, n: int, p_list: Sequence[float],
     else:
         chi = free_entropy(tables)
         phi = free_fisher(tables)
-    if grid_dep:
+    if _has_singular_edge(tables):
         flags.append("sup_grid_dependent")
     gap = _gap(chi, phi)
     if phi.divergent:

@@ -29,6 +29,7 @@ TRAPEZOID_MASS_TOL = 2e-3  # coarse trapezoid sanity gate for tables
 
 _EDGE_SNAP = (-0.5, 0.0, 0.5, 1.0, 1.5)
 _ATOM_SEP = 1e-12        # minimum distance between distinct atom locations
+_AC_NODES = 4096         # the Gauss-theta rule every ac part is integrated with
 
 
 def _legendre(n: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -116,6 +117,29 @@ def _snap_edge_order(alpha: Optional[float]) -> Optional[float]:
     return alpha
 
 
+class _AcPart:
+    """Shared base of the ac parts: their Gauss-theta node sets.
+
+    A part's nodes, jacobians and density values there are built once per
+    node count, on first use, and kept on the (frozen) part: its mass and
+    moments, its Cauchy transform, a flow kernel on it and the functionals
+    all read the same set.
+    """
+
+    def _node_set(self, n: int):
+        """(x, jacobians, density at x) of the n-node Gauss-theta rule."""
+        sets = self.__dict__.setdefault("_node_sets", {})
+        if n not in sets:
+            x, jac = gauss_theta_nodes(self.support[0], self.support[1], n)
+            sets[n] = (x, jac, self.density(x))
+        return sets[n]
+
+    def quad_nodes(self, n: int = _AC_NODES):
+        """Quadrature nodes (x, w) with sum w*f(x) ~ int f(x) p(x) dx."""
+        x, jac, p = self._node_set(n)
+        return x, jac * p
+
+
 @dataclass(frozen=True)
 class Atom:
     x: float
@@ -123,7 +147,7 @@ class Atom:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityTable:
+class DensityTable(_AcPart):
     """Tabulated density on a compact interval.
 
     grid         strictly increasing sample points inside [support]
@@ -232,18 +256,12 @@ class DensityTable:
 
     # -- integration ----------------------------------------------------
 
-    def quad_nodes(self, n: int = 2048):
-        """Quadrature nodes (x, w) with sum w*f(x) ~ int f(x) p(x) dx."""
-        x, jac = gauss_theta_nodes(self.support[0], self.support[1], n)
-        return x, jac * self.density(x)
-
     def mass(self) -> float:
-        x, w = self.quad_nodes(4096)
-        return float(np.sum(w))
+        return float(np.sum(self.quad_nodes()[1]))
 
     def moments(self) -> Tuple[float, float, float]:
         """(mass, mean, variance) of the tabulated component alone."""
-        x, w = self.quad_nodes(4096)
+        x, w = self.quad_nodes()
         m0 = float(np.sum(w))
         m1 = float(np.sum(w * x))
         m2 = float(np.sum(w * x * x))
@@ -285,11 +303,12 @@ def build_table(grid, values, support=None, edge_orders="fit",
 # -- named families ------------------------------------------------------
 
 @dataclass(frozen=True)
-class SemicircleFamily:
+class SemicircleFamily(_AcPart):
     """Semicircle distribution with given variance, optionally off-center."""
 
     variance: float
     center: float = 0.0
+    edge_orders = (0.5, 0.5)
 
     def __post_init__(self):
         if not (self.variance > 0 and np.isfinite(self.variance)):
@@ -300,15 +319,8 @@ class SemicircleFamily:
         r = 2.0 * math.sqrt(self.variance)
         return (self.center - r, self.center + r)
 
-    @property
-    def edge_orders(self):
-        return (0.5, 0.5)
-
-    mass = 1.0
-
-    @property
-    def mean(self):
-        return self.center
+    def moments(self) -> Tuple[float, float, float]:
+        return 1.0, self.center, self.variance
 
     def density(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -318,11 +330,6 @@ class SemicircleFamily:
         m = np.abs(y) <= 2.0 * math.sqrt(t)
         out[m] = np.sqrt(np.maximum(4.0 * t - y[m] ** 2, 0.0)) / (2.0 * np.pi * t)
         return out
-
-    def quad_nodes(self, n: int = 2048):
-        a, b = self.support
-        x, jac = gauss_theta_nodes(a, b, n)
-        return x, jac * self.density(x)
 
     def dilated(self, a: float) -> "SemicircleFamily":
         return SemicircleFamily(self.variance * a * a, self.center * a)
@@ -337,29 +344,37 @@ class SemicircleFamily:
 
 
 @dataclass(frozen=True)
-class ArcsineFamily:
-    """Arcsine distribution on [a, b]: density 1/(pi sqrt((x-a)(b-x)))."""
+class _IntervalFamily(_AcPart):
+    """A family on a finite interval [a, b]: the arcsine and uniform laws."""
 
     a: float
     b: float
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
-            raise InvalidSpecError("arcsine interval must be finite with a < b")
+            raise InvalidSpecError("%s interval must be finite with a < b"
+                                   % self._name)
 
     @property
-    def support(self):
+    def support(self) -> Tuple[float, float]:
         return (self.a, self.b)
 
-    @property
-    def edge_orders(self):
-        return (-0.5, -0.5)
+    def dilated(self, s: float):
+        return type(self)(self.a * s, self.b * s)
 
-    mass = 1.0
+    def translated(self, c: float):
+        return type(self)(self.a + c, self.b + c)
 
-    @property
-    def mean(self):
-        return 0.5 * (self.a + self.b)
+
+@dataclass(frozen=True)
+class ArcsineFamily(_IntervalFamily):
+    """Arcsine distribution on [a, b]: density 1/(pi sqrt((x-a)(b-x)))."""
+
+    _name = "arcsine"
+    edge_orders = (-0.5, -0.5)
+
+    def moments(self) -> Tuple[float, float, float]:
+        return 1.0, 0.5 * (self.a + self.b), ((self.b - self.a) / 2.0) ** 2 / 2.0
 
     def density(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -367,16 +382,6 @@ class ArcsineFamily:
         m = (x > self.a) & (x < self.b)
         out[m] = 1.0 / (np.pi * np.sqrt((x[m] - self.a) * (self.b - x[m])))
         return out
-
-    def quad_nodes(self, n: int = 2048):
-        x, jac = gauss_theta_nodes(self.a, self.b, n)
-        return x, jac * self.density(x)
-
-    def dilated(self, s: float) -> "ArcsineFamily":
-        return ArcsineFamily(self.a * s, self.b * s)
-
-    def translated(self, c: float) -> "ArcsineFamily":
-        return ArcsineFamily(self.a + c, self.b + c)
 
     def to_table(self, n: int = 2001) -> DensityTable:
         # exclude the exact endpoints where the density diverges
@@ -388,45 +393,20 @@ class ArcsineFamily:
 
 
 @dataclass(frozen=True)
-class UniformFamily:
+class UniformFamily(_IntervalFamily):
     """Uniform distribution on [a, b]."""
 
-    a: float
-    b: float
+    _name = "uniform"
+    edge_orders = (0.0, 0.0)
 
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
-            raise InvalidSpecError("uniform interval must be finite with a < b")
-
-    @property
-    def support(self):
-        return (self.a, self.b)
-
-    @property
-    def edge_orders(self):
-        return (0.0, 0.0)
-
-    mass = 1.0
-
-    @property
-    def mean(self):
-        return 0.5 * (self.a + self.b)
+    def moments(self) -> Tuple[float, float, float]:
+        return 1.0, 0.5 * (self.a + self.b), (self.b - self.a) ** 2 / 12.0
 
     def density(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(x)
         out[(x >= self.a) & (x <= self.b)] = 1.0 / (self.b - self.a)
         return out
-
-    def quad_nodes(self, n: int = 2048):
-        x, jac = gauss_theta_nodes(self.a, self.b, n)
-        return x, jac * self.density(x)
-
-    def dilated(self, s: float) -> "UniformFamily":
-        return UniformFamily(self.a * s, self.b * s)
-
-    def translated(self, c: float) -> "UniformFamily":
-        return UniformFamily(self.a + c, self.b + c)
 
     def to_table(self, n: int = 2001) -> DensityTable:
         grid = np.linspace(self.a, self.b, n)
@@ -445,17 +425,6 @@ def _chebyshev_extrema(a: float, b: float, n: int) -> np.ndarray:
 def _chebyshev_roots(a: float, b: float, n: int) -> np.ndarray:
     k = np.arange(n)
     return np.sort(0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * (k + 0.5) / n))
-
-
-def ac_moments(ac: AcPart) -> Tuple[float, float, float]:
-    """(mass, mean, variance) of an ac component."""
-    if isinstance(ac, SemicircleFamily):
-        return 1.0, ac.center, ac.variance
-    if isinstance(ac, ArcsineFamily):
-        return 1.0, ac.mean, ((ac.b - ac.a) / 2.0) ** 2 / 2.0
-    if isinstance(ac, UniformFamily):
-        return 1.0, ac.mean, (ac.b - ac.a) ** 2 / 12.0
-    return ac.moments()
 
 
 # -- measures -------------------------------------------------------------
@@ -515,14 +484,14 @@ class Measure:
     def mean(self) -> float:
         m = sum(a.w * a.x for a in self.atoms)
         if self.ac is not None:
-            mass, mu, _ = ac_moments(self.ac)
+            mass, mu, _ = self.ac.moments()
             m += mass * mu
         return float(m)
 
     def variance(self) -> float:
         e2 = sum(a.w * a.x ** 2 for a in self.atoms)
         if self.ac is not None:
-            mass, mu, var = ac_moments(self.ac)
+            mass, mu, var = self.ac.moments()
             e2 += mass * (var + mu ** 2)
         return float(e2 - self.mean() ** 2)
 
@@ -637,15 +606,6 @@ def measure_from_json(text_or_path: str, mass_tol: float = TOL_MASS) -> Measure:
 
 
 # -- operations ------------------------------------------------------------
-
-def moment(m: Measure, k: int) -> float:
-    """First moment (k=1) or centered second moment (k=2)."""
-    if k == 1:
-        return m.mean()
-    if k == 2:
-        return m.variance()
-    raise InvalidArgumentError("moment order must be 1 or 2")
-
 
 def translate(m: Measure, c: float) -> Measure:
     atoms = tuple(Atom(a.x + c, a.w) for a in m.atoms)

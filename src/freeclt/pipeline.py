@@ -606,7 +606,7 @@ def support_check(dens: CltDensity, mu: Measure) -> dict:
         if abs(at.x) > bound:
             outside += at.w
     for tab in dens.tables:
-        x, w = tab.quad_nodes(4096)
+        x, w = tab.quad_nodes()
         outside += float(np.sum(w[np.abs(x) > bound]))
     ok = outside < _SUPPORT_TOL
     return {"n": dens.n, "ok": bool(ok), "bound": bound,

@@ -28,12 +28,11 @@ from .measures import (
     Measure,
     SemicircleFamily,
     UniformFamily,
+    _AC_NODES,
     _chebyshev_roots,
     build_table,
-    gauss_theta_nodes,
 )
 
-_TABLE_NODES = 4096       # quadrature size for transforms of tabulated parts
 _COMPANION_MASS_TOL = 2e-6  # recovered-component mass budget
 _COMPANION_LOCK = threading.Lock()
 
@@ -104,17 +103,11 @@ def _table_cauchy(tab: DensityTable, z: np.ndarray,
 
     Subtracts the density value at the projected real part so that the
     quadrature integrand stays bounded when z approaches the support; the
-    subtracted constant is added back in closed form.  The table's nodes,
-    jacobians and density values there are built on its first transform
-    and kept on the (frozen) table.
+    subtracted constant is added back in closed form.  It integrates on
+    the table's own Gauss-theta node set.
     """
     a, b = tab.support
-    nodes = tab.__dict__.get("_cauchy_nodes")
-    if nodes is None:
-        xq, jac = gauss_theta_nodes(a, b, _TABLE_NODES)
-        nodes = (xq, jac, tab.density(xq))
-        object.__setattr__(tab, "_cauchy_nodes", nodes)
-    xq, jac, pq = nodes
+    xq, jac, pq = tab._node_set(_AC_NODES)
     flat = z.ravel()
     out = np.empty(flat.shape, dtype=complex)
     xstar = np.clip(flat.real, a, b)
@@ -173,11 +166,6 @@ def cauchy_derivative(m: Measure, z):
     elif isinstance(ac, DensityTable):
         out = out + _table_cauchy(ac, z_arr, derivative=True)
     return out if out.ndim else complex(out)
-
-
-def reciprocal_cauchy(m: Measure, z):
-    """F(z) = 1/G(z); maps the upper half-plane into itself with Im F >= Im z."""
-    return 1.0 / cauchy(m, z)
 
 
 # -- boundary-value inversion ---------------------------------------------

@@ -17,6 +17,7 @@ from freeclt import (
     SemicircleFamily,
     UniformFamily,
     build_table,
+    clt_density_flow,
     dilate,
     fit_edge_order,
     make_measure,
@@ -27,7 +28,8 @@ from freeclt import (
 
 from freeclt.measures import _leggauss
 
-from conftest import kesten_density, semicircle_density, SQRT2
+from conftest import (ARCSINE_SPEC, SEMICIRCLE_SPEC, SQRT2, UNIFORM_SPEC,
+                      kesten_density, semicircle_density)
 
 # Gauss-Legendre nodes and weights at sampled indices (first, second, tenth,
 # n/4, n/2, last), independent of the package: mpmath at 50 digits, Newton
@@ -368,6 +370,27 @@ class TestMomentMaps:
             dilate(bernoulli, 0.0)
         with pytest.raises(InvalidArgumentError):
             dilate(bernoulli, -1.0)
+
+    @pytest.mark.parametrize("density,standard,params", [
+        ({"family": "semicircle", "params": {"variance": 2.0, "center": 0.5}},
+         SEMICIRCLE_SPEC, {"variance": 1.0, "center": 0.0}),
+        ({"family": "arcsine", "params": {"a": 0.0, "b": 3.0}},
+         ARCSINE_SPEC, {"a": -SQRT2, "b": SQRT2}),
+        ({"family": "uniform", "params": {"a": 1.0, "b": 4.0}},
+         UNIFORM_SPEC, {"a": -math.sqrt(3.0), "b": math.sqrt(3.0)}),
+    ])
+    def test_standardize_keeps_family(self, density, standard, params):
+        m = make_measure({"density": density, "standardize": True})
+        ref = make_measure(standard)
+        assert type(m.ac) is type(ref.ac)
+        assert abs(m.mean()) <= 1e-15
+        assert abs(m.variance() - 1.0) <= 1e-14
+        for name, value in params.items():
+            assert getattr(m.ac, name) == pytest.approx(value, abs=1e-14)
+        x = np.linspace(-2.5, 2.5, 1001)
+        np.testing.assert_allclose(clt_density_flow(m, 4).density(x),
+                                   clt_density_flow(ref, 4).density(x),
+                                   rtol=0.0, atol=1e-12)
 
     def test_standardize_point_mass_degenerate(self):
         delta = make_measure({"atoms": [{"x": 2.0, "w": 1.0}]})

@@ -9,6 +9,7 @@ import pytest
 from freeclt import (
     DensityTable,
     DomainError,
+    FlowKernel,
     InvalidArgumentError,
     InversionError,
     cauchy,
@@ -18,15 +19,16 @@ from freeclt import (
     convergence_report,
     find_support_interval,
     make_measure,
-    reciprocal_cauchy,
+    report_row,
     semicircle_cauchy,
     sqrt_upper,
     stieltjes_invert,
 )
 
-from freeclt import transforms
+from freeclt import measures, transforms
 
 from conftest import (
+    FOUR_GAP_SPEC,
     INNER_OUTER_ATOM_SPEC,
     MIXTURE_SPEC,
     OUTER_ATOM_SPEC,
@@ -124,28 +126,41 @@ class TestCauchyOfMeasure:
     def test_reciprocal_gains_height(self, bernoulli, semicircle):
         z = _random_upper_points(count=60, seed=5)
         for m in (bernoulli, semicircle):
-            f = reciprocal_cauchy(m, z)
+            f = 1.0 / cauchy(m, z)
             assert np.all(f.imag >= z.imag * (1.0 - 1e-12))
             assert np.max(np.abs(f * cauchy(m, z) - 1.0)) < 1e-12
 
     def test_table_nodes_built_once(self, monkeypatch):
+        # every integral against a table reads one Gauss-theta node set
+        # per node count, built on first use and kept on the table
         m = make_measure(OUTER_ATOM_SPEC)
         assert isinstance(m.ac, DensityTable)
+        mu = make_measure(FOUR_GAP_SPEC)
+        dens = clt_density_flow(mu, 2)
+        assert len(dens.tables) == 3 and not dens.atoms
         calls = []
-        real = transforms.gauss_theta_nodes
+        real = measures.gauss_theta_nodes
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(transforms, "gauss_theta_nodes", counted)
+        monkeypatch.setattr(measures, "gauss_theta_nodes", counted)
         z = _random_upper_points(count=20, seed=3)
         first = cauchy(m, z)
-        assert len(calls) == 1
+        cauchy_derivative(m, z)
+        m.ac.mass()
+        m.ac.moments()
+        m.ac.quad_nodes()
+        FlowKernel(m, 0.5)
+        assert calls == [(*m.ac.support, 4096)]
         calls.clear()
         np.testing.assert_array_equal(cauchy(m, z), first)
         cauchy_derivative(m, z)
         assert calls == []
+        # free entropy and Fisher information share one 512-node set
+        report_row(mu, 2, dens=dens)
+        assert calls == [(*t.support, 512) for t in dens.tables]
 
 
 def _invert_semicircle(heights):
