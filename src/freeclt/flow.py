@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
+from scipy.fft import dct
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import ConsistencyError, InvalidArgumentError
@@ -32,6 +33,8 @@ _CURVE_POINTS = 1401        # Chebyshev extrema of the curve on each region
 _MOMENT_NODES = 320         # Gauss nodes per half-region of region_integral
 _BLOCK_ENTRIES = 2 ** 15    # entries of one (points x nodes) work array
 _WARM_STRIDE = 8            # height solve: every 8th sorted point is an anchor
+_SERIES_TAIL = 16           # curve series: these last coefficients of a row
+_SERIES_RTOL = 1e-15        # ... at most this share of its largest, or no series
 
 
 class FlowKernel:
@@ -221,28 +224,25 @@ def _climb_blocks(kernel: FlowKernel, u: np.ndarray, start) -> np.ndarray:
     return out
 
 
-def _height_sums(kernel: FlowKernel, u, anchors=None):
+def _height_sums(kernel: FlowKernel, u):
     """(v, J, M2, M2x) at the curve height v(u), from one Newton solve.
 
     J, M2 and M2x are the kernel sums at (u, v(u)), taken from the solve's
     last pass, or carried from it to the root to first order.  Points that
     fit in one block are solved cold.  More start from the cubic Hermite
-    guess through anchors: the given ones (rows from _anchor_rows of points
-    already solved), or else every _WARM_STRIDE-th point of the sorted u
-    and its last point, solved by this same scheme, recursively, so only
-    the last level (one block) is solved cold.  The guess takes the
-    anchors' s = v^2 and slopes ds/du = -2 M2x / M2 (implicit
-    differentiation of I(u, s) = 1/t).  A point whose guess is already at
-    the root to rounding stops after one pass over the nodes; the others
-    climb from where one Newton step lands, at or below the root, as a
-    cold solve does (see _newton_blocks).
+    guess through anchors: every _WARM_STRIDE-th point of the sorted u and
+    its last point, solved by this same scheme, recursively, so only the
+    last level (one block) is solved cold.  The guess takes the anchors'
+    s = v^2 and slopes ds/du = -2 M2x / M2 (implicit differentiation of
+    I(u, s) = 1/t).  A point whose guess is already at the root to
+    rounding stops after one pass over the nodes; the others climb from
+    where one Newton step lands, at or below the root, as a cold solve
+    does (see _newton_blocks).
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     flat = u.ravel()
     if flat.size <= _block_rows(kernel):
         sums = _newton_blocks(kernel, flat, None)
-    elif anchors is not None:
-        sums = _newton_blocks(kernel, flat, _hermite_guess(anchors, flat))
     else:
         order = np.argsort(flat, kind="stable")
         sums = np.empty((4, flat.size))
@@ -407,8 +407,10 @@ def flow_region(kernel: FlowKernel) -> Tuple[Tuple[float, float], ...]:
 class FlowCurve:
     """Sampled flow curve: u-grid with heights and image points, per region.
 
-    _anchors holds the rows (u, s, ds/du) of every solved curve point, the
-    dropped ones too, sorted by u, for warm height solves on the regions."""
+    _series holds, per region, the coefficients of the curve's rows
+    (s = v^2, J, M2, M2x) in cos(k theta), u = mid - half cos(theta) (see
+    _chebyshev_series), or None: for an atomic kernel, or where a row's
+    series does not chop."""
 
     kernel: FlowKernel
     regions: Tuple[Tuple[float, float], ...]
@@ -416,7 +418,7 @@ class FlowCurve:
     v: np.ndarray
     psi: np.ndarray
     region_index: np.ndarray
-    _anchors: np.ndarray = field(repr=False)
+    _series: Tuple[Optional[np.ndarray], ...] = field(repr=False)
 
     @property
     def t(self) -> float:
@@ -425,6 +427,35 @@ class FlowCurve:
     def j_values(self) -> np.ndarray:
         """J along the curve, recovered from psi = u + t*J."""
         return (self.psi - self.u) / self.t
+
+
+def _chebyshev_series(rows: np.ndarray) -> Optional[np.ndarray]:
+    """Coefficients c (one row per row) of sum_k c_k cos(k theta) through
+    the rows' values at theta_j = pi j / (N - 1), j = 0..N-1, from one
+    DCT-I, chopped after the last coefficient above _SERIES_RTOL of its
+    row's largest; None when the last _SERIES_TAIL coefficients of a row
+    are not all at or below that level (Aurentz & Trefethen, "Chopping a
+    Chebyshev series", ACM TOMS 43, 2017), or a value is not finite."""
+    if not np.all(np.isfinite(rows)):
+        return None
+    c = dct(rows, type=1, axis=1) / (rows.shape[1] - 1)
+    c[:, [0, -1]] *= 0.5
+    above = np.abs(c) > _SERIES_RTOL * np.max(np.abs(c), axis=1,
+                                              keepdims=True)
+    if above[:, -_SERIES_TAIL:].any():
+        return None
+    return c[:, :np.flatnonzero(above.any(axis=0))[-1] + 1]
+
+
+def _series_sums(series: np.ndarray, region: Tuple[float, float], u):
+    """(v, J, M2, M2x) at the points u of the region from its curve series,
+    with s = v^2 clamped at 0: one product against cos(k theta) at
+    theta = arccos((g + h - 2u) / (h - g))."""
+    g, h = region
+    theta = np.arccos(np.clip((g + h - 2.0 * u) / (h - g), -1.0, 1.0))
+    s, J, M2, M2x = series @ np.cos(np.arange(series.shape[1])[:, None]
+                                    * theta)
+    return np.sqrt(np.maximum(s, 0.0)), J, M2, M2x
 
 
 def _increasing_subsequence(psi: np.ndarray, delta: float):
@@ -446,13 +477,16 @@ def flow_curve(kernel: FlowKernel) -> FlowCurve:
 
     No refinement pass: psi' = 2 t (M2x^2 + v^2 M2^2) / M2 <= 2 t I = 2 on
     the curve (Cauchy-Schwarz: M2x^2 <= M2 (I - v^2 M2)), so an image gap is
-    at most twice its u gap."""
+    at most twice its u gap.  On a kernel with an ac part, each region
+    keeps the Chebyshev series of its solved rows (s, J, M2, M2x), taken
+    before the ends are set and any point is dropped."""
     regions = flow_region(kernel)
-    us, vs, ps, ridx, anchors = [], [], [], [], []
+    us, vs, ps, ridx, series = [], [], [], [], []
     for k, (g, h) in enumerate(regions):
         u = _chebyshev_extrema(g, h, _CURVE_POINTS)
         v, J, M2, M2x = _height_sums(kernel, u)
-        anchors.append(_anchor_rows(u, v * v, M2, M2x))
+        series.append(None if kernel.nu.ac is None else
+                      _chebyshev_series(np.vstack([v * v, J, M2, M2x])))
         psi = u + kernel.t * J
         v[[0, -1]] = 0.0  # exact at region ends
         psi[[0, -1]] = flow_psi(kernel, u[[0, -1]], v[[0, -1]])
@@ -471,8 +505,7 @@ def flow_curve(kernel: FlowKernel) -> FlowCurve:
         ps.append(psi)
         ridx.append(np.full(u.shape, k, dtype=int))
     return FlowCurve(kernel, regions, np.concatenate(us), np.concatenate(vs),
-                     np.concatenate(ps), np.concatenate(ridx),
-                     np.hstack(anchors))
+                     np.concatenate(ps), np.concatenate(ridx), tuple(series))
 
 
 def region_integral(kernel: FlowKernel, region: Tuple[float, float],

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -49,6 +50,7 @@ from .flow import (
     FlowKernel,
     _height_sums,
     _psi_prime,
+    _series_sums,
     flow_curve,
     flow_map,
     region_integral,
@@ -165,6 +167,21 @@ def _quotient_values(curve: FlowCurve, sel: np.ndarray):
     return x, _quotient(curve.t, x, curve.j_values()[sel], curve.v[sel])
 
 
+def _moment_integrand(t: float, sums):
+    """Integrand in u of the raw moments (m0, m1, m2) of a region's table:
+    psi^k p psi' with p the quotient at psi, stacked, and the rows
+    (v, J, M2, M2x) at the points u from sums(u).  Mass, mean and second
+    moment share one call of sums."""
+    def integrand(u: np.ndarray) -> np.ndarray:
+        v, j, m2, m2x = sums(u)
+        v = np.maximum(v, 1e-300)
+        psi = u + t * j
+        p = _quotient(t, psi, j, v)
+        dpsi = _psi_prime(t, v, m2, m2x)
+        return np.stack([psi ** k * p * dpsi for k in (0, 1, 2)])
+    return integrand
+
+
 def _power(n: int, path: str, atoms, tables, moments, **extra) -> CltDensity:
     """The power from its tables, their raw moments (m0, m1, m2) and its
     atoms; ConsistencyError when the mass misses 1 by more than _MASS_TOL."""
@@ -187,7 +204,8 @@ def _power(n: int, path: str, atoms, tables, moments, **extra) -> CltDensity:
 def clt_density_flow(mu: Measure, n: int) -> CltDensity:
     """Density of the normalized n-th power through the flow parametrization:
     one table per region of flow_curve, from the quotient at its image
-    points, and moments from region_integral in u (mass gate in _power)."""
+    points, and moments from region_integral in u, over the region's
+    curve series where it has one (mass gate in _power)."""
     n = _require_power(n)
     _require_standardized(mu)
     if n == 1:
@@ -207,18 +225,14 @@ def clt_density_flow(mu: Measure, n: int) -> CltDensity:
 
     # moments in the u variable: spectrally accurate with sqrt endpoint
     # substitutions, valid for both soft (+1/2) and singular (-1/2) edges;
-    # mass, mean and second moment share one height solve per node, warm
-    # from the curve's solved points
-    def quotient_moments_u(u: np.ndarray) -> np.ndarray:
-        v, j, m2, m2x = _height_sums(kernel, u, curve._anchors)
-        v = np.maximum(v, 1e-300)
-        psi = u + t * j
-        p = _quotient(t, psi, j, v)
-        dpsi = _psi_prime(t, v, m2, m2x)
-        return np.stack([psi ** k * p * dpsi for k in (0, 1, 2)])
-
-    moments = [region_integral(kernel, reg, quotient_moments_u)
-               for reg in curve.regions]
+    # the heights and sums at the nodes come from the region's curve
+    # series, or from one height solve where it has none
+    moments = []
+    for series, reg in zip(curve._series, curve.regions):
+        sums = (partial(_height_sums, kernel) if series is None
+                else partial(_series_sums, series, reg))
+        moments.append(region_integral(kernel, reg,
+                                       _moment_integrand(t, sums)))
     return _power(n, "flow", atoms_of_power(mu, n), tables, moments,
                   curve=curve)
 

@@ -1,6 +1,7 @@
 """Unit tests for the flow parametrization of semicircle convolution."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,10 +24,17 @@ from freeclt import flow, pipeline
 from freeclt.measures import _chebyshev_extrema
 
 from conftest import (
+    ARCSINE_SPEC,
     ASYM_SPEC,
+    ATOM_BUMP_SPEC,
     BERNOULLI_SPEC,
+    BUMP2_SPEC,
+    BUMP3_SPEC,
     FOUR_GAP_SPEC,
+    INNER_OUTER_ATOM_SPEC,
+    MIXTURE_SPEC,
     OUTER_ATOM_SPEC,
+    SEMICIRCLE_SPEC,
     THREE_GAP_SPEC,
     UNIFORM_SPEC,
     semicircle_density,
@@ -160,9 +168,7 @@ class TestHeightSolve:
     height, by blocks of flow._block_rows(kernel) points.  Once u spans more
     than one block, each point starts from a Hermite guess through every 8th
     sorted point and the last, which are solved the same way, recursively,
-    so only one block is solved cold; moment nodes that span more than one
-    block start from a guess through the curve's solved points and none is
-    cold.  A warm point whose guess is at the root to rounding stops after
+    so only one block is solved cold.  A warm point whose guess is at the root to rounding stops after
     one pass over the nodes, with its sums carried to the root; the others
     climb as a cold solve does."""
 
@@ -402,22 +408,47 @@ class TestHeightSolve:
         monkeypatch.setattr(flow, "_newton_blocks", spy)
         return cold, warm
 
-    def test_moments_solve_no_cold_row(self, uniform, monkeypatch):
-        cold, warm = self._spy_cold_rows(monkeypatch)
+    @staticmethod
+    def _moment_calls(monkeypatch):
+        # per region_integral call of the flow route, the kernel-pass calls
+        # (_newton_blocks and _climb_blocks) made inside it
+        calls = [0]
+        for name in ("_newton_blocks", "_climb_blocks"):
+            def spy(*args, _fn=getattr(flow, name)):
+                calls[0] += 1
+                return _fn(*args)
+            monkeypatch.setattr(flow, name, spy)
         region_integral = pipeline.region_integral
         in_moments = []
 
         def spied_integral(kernel, region, integrand):
-            before = (len(cold), warm[0])
+            before = calls[0]
             total = region_integral(kernel, region, integrand)
-            in_moments.append((len(cold) - before[0], warm[0] - before[1]))
+            in_moments.append(calls[0] - before)
             return total
 
         monkeypatch.setattr(pipeline, "region_integral", spied_integral)
-        clt_density_flow(uniform, 4)
-        assert len(in_moments) == 1
-        (cold_calls, warm_calls), = in_moments
-        assert cold_calls == 0 and warm_calls == 2  # one per half-region
+        return in_moments
+
+    def test_moments_take_no_kernel_pass(self, uniform, monkeypatch):
+        in_moments = self._moment_calls(monkeypatch)
+        dens = clt_density_flow(uniform, 4)
+        assert dens.curve._series[0] is not None
+        assert in_moments == [0]
+
+    def test_moments_without_series_solve_heights(self, monkeypatch):
+        # BUMP3_SPEC at n = 2: the region ends on the companion's support,
+        # M2 is not smooth there, and the series does not chop
+        in_moments = self._moment_calls(monkeypatch)
+        dens = clt_density_flow(make_measure(BUMP3_SPEC), 2)
+        assert dens.curve._series == (None,)
+        assert len(in_moments) == 1 and in_moments[0] > 0
+        assert abs(dens.mass - 1.0) <= pipeline._MASS_TOL
+
+    def test_atomic_curve_has_no_series(self, kernels):
+        for name in ("point_mass", "two_atoms"):
+            curve = flow_curve(kernels[name])
+            assert curve._series == (None,) * len(curve.regions)
 
     @pytest.mark.parametrize("name", ["uniform", "outer_atom"])
     def test_curve_cold_rows_at_most_one_block(self, kernels, name,
@@ -514,6 +545,65 @@ class TestFixedCurve:
             if u.size == flow._CURVE_POINTS:  # the filter dropped nothing
                 assert np.array_equal(
                     u, _chebyshev_extrema(g, h, flow._CURVE_POINTS))
+
+
+class TestCurveSeries:
+    """On a kernel with an ac part, each region keeps the chopped Chebyshev
+    series of the curve's solved rows (s, J, M2, M2x), and the moments read
+    the heights and sums at their nodes off it: they match the moments over
+    heights solved at those nodes."""
+
+    SPECS = {"uniform": UNIFORM_SPEC, "arcsine": ARCSINE_SPEC,
+             "mixture": MIXTURE_SPEC, "semicircle": SEMICIRCLE_SPEC,
+             "outer_atom": OUTER_ATOM_SPEC,
+             "inner_outer_atom": INNER_OUTER_ATOM_SPEC,
+             "bump2": BUMP2_SPEC, "bump3": BUMP3_SPEC,
+             "atom_bump": ATOM_BUMP_SPEC}
+
+    @pytest.fixture(scope="class", params=list(SPECS))
+    def seed(self, request):
+        return make_measure(self.SPECS[request.param])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 16, 64])
+    def test_series_moments_match_solved_heights(self, seed, n):
+        curve = clt_density_flow(seed, n).curve
+        kernel = curve.kernel
+        for series, reg in zip(curve._series, curve.regions):
+            if series is None:
+                continue
+            got = region_integral(kernel, reg, pipeline._moment_integrand(
+                curve.t, partial(flow._series_sums, series, reg)))
+            want = region_integral(kernel, reg, pipeline._moment_integrand(
+                curve.t, partial(flow._height_sums, kernel)))
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 16, 64])
+    def test_semicircle_moments(self, n):
+        dens = clt_density_flow(make_measure(SEMICIRCLE_SPEC), n)
+        assert all(series is not None for series in dens.curve._series)
+        assert abs(dens.mass - 1.0) <= 1e-14
+        assert abs(dens.mean) <= 1e-14
+        assert abs(dens.variance - 1.0) <= 1e-14
+
+    def test_series_reproduces_the_curve(self):
+        # the chopped series interpolates the solved rows at the extrema
+        kernel = clt_density_flow(make_measure(UNIFORM_SPEC), 4).curve.kernel
+        (g, h), = flow_region(kernel)
+        u = _chebyshev_extrema(g, h, flow._CURVE_POINTS)
+        v, J, M2, M2x = flow._height_sums(kernel, u)
+        series = flow._chebyshev_series(np.vstack([v * v, J, M2, M2x]))
+        assert series.shape[1] < flow._CURVE_POINTS // 8
+        for got, want in zip(flow._series_sums(series, (g, h), u),
+                             (v, J, M2, M2x)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_series_does_not_chop(self):
+        k = np.arange(flow._CURVE_POINTS)
+        slow = np.vstack([np.ones(k.size), 1.0 / (1.0 + k) ** 2])
+        assert flow._chebyshev_series(slow) is None
+        bad = np.ones((1, k.size))
+        bad[0, 3] = np.nan
+        assert flow._chebyshev_series(bad) is None
 
 
 def _mass_integrand(kernel):
