@@ -168,9 +168,9 @@ class TestHeightSolve:
     height, by blocks of flow._block_rows(kernel) points.  Once u spans more
     than one block, each point starts from a Hermite guess through every 8th
     sorted point and the last, which are solved the same way, recursively,
-    so only one block is solved cold.  A warm point whose guess is at the root to rounding stops after
-    one pass over the nodes, with its sums carried to the root; the others
-    climb as a cold solve does."""
+    so only one block is solved cold.  A warm point whose guess is at the
+    root to rounding stops after one pass over the nodes, with its sums
+    carried to the root; the others climb as a cold solve does."""
 
     @pytest.fixture(scope="class")
     def kernels(self, delta0, two_atoms, uniform):
@@ -394,19 +394,17 @@ class TestHeightSolve:
 
     @staticmethod
     def _spy_cold_rows(monkeypatch):
-        # sizes of the cold _newton_blocks calls, and the count of warm ones
-        cold, warm = [], [0]
+        # sizes of the cold _newton_blocks calls
+        cold = []
         newton_blocks = flow._newton_blocks
 
         def spy(kernel, u, guess):
             if guess is None:
                 cold.append(u.size)
-            else:
-                warm[0] += 1
             return newton_blocks(kernel, u, guess)
 
         monkeypatch.setattr(flow, "_newton_blocks", spy)
-        return cold, warm
+        return cold
 
     @staticmethod
     def _moment_calls(monkeypatch):
@@ -454,7 +452,7 @@ class TestHeightSolve:
     def test_curve_cold_rows_at_most_one_block(self, kernels, name,
                                                monkeypatch):
         kernel = kernels[name]
-        cold, _ = self._spy_cold_rows(monkeypatch)
+        cold = self._spy_cold_rows(monkeypatch)
         curve = flow_curve(kernel)
         assert len(cold) == len(curve.regions)
         assert max(cold) <= flow._block_rows(kernel)
