@@ -430,12 +430,13 @@ class FlowCurve:
 
 
 def _chebyshev_series(rows: np.ndarray) -> Optional[np.ndarray]:
-    """Coefficients c (one row per row) of sum_k c_k cos(k theta) through
-    the rows' values at theta_j = pi j / (N - 1), j = 0..N-1, from one
-    DCT-I, chopped after the last coefficient above _SERIES_RTOL of its
-    row's largest; None when the last _SERIES_TAIL coefficients of a row
-    are not all at or below that level (Aurentz & Trefethen, "Chopping a
-    Chebyshev series", ACM TOMS 43, 2017), or a value is not finite."""
+    """The coefficients c_k of sum_k c_k cos(k theta) through each row's
+    values at theta_j = pi j / (N - 1), j = 0..N-1, from one DCT-I: one
+    row of coefficients per row, all chopped after the last coefficient
+    that is above _SERIES_RTOL of its row's largest.  None when the last
+    _SERIES_TAIL coefficients of some row are not all at or below that
+    level, or a value is not finite (a plateau test after Aurentz &
+    Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017)."""
     if not np.all(np.isfinite(rows)):
         return None
     c = dct(rows, type=1, axis=1) / (rows.shape[1] - 1)
