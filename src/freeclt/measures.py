@@ -139,6 +139,34 @@ class _AcPart:
         x, jac, p = self._node_set(n)
         return x, jac * p
 
+    def mass(self) -> float:
+        return self.moments()[0]
+
+    def moments(self) -> Tuple[float, float, float]:
+        """(mass, mean, variance) of the part alone, on its node set."""
+        x, w = self.quad_nodes()
+        m0 = float(np.sum(w))
+        m1 = float(np.sum(w * x))
+        m2 = float(np.sum(w * x * x))
+        if m0 <= 0:
+            return m0, 0.0, 0.0
+        mean = m1 / m0
+        return m0, mean, m2 / m0 - mean ** 2
+
+
+class _NodeSet(_AcPart):
+    """An ac part known only at one Gauss-theta node set: (x, jacobians,
+    density at x).  Its dilation maps the nodes exactly."""
+
+    def __init__(self, support: Tuple[float, float], x, jac, p):
+        self.support = support
+        self._node_sets = {_AC_NODES: (x, jac, p)}
+
+    def dilated(self, s: float) -> "_NodeSet":
+        x, jac, p = self._node_sets[_AC_NODES]
+        return _NodeSet((self.support[0] * s, self.support[1] * s),
+                        x * s, jac * s, p / s)
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -231,14 +259,14 @@ class DensityTable(_AcPart):
         if cached is not None:
             return cached
         # imported here: scipy.interpolate adds ~15 ms to `import freeclt`
-        from scipy.interpolate import CubicSpline
+        from scipy.interpolate import CubicSpline, make_interp_spline
         phi = self._edge_factor(self.grid)
         keep = np.isfinite(phi) & (phi > 0)
         xs, qs = self.grid[keep], self.values[keep] / phi[keep]
         if xs.size >= 8:
             spline = CubicSpline(xs, qs, bc_type="not-a-knot", extrapolate=True)
         else:
-            spline = lambda t: np.interp(t, xs, qs)  # degenerate small table
+            spline = make_interp_spline(xs, qs, k=1)  # degenerate small table
         object.__setattr__(self, "_spline_cache", spline)
         return spline
 
@@ -254,21 +282,15 @@ class DensityTable(_AcPart):
             out[inside] = np.maximum(q * self._edge_factor(xi), 0.0)
         return out
 
-    # -- integration ----------------------------------------------------
-
-    def mass(self) -> float:
-        return float(np.sum(self.quad_nodes()[1]))
-
-    def moments(self) -> Tuple[float, float, float]:
-        """(mass, mean, variance) of the tabulated component alone."""
-        x, w = self.quad_nodes()
-        m0 = float(np.sum(w))
-        m1 = float(np.sum(w * x))
-        m2 = float(np.sum(w * x * x))
-        if m0 <= 0:
-            return m0, 0.0, 0.0
-        mean = m1 / m0
-        return m0, mean, m2 / m0 - mean ** 2
+    def _slope(self, x: np.ndarray) -> np.ndarray:
+        """p'(x) at points strictly inside the support: the reduced
+        spline's slope times the edge factor, plus its value times the
+        factor's own slope."""
+        a, b = self.support
+        alpha_l, alpha_r = self.edge_orders
+        spline = self._reduced_spline()
+        dlog = (alpha_l or 0.0) / (x - a) - (alpha_r or 0.0) / (b - x)
+        return (spline(x, 1) + spline(x) * dlog) * self._edge_factor(x)
 
     # -- transforms of the table as a set -------------------------------
 
@@ -456,12 +478,7 @@ class Measure:
 
     @property
     def ac_mass(self) -> float:
-        if self.ac is None:
-            return 0.0
-        if isinstance(self.ac, DensityTable):
-            return self.ac.expected_mass if self.ac.expected_mass is not None \
-                else self.ac.mass()
-        return 1.0
+        return 0.0 if self.ac is None else self.ac.mass()
 
     def support(self) -> Tuple[float, float]:
         lo, hi = math.inf, -math.inf
@@ -500,8 +517,7 @@ class Measure:
 
 
 def _check_mass(m: Measure, tol: float) -> None:
-    total = m.atom_mass + (0.0 if m.ac is None else
-                           (m.ac.mass() if isinstance(m.ac, DensityTable) else 1.0))
+    total = m.atom_mass + m.ac_mass
     if abs(total - 1.0) > tol:
         raise InvalidSpecError(
             "measure mass %.12g deviates from 1 beyond %.1e "

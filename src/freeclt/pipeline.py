@@ -40,7 +40,6 @@ from .errors import (
 from .measures import (Atom, DensityTable, Measure, _chebyshev_roots,
                        build_table, dilate)
 from .transforms import (
-    _INVERSION_GRID,
     cauchy,
     cauchy_derivative,
     companion_measure,
@@ -57,6 +56,7 @@ from .flow import (
 )
 
 DEFAULT_GRID = (-3.0, 3.0, 1201)
+_INVERSION_GRID = 801     # Chebyshev roots per tabulated interval
 TOL_FIXED_POINT = 1e-13
 _OMEGA_MAX_ITER = 10_000    # Picard and Newton steps of one omega solve
 _PICARD_DAMPING = 0.8

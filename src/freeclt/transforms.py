@@ -29,8 +29,7 @@ from .measures import (
     SemicircleFamily,
     UniformFamily,
     _AC_NODES,
-    _chebyshev_roots,
-    build_table,
+    _NodeSet,
 )
 
 _COMPANION_MASS_TOL = 2e-6  # recovered-component mass budget
@@ -170,7 +169,6 @@ def cauchy_derivative(m: Measure, z):
 
 # -- boundary-value inversion ---------------------------------------------
 
-_INVERSION_GRID = 801     # Chebyshev roots per tabulated interval
 _TOL_DENSITY = 1e-8       # negative values above -max(this, 3 err) clamp to 0
 
 
@@ -325,7 +323,10 @@ def companion_measure(mu: Measure) -> Measure:
     and mean equal to the third moment of mu.  The atoms of nu are the real
     zeros of G_mu in the gaps of supp mu; its continuous part has density
     p_mu / |G_mu(x + i0)|^2, so it lives on the support of mu's ac part and
-    is tabulated there from the boundary values of G_mu on the real axis.
+    is kept as its values at that part's own 4096-node Gauss-theta set,
+    from the boundary values of G_mu there.  A table seed's Cauchy sum at
+    one of its own nodes drops that node's term, which is added back as
+    jac * (-p_mu') from the table's spline.
 
     nu does not depend on the power, so it is recovered once per (frozen)
     mu instance and memoized on it; every power, row or ladder of the same
@@ -351,13 +352,14 @@ def _recover_companion(mu: Measure) -> Measure:
                 "atomic companion mass %.12g differs from 1" % atom_mass)
         return Measure(atoms, None)
 
-    x = _chebyshev_roots(*mu.ac.support, _INVERSION_GRID)
-    p = mu.ac.density(x) / np.abs(cauchy(mu, x + 1e-30j)) ** 2  # G(x + i0)
-    tab = build_table(x, p, support=mu.ac.support, edge_orders="fit",
-                      expected_mass=None)
-    mass = tab.mass()
+    x, jac, p = mu.ac._node_set(_AC_NODES)
+    g = cauchy(mu, x + 1e-30j)  # G(x + i0)
+    if isinstance(mu.ac, DensityTable):
+        g = g - jac * mu.ac._slope(x)  # each node's own term: 0 in the sum
+    ac = _NodeSet(mu.ac.support, x, jac, p / np.abs(g) ** 2)
+    mass = ac.mass()
     if abs(atom_mass + mass - 1.0) > _COMPANION_MASS_TOL:
         raise CompanionRecoveryError(
-            "companion mass %.9g (atoms %.3g + table %.9g) differs from 1"
+            "companion mass %.9g (atoms %.3g + ac part %.9g) differs from 1"
             % (atom_mass + mass, atom_mass, mass))
-    return Measure(atoms, tab)
+    return Measure(atoms, ac)

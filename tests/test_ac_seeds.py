@@ -113,13 +113,18 @@ def test_both_routes_of_table_seed_with_outer_atoms(table_atom_seeds, seed,
     assert _compare_densities(flow, dens)["sup_diff"] < 5e-4
 
 
-def test_mixture_companion_and_flow_variance_keep_their_mass():
-    # the companion's table mass defect passes one for one into the
-    # variance of every flow power
-    mu = make_measure(MIXTURE_SPEC)
+@pytest.mark.parametrize("n", [2, 4, 16])
+@pytest.mark.parametrize("seed", ["uniform", "mixture", "outer_atom",
+                                  "inner_outer_atoms"])
+def test_companion_and_flow_variance_keep_their_mass(
+        ac_seeds, table_atom_seeds, seed, n):
+    # a companion mass defect passes one for one into the variance of every
+    # flow power; the companion's ac part at the seed part's own nodes has
+    # none beyond rounding
+    mu = {**ac_seeds, **table_atom_seeds}[seed]
     nu = companion_measure(mu)
-    assert abs(sum(a.w for a in nu.atoms) + nu.ac.mass() - 1.0) < 1e-10
-    assert abs(clt_density_flow(mu, 16).variance - 1.0) < 1e-10
+    assert abs(sum(a.w for a in nu.atoms) + nu.ac.mass() - 1.0) < 1e-14
+    assert abs(clt_density_flow(mu, n).variance - 1.0) < 1e-14
 
 
 @pytest.mark.parametrize("atom,height,n", [((0.0, 0.6), 0.2, 2),

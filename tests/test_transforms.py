@@ -239,8 +239,8 @@ class TestCompanionMeasure:
         tab = nu.ac
         assert tab.support[0] == pytest.approx(-2.0, abs=1e-9)
         assert tab.support[1] == pytest.approx(2.0, abs=1e-9)
-        x = np.linspace(-1.99, 1.99, 801)
-        assert np.max(np.abs(tab.density(x) - semicircle_density(x))) < 1e-12
+        x, _, p = tab._node_set(4096)  # the seed part's own nodes
+        assert np.max(np.abs(p - semicircle_density(x))) < 1e-12
         mass, mean, var = tab.moments()
         assert mass == pytest.approx(1.0, abs=1e-10)
         assert mean == pytest.approx(0.0, abs=1e-10)
@@ -251,9 +251,12 @@ class TestCompanionMeasure:
         # so G_nu = z - sqrt(z^2 - 2) is the semicircle transform of variance 1/2
         nu = companion_measure(arcsine)
         assert nu.atoms == ()
-        x = np.linspace(-SQRT2, SQRT2, 1001)
-        err = np.max(np.abs(nu.ac.density(x) - semicircle_density(x, 0.5)))
-        assert err < 1e-13
+        x, _, p = nu.ac._node_set(4096)
+        # sqrt(2 - x^2)/pi in factored form on the seed's own interval: its
+        # outer nodes lie 5e-14 from the edges, where 2 - x^2 loses the
+        # digits that x - a keeps
+        a, b = arcsine.ac.support
+        assert np.max(np.abs(p - np.sqrt((x - a) * (b - x)) / np.pi)) < 1e-13
 
     @pytest.mark.parametrize(
         "seed", ["uniform", "arcsine", "semicircle", "mixture"])
@@ -275,6 +278,17 @@ class TestCompanionMeasure:
             assert atom.w == pytest.approx(w, abs=1e-12)
         mass = sum(a.w for a in nu.atoms) + nu.ac.mass()
         assert abs(mass - 1.0) <= transforms._COMPANION_MASS_TOL
+
+    @pytest.mark.parametrize("spec", [
+        OUTER_ATOM_SPEC,
+        # under 8 rows a table interpolates linearly, slope included
+        {"density": {"table": [[-1.0 + k / 2.0, 0.5] for k in range(5)]},
+         "standardize": True}], ids=["outer_atom", "five_rows"])
+    def test_atoms_and_ac_mass_of_a_table_seed_sum_to_one(self, spec):
+        # the ac part is p_mu/|G_mu(x + i0)|^2 at the seed table's own nodes,
+        # with each node's own term of the table's Cauchy sum added back
+        nu = companion_measure(make_measure(spec))
+        assert abs(nu.atom_mass + nu.ac_mass - 1.0) <= 1e-14
 
     def test_requires_standardized_seed(self):
         shifted = make_measure(
@@ -305,20 +319,22 @@ class TestCompanionReuse:
         assert sorted(report.rows) == [4, 8, 16]
         assert len(recoveries) == 1
 
-    def test_flow_power_of_a_cached_seed_takes_no_table_mass(
-            self, uniform, monkeypatch):
-        # the companion table carries no mass gate, so the dilated copy of
-        # each flow power does not re-run it
-        clt_density_flow(uniform, 4)
+    def test_flow_power_of_a_cached_seed_evaluates_no_companion_table(
+            self, mixture, monkeypatch):
+        # the companion's ac part is a node set, and each flow power's
+        # dilated copy of it maps the nodes exactly: no table spline or
+        # density is evaluated for it
+        clt_density_flow(mixture, 4)
         calls = []
-        mass = DensityTable.mass
+        for name in ("density", "_reduced_spline"):
+            method = getattr(DensityTable, name)
 
-        def counting(self):
-            calls.append(self)
-            return mass(self)
+            def counting(self, *args, _method=method):
+                calls.append(self)
+                return _method(self, *args)
 
-        monkeypatch.setattr(DensityTable, "mass", counting)
-        clt_density_flow(uniform, 4)
+            monkeypatch.setattr(DensityTable, name, counting)
+        clt_density_flow(mixture, 4)
         assert calls == []
 
     def test_same_object_for_same_seed(self, recoveries):
