@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -156,7 +156,7 @@ class _AcPart:
 
 class _NodeSet(_AcPart):
     """An ac part known only at one Gauss-theta node set: (x, jacobians,
-    density at x).  Its dilation maps the nodes exactly."""
+    density at x).  Dilation and translation map the nodes exactly."""
 
     def __init__(self, support: Tuple[float, float], x, jac, p):
         self.support = support
@@ -166,6 +166,11 @@ class _NodeSet(_AcPart):
         x, jac, p = self._node_sets[_AC_NODES]
         return _NodeSet((self.support[0] * s, self.support[1] * s),
                         x * s, jac * s, p / s)
+
+    def translated(self, c: float) -> "_NodeSet":
+        x, jac, p = self._node_sets[_AC_NODES]
+        return _NodeSet((self.support[0] + c, self.support[1] + c),
+                        x + c, jac, p)
 
 
 @dataclass(frozen=True)
@@ -259,14 +264,16 @@ class DensityTable(_AcPart):
         if cached is not None:
             return cached
         # imported here: scipy.interpolate adds ~15 ms to `import freeclt`
-        from scipy.interpolate import CubicSpline, make_interp_spline
+        from scipy.interpolate import CubicSpline
         phi = self._edge_factor(self.grid)
         keep = np.isfinite(phi) & (phi > 0)
         xs, qs = self.grid[keep], self.values[keep] / phi[keep]
         if xs.size >= 8:
             spline = CubicSpline(xs, qs, bc_type="not-a-knot", extrapolate=True)
-        else:
-            spline = make_interp_spline(xs, qs, k=1)  # degenerate small table
+        else:  # degenerate small table: linear, constant past its end rows
+            slopes = np.concatenate(([0.0], np.diff(qs) / np.diff(xs), [0.0]))
+            spline = lambda t, nu=0: (slopes[np.searchsorted(xs, t)] if nu
+                                      else np.interp(t, xs, qs))
         object.__setattr__(self, "_spline_cache", spline)
         return spline
 
@@ -283,9 +290,8 @@ class DensityTable(_AcPart):
         return out
 
     def _slope(self, x: np.ndarray) -> np.ndarray:
-        """p'(x) at points strictly inside the support: the reduced
-        spline's slope times the edge factor, plus its value times the
-        factor's own slope."""
+        """p'(x) strictly inside the support: (q' + q * phi'/phi) * phi for
+        the reduced spline q and the edge factor phi."""
         a, b = self.support
         alpha_l, alpha_r = self.edge_orders
         spline = self._reduced_spline()
@@ -436,7 +442,7 @@ class UniformFamily(_IntervalFamily):
                             (0.0, 0.0), 1.0)
 
 
-AcPart = Union[SemicircleFamily, ArcsineFamily, UniformFamily, DensityTable]
+AcPart = _AcPart  # a family, a DensityTable or a companion's _NodeSet
 
 
 def _chebyshev_extrema(a: float, b: float, n: int) -> np.ndarray:
@@ -516,14 +522,6 @@ class Measure:
         return abs(self.mean()) <= tol and abs(self.variance() - 1.0) <= 10 * tol
 
 
-def _check_mass(m: Measure, tol: float) -> None:
-    total = m.atom_mass + m.ac_mass
-    if abs(total - 1.0) > tol:
-        raise InvalidSpecError(
-            "measure mass %.12g deviates from 1 beyond %.1e "
-            "(mass is checked, never silently renormalized)" % (total, tol))
-
-
 _SPEC_KEYS = {"atoms", "density", "standardize"}
 _FAMILY_PARAMS = {
     "semicircle": {"variance", "center"},
@@ -596,10 +594,12 @@ def make_measure(spec: dict, mass_tol: float = TOL_MASS) -> Measure:
         else:
             raise InvalidSpecError("density needs either a family or a table")
     m = Measure(tuple(atoms), ac)
-    if isinstance(ac, DensityTable):
-        _check_mass(m, max(mass_tol, TABLE_MASS_TOL))
-    else:
-        _check_mass(m, mass_tol)
+    tol = max(mass_tol, TABLE_MASS_TOL) if isinstance(ac, DensityTable) else mass_tol
+    total = m.atom_mass + m.ac_mass
+    if abs(total - 1.0) > tol:
+        raise InvalidSpecError(
+            "measure mass %.12g deviates from 1 beyond %.1e "
+            "(mass is checked, never silently renormalized)" % (total, tol))
     if spec.get("standardize", False):
         m = standardize(m)
     return m

@@ -96,21 +96,21 @@ def _atoms_cauchy(atoms: Sequence[Atom], z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _table_cauchy(tab: DensityTable, z: np.ndarray,
-                  derivative: bool = False) -> np.ndarray:
+def _table_cauchy(tab, z: np.ndarray, derivative: bool = False) -> np.ndarray:
     """Cauchy transform of a tabulated part, or its z-derivative.
 
     Subtracts the density value at the projected real part so that the
     quadrature integrand stays bounded when z approaches the support; the
     subtracted constant is added back in closed form.  It integrates on
-    the table's own Gauss-theta node set.
+    the part's own Gauss-theta node set; a companion's node set has no
+    values off it and is summed plainly, for Im z > 0 only.
     """
     a, b = tab.support
     xq, jac, pq = tab._node_set(_AC_NODES)
     flat = z.ravel()
     out = np.empty(flat.shape, dtype=complex)
     xstar = np.clip(flat.real, a, b)
-    pstar = tab.density(xstar)
+    pstar = 0.0 * xstar if isinstance(tab, _NodeSet) else tab.density(xstar)
     for lo in range(0, flat.size, 256):
         sl = slice(lo, min(lo + 256, flat.size))
         zz = flat[sl, None]
@@ -124,6 +124,19 @@ def _table_cauchy(tab: DensityTable, z: np.ndarray,
     else:
         out += pstar * np.log((flat - a) / (flat - b))
     return out.reshape(z.shape)
+
+
+def _table_at_own_nodes(tab: DensityTable) -> np.ndarray:
+    """G(x + i0) of a table at its own nodes: Im G = -pi p, and Re G the
+    real sum of _table_cauchy plus each node's own term, jac * (-p')."""
+    a, b = tab.support
+    x, jac, p = tab._node_set(_AC_NODES)
+    re = p * np.log((x - a) / (b - x)) - jac * tab._slope(x)
+    for lo in range(0, x.size, 256):
+        d = x[lo:lo + 256, None] - x
+        np.fill_diagonal(d[:, lo:], np.inf)  # the own term, taken above
+        re[lo:lo + 256] += np.sum(jac * (p - p[lo:lo + 256, None]) / d, axis=1)
+    return re - 1j * np.pi * p
 
 
 def cauchy(m: Measure, z):
@@ -140,7 +153,7 @@ def cauchy(m: Measure, z):
         out = out + 1.0 / (np.sqrt(z_arr - ac.a) * np.sqrt(z_arr - ac.b))
     elif isinstance(ac, UniformFamily):
         out = out + np.log((z_arr - ac.a) / (z_arr - ac.b)) / (ac.b - ac.a)
-    elif isinstance(ac, DensityTable):
+    elif isinstance(ac, (DensityTable, _NodeSet)):
         out = out + _table_cauchy(ac, z_arr)
     return out if out.ndim else complex(out)
 
@@ -162,7 +175,7 @@ def cauchy_derivative(m: Measure, z):
         out = out - 0.5 * g * (1.0 / (z_arr - ac.a) + 1.0 / (z_arr - ac.b))
     elif isinstance(ac, UniformFamily):
         out = out + (1.0 / (z_arr - ac.a) - 1.0 / (z_arr - ac.b)) / (ac.b - ac.a)
-    elif isinstance(ac, DensityTable):
+    elif isinstance(ac, (DensityTable, _NodeSet)):
         out = out + _table_cauchy(ac, z_arr, derivative=True)
     return out if out.ndim else complex(out)
 
@@ -353,9 +366,10 @@ def _recover_companion(mu: Measure) -> Measure:
         return Measure(atoms, None)
 
     x, jac, p = mu.ac._node_set(_AC_NODES)
-    g = cauchy(mu, x + 1e-30j)  # G(x + i0)
     if isinstance(mu.ac, DensityTable):
-        g = g - jac * mu.ac._slope(x)  # each node's own term: 0 in the sum
+        g = _atoms_cauchy(mu.atoms, x + 0j) + _table_at_own_nodes(mu.ac)
+    else:
+        g = cauchy(mu, x + 1e-30j)  # G(x + i0)
     ac = _NodeSet(mu.ac.support, x, jac, p / np.abs(g) ** 2)
     mass = ac.mass()
     if abs(atom_mass + mass - 1.0) > _COMPANION_MASS_TOL:

@@ -200,6 +200,23 @@ class TestDensityTable:
         outside = np.array([-5.0, -2.0000001, 2.0000001, 7.5])
         assert np.all(tab.density(outside) == 0.0)
 
+    def test_small_table_is_linear_and_held_past_its_end_rows(self):
+        # under 8 usable rows the reduced density p/phi is interpolated
+        # linearly and held at its end rows' values out to the edges, where
+        # phi = 0 drops the edge rows; its slope is that interpolant's
+        grid = np.linspace(-1.0, 1.0, 6)
+        tab = DensityTable(grid, np.array([0.0, 0.3, 0.5, 0.5, 0.3, 0.0]),
+                           (-1.0, 1.0), (0.5, 0.5), None)
+        x = np.array([-0.95, -0.7, 0.1, 0.99])
+        phi = np.sqrt((x + 1.0) * (1.0 - x))
+        rows = grid[1:-1]
+        q = tab.values[1:-1] / np.sqrt((rows + 1.0) * (1.0 - rows))
+        assert np.allclose(tab.density(x), np.interp(x, rows, q) * phi,
+                           rtol=1e-14, atol=0.0)
+        h = 1e-6
+        slope = (tab.density(x + h) - tab.density(x - h)) / (2.0 * h)
+        assert np.allclose(tab._slope(x), slope, rtol=1e-8, atol=0.0)
+
     def test_dilated_translated_moments(self):
         tab = SemicircleFamily(1.0).to_table(2001)
         moved = tab.dilated(0.5).translated(1.25)

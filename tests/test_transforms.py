@@ -290,6 +290,30 @@ class TestCompanionMeasure:
         nu = companion_measure(make_measure(spec))
         assert abs(nu.atom_mass + nu.ac_mass - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("seed", ["uniform", "mixture"])
+    def test_cauchy_of_companion_is_z_minus_reciprocal(self, request, seed):
+        # G_nu = z - 1/G_mu off the axis, from the plain sum over the
+        # companion's node set, and G_nu' = 1 + G_mu'/G_mu^2
+        mu = request.getfixturevalue(seed)
+        nu = companion_measure(mu)
+        z = np.array([1j, 0.5 + 0.3j, -1.2 + 0.1j, 2.5 + 0.05j])
+        g = cauchy(mu, z)
+        assert np.max(np.abs(cauchy(nu, z) - (z - 1.0 / g))) < 1e-13
+        assert np.max(np.abs(cauchy_derivative(nu, z)
+                             - (1.0 + cauchy_derivative(mu, z) / g ** 2))) < 1e-13
+
+    def test_companion_translates_and_standardizes(self, mixture):
+        nu = companion_measure(mixture)
+        moved = measures.translate(nu, 0.75)
+        assert moved.ac.support == (nu.ac.support[0] + 0.75,
+                                    nu.ac.support[1] + 0.75)
+        assert moved.mean() == pytest.approx(nu.mean() + 0.75, abs=1e-14)
+        assert moved.variance() == pytest.approx(nu.variance(), abs=1e-14)
+        z = np.array([1j, 0.5 + 0.3j])
+        assert np.max(np.abs(cauchy(moved, z + 0.75) - cauchy(nu, z))) < 1e-14
+        unit = measures.standardize(moved)
+        assert unit.is_standardized(1e-14)
+
     def test_requires_standardized_seed(self):
         shifted = make_measure(
             {"atoms": [{"x": 0.0, "w": 0.5}, {"x": 2.0, "w": 0.5}]})
