@@ -522,6 +522,14 @@ class Measure:
         return abs(self.mean()) <= tol and abs(self.variance() - 1.0) <= 10 * tol
 
 
+def _check_mass(m: Measure, tol: float) -> None:
+    total = m.atom_mass + m.ac_mass
+    if abs(total - 1.0) > tol:
+        raise InvalidSpecError(
+            "measure mass %.12g deviates from 1 beyond %.1e "
+            "(mass is checked, never silently renormalized)" % (total, tol))
+
+
 _SPEC_KEYS = {"atoms", "density", "standardize"}
 _FAMILY_PARAMS = {
     "semicircle": {"variance", "center"},
@@ -594,12 +602,10 @@ def make_measure(spec: dict, mass_tol: float = TOL_MASS) -> Measure:
         else:
             raise InvalidSpecError("density needs either a family or a table")
     m = Measure(tuple(atoms), ac)
-    tol = max(mass_tol, TABLE_MASS_TOL) if isinstance(ac, DensityTable) else mass_tol
-    total = m.atom_mass + m.ac_mass
-    if abs(total - 1.0) > tol:
-        raise InvalidSpecError(
-            "measure mass %.12g deviates from 1 beyond %.1e "
-            "(mass is checked, never silently renormalized)" % (total, tol))
+    if isinstance(ac, DensityTable):
+        _check_mass(m, max(mass_tol, TABLE_MASS_TOL))
+    else:
+        _check_mass(m, mass_tol)
     if spec.get("standardize", False):
         m = standardize(m)
     return m
