@@ -29,7 +29,9 @@ from .measures import Measure, _chebyshev_extrema, _leggauss
 _V_NEWTON_MAX = 60          # monotone Newton needs about a dozen steps
 _V_STEP_RTOL = 2.2e-16      # stop once a step is below this share of v^2
 _V_RESID_FLOOR = 8.8e-16    # ... or once t*I - 1 is at most 4 rounding units
-_CURVE_POINTS = 1401        # Chebyshev extrema of the curve on each region
+_CURVE_POINTS = 1401        # Chebyshev extrema of the curve's table per region
+# an ac curve's nested height solves: every 8th, 4th, 2nd and every extremum
+_CURVE_STAGES = tuple((_CURVE_POINTS - 1) // 2 ** k for k in (3, 2, 1, 0))
 _MOMENT_NODES = 320         # Gauss nodes per half-region of region_integral
 _BLOCK_ENTRIES = 2 ** 15    # entries of one (points x nodes) work array
 _WARM_STRIDE = 8            # height solve: every 8th sorted point is an anchor
@@ -248,10 +250,15 @@ def _height_sums(kernel: FlowKernel, u):
         sums = np.empty((4, flat.size))
         sums[:, order] = _sorted_sums(kernel, flat[order])
     s, J, M2, M2x = (row.reshape(u.shape) for row in sums)
+    return _checked_height(kernel, s), J, M2, M2x
+
+
+def _checked_height(kernel: FlowKernel, s: np.ndarray) -> np.ndarray:
+    """v = sqrt(s), which the curve bounds by sqrt(t)."""
     v = np.sqrt(s)
     if np.any(v > math.sqrt(kernel.t) * (1.0 + 1e-12)):
         raise ConsistencyError("flow height exceeded sqrt(t)")
-    return v, J, M2, M2x
+    return v
 
 
 def _sorted_sums(kernel: FlowKernel, us: np.ndarray) -> np.ndarray:
@@ -407,10 +414,12 @@ def flow_region(kernel: FlowKernel) -> Tuple[Tuple[float, float], ...]:
 class FlowCurve:
     """Sampled flow curve: u-grid with heights and image points, per region.
 
-    _series holds, per region, the coefficients of the curve's rows
-    (s = v^2, J, M2, M2x) in cos(k theta), u = mid - half cos(theta) (see
-    _chebyshev_series), or None: for an atomic kernel, or where a row's
-    series does not chop."""
+    _series holds, per region, the chopped coefficients of the curve's rows
+    (s = v^2, J, M2, M2x) in cos(k theta), u = mid - half cos(theta), from
+    the first stage of the height solve whose rows chop (see _ladder_rows
+    and _chebyshev_series); the extrema that stage did not solve took
+    their rows from it.  None for an atomic kernel, or where no stage's
+    rows chop, so that every extremum was solved."""
 
     kernel: FlowKernel
     regions: Tuple[Tuple[float, float], ...]
@@ -436,7 +445,10 @@ def _chebyshev_series(rows: np.ndarray) -> Optional[np.ndarray]:
     that is above _SERIES_RTOL of its row's largest.  None when the last
     _SERIES_TAIL coefficients of some row are not all at or below that
     level, or a value is not finite (a plateau test after Aurentz &
-    Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017)."""
+    Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017).  The
+    coefficients do not depend on N, so a series from N points sums to the
+    rows at any theta, as the curve's other extrema do (see
+    _ladder_rows)."""
     if not np.all(np.isfinite(rows)):
         return None
     c = dct(rows, type=1, axis=1) / (rows.shape[1] - 1)
@@ -473,21 +485,68 @@ def _increasing_subsequence(psi: np.ndarray, delta: float):
     return keep
 
 
+def _ladder_rows(kernel: FlowKernel, u: np.ndarray):
+    """Rows (s, J, M2, M2x) at the _CURVE_POINTS Chebyshev extrema u of a
+    region, with their chopped series, or None where no stage chops.
+
+    The heights are solved in the nested stages _CURVE_STAGES: every 8th
+    extremum by _sorted_sums (one block cold), then every 4th, 2nd and
+    every one, each adding only the points not yet solved, warm from the
+    Hermite guess through all rows solved so far.  The first stage whose
+    rows chop under _chebyshev_series ends the solve.  Solved points keep
+    their rows; the others take theirs from one DCT-I of the zero-padded
+    series, with s clamped at 0.  A region that never chops has solved
+    every extremum."""
+    rows = np.empty((4, u.size))
+    step = 0
+    for intervals in _CURVE_STAGES:
+        coarse, step = step, (u.size - 1) // intervals
+        if not coarse:
+            new = slice(None, None, step)
+            rows[:, new] = _sorted_sums(kernel, u[new])
+        else:
+            new = slice(step, None, coarse)
+            s, _, M2, M2x = rows[:, ::coarse]
+            guess = _hermite_guess(_anchor_rows(u[::coarse], s, M2, M2x),
+                                   u[new])
+            rows[:, new] = _newton_blocks(kernel, u[new], guess)
+        _checked_height(kernel, rows[0, new])
+        series = _chebyshev_series(rows[:, ::step])
+        if series is not None:
+            break
+    if series is not None and step > 1:
+        # DCT-I weighs its inner terms twice: sum c_k cos(k theta_j)
+        padded = np.zeros(rows.shape)
+        padded[:, :series.shape[1]] = series
+        padded[:, 1:-1] *= 0.5
+        solved = rows[:, ::step]
+        rows = dct(padded, type=1, axis=1)
+        np.maximum(rows[0], 0.0, out=rows[0])
+        rows[:, ::step] = solved
+    return rows, series
+
+
 def flow_curve(kernel: FlowKernel) -> FlowCurve:
     """Sample the curve at _CURVE_POINTS Chebyshev extrema of each region.
 
     No refinement pass: psi' = 2 t (M2x^2 + v^2 M2^2) / M2 <= 2 t I = 2 on
     the curve (Cauchy-Schwarz: M2x^2 <= M2 (I - v^2 M2)), so an image gap is
-    at most twice its u gap.  On a kernel with an ac part, each region
-    keeps the Chebyshev series of its solved rows (s, J, M2, M2x), taken
+    at most twice its u gap.  An atomic kernel solves the height at every
+    extremum.  A kernel with an ac part solves it only as finely as the
+    rows (s, J, M2, M2x) need to chop (see _ladder_rows), fills the other
+    extrema from their series, and keeps that series per region, taken
     before the ends are set and any point is dropped."""
     regions = flow_region(kernel)
     us, vs, ps, ridx, series = [], [], [], [], []
     for k, (g, h) in enumerate(regions):
         u = _chebyshev_extrema(g, h, _CURVE_POINTS)
-        v, J, M2, M2x = _height_sums(kernel, u)
-        series.append(None if kernel.nu.ac is None else
-                      _chebyshev_series(np.vstack([v * v, J, M2, M2x])))
+        if kernel.nu.ac is None:
+            v, J, _, _ = _height_sums(kernel, u)
+            series.append(None)
+        else:
+            rows, chopped = _ladder_rows(kernel, u)
+            v, J = np.sqrt(rows[0]), rows[1]
+            series.append(chopped)
         psi = u + kernel.t * J
         v[[0, -1]] = 0.0  # exact at region ends
         psi[[0, -1]] = flow_psi(kernel, u[[0, -1]], v[[0, -1]])

@@ -604,6 +604,84 @@ class TestCurveSeries:
         assert flow._chebyshev_series(bad) is None
 
 
+class TestCurveLadder:
+    """On an ac kernel flow_curve solves each region's heights at every
+    8th, 4th, 2nd and every Chebyshev extremum, in turn, up to the first
+    stage whose rows chop, and fills the other extrema from that series."""
+
+    SPECS = {"uniform": UNIFORM_SPEC, "arcsine": ARCSINE_SPEC,
+             "semicircle": SEMICIRCLE_SPEC, "mixture": MIXTURE_SPEC,
+             "outer_atom": OUTER_ATOM_SPEC}
+
+    @pytest.fixture(scope="class", params=list(SPECS))
+    def seed(self, request):
+        return make_measure(self.SPECS[request.param])
+
+    @staticmethod
+    def _spy_solved_points(monkeypatch):
+        # the points handed to _newton_blocks: each solved point once
+        solved = []
+        newton_blocks = flow._newton_blocks
+
+        def spy(kernel, u, guess):
+            solved.append(u)
+            return newton_blocks(kernel, u, guess)
+
+        monkeypatch.setattr(flow, "_newton_blocks", spy)
+        return solved
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 64])
+    def test_matches_the_full_solve(self, seed, n):
+        # s = v^2 and psi within 1e-13 of their largest; v only within
+        # 1e-12, as near a region end sqrt magnifies the solve's own floor
+        # in s (a warm and a cold solve of the same points differ as much)
+        curve = clt_density_flow(seed, n).curve
+        kernel = curve.kernel
+        for k, (g, h) in enumerate(curve.regions):
+            u = _chebyshev_extrema(g, h, flow._CURVE_POINTS)
+            v, J, _, _ = flow._height_sums(kernel, u)
+            sel = np.flatnonzero(curve.region_index == k)[1:-1]
+            at = np.searchsorted(u, curve.u[sel])
+            assert np.array_equal(u[at], curve.u[sel])
+            v, psi = v[at], u[at] + curve.t * J[at]
+            for got, want, rtol in ((curve.v[sel] ** 2, v ** 2, 1e-13),
+                                    (curve.psi[sel], psi, 1e-13),
+                                    (curve.v[sel], v, 1e-12)):
+                assert np.max(np.abs(got - want)) \
+                    <= rtol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec, n, step", [(UNIFORM_SPEC, 4, 8),
+                                               (BUMP3_SPEC, 2, 1)],
+                             ids=["uniform-4", "bump3-2"])
+    def test_solves_each_point_of_its_last_stage_once(self, spec, n, step,
+                                                      monkeypatch):
+        # the uniform seed's rows chop at the first stage; BUMP3_SPEC's at
+        # n = 2 at none, so its last stage solves the rest of the extrema
+        kernel = clt_density_flow(make_measure(spec), n).curve.kernel
+        solved = self._spy_solved_points(monkeypatch)
+        curve = flow_curve(kernel)
+        (g, h), = curve.regions
+        grid = _chebyshev_extrema(g, h, flow._CURVE_POINTS)
+        assert (curve._series[0] is None) == (step == 1)
+        assert np.array_equal(np.sort(np.concatenate(solved)), grid[::step])
+
+    def test_uniform_power_takes_at_most_800_row_passes(self, uniform,
+                                                        monkeypatch):
+        # structural guard: rows of every np.reciprocal call, one per row
+        # and Newton pass (1,872 when every extremum is solved)
+        rows = [0]
+        reciprocal = np.reciprocal
+
+        def counted_reciprocal(x, *args, **kwargs):
+            rows[0] += x.shape[0] if x.ndim == 2 else 1
+            return reciprocal(x, *args, **kwargs)
+
+        monkeypatch.setattr(flow.np, "reciprocal", counted_reciprocal)
+        dens = clt_density_flow(uniform, 4)
+        assert dens.curve._series[0] is not None
+        assert 0 < rows[0] <= 800
+
+
 def _mass_integrand(kernel):
     # density v/(pi t) times psi' along the curve
     def integrand(u):

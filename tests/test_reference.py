@@ -13,6 +13,11 @@ np.linspace(lo, hi, 41)[1:-1]: a fixed grid would put points past the
 power's edge (the arcsine seed's n = 4 power ends at +-1.87), where the
 continuation can land on a wrong root.  Each (seed, route) has one absolute
 bound, ten times the largest error measured over n in {2, 4, 16, 64}.
+
+The flow route is also checked relative to the reference at its curve's own
+image points, i points in from each end of the region's 1,401, where the
+height v is small and loses digits first; there w is continued from the
+middle point outward to the end.
 """
 
 import mpmath
@@ -20,6 +25,8 @@ import numpy as np
 import pytest
 
 from freeclt import clt_density_flow, clt_density_subordination
+from freeclt.flow import _CURVE_POINTS
+from freeclt.pipeline import _quotient_values
 
 ROUTES = {"flow": clt_density_flow, "subordination": clt_density_subordination}
 
@@ -32,6 +39,19 @@ BOUNDS = {
     ("arcsine", "subordination"): 3.5e-10,     # 3.5e-11
     ("semicircle", "flow"): 3.9e-15,           # 3.9e-16
     ("semicircle", "subordination"): 2.6e-13,  # 2.6e-14
+}
+
+# ten times the largest relative error of the flow route at curve point i
+# from either end, over the three seeds and four powers, which follows each
+# bound
+CURVE_BOUNDS = {
+    1: 1.2e-9,     # 1.2e-10
+    2: 3.9e-10,    # 3.9e-11
+    5: 6.1e-11,    # 6.1e-12
+    10: 1.3e-11,   # 1.3e-12
+    50: 3.0e-13,   # 3.0e-14
+    200: 2.2e-14,  # 2.2e-15
+    700: 3.7e-15,  # 3.7e-16
 }
 
 
@@ -74,3 +94,18 @@ def test_route_matches_reference(request, seed, route, n):
     assert np.all(ref > 0.05)  # the continuation stayed on the support
     err = np.max(np.abs(dens.density(xs) - ref))
     assert err <= BOUNDS[(seed, route)]
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 64])
+@pytest.mark.parametrize("seed", ["uniform", "arcsine", "semicircle"])
+def test_flow_at_its_curve_points_matches_reference(request, seed, n):
+    mu = request.getfixturevalue(seed)
+    curve = clt_density_flow(mu, n).curve
+    x, p = _quotient_values(curve, curve.region_index == 0)
+    assert x.size == _CURVE_POINTS
+    inward = sorted(CURVE_BOUNDS, reverse=True)
+    bounds = np.array([CURVE_BOUNDS[i] for i in inward])
+    for at in (inward, [x.size - 1 - i for i in inward]):
+        ref = reference_density(_cauchy(seed, mu.ac), n, x[at])
+        assert np.all(ref > 0.0)
+        assert np.all(np.abs(p[at] - ref) <= bounds * ref)
