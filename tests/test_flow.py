@@ -617,19 +617,6 @@ class TestCurveLadder:
     def seed(self, request):
         return make_measure(self.SPECS[request.param])
 
-    @staticmethod
-    def _spy_solved_points(monkeypatch):
-        # the points handed to _newton_blocks: each solved point once
-        solved = []
-        newton_blocks = flow._newton_blocks
-
-        def spy(kernel, u, guess):
-            solved.append(u)
-            return newton_blocks(kernel, u, guess)
-
-        monkeypatch.setattr(flow, "_newton_blocks", spy)
-        return solved
-
     @pytest.mark.parametrize("n", [2, 4, 16, 64])
     def test_matches_the_full_solve(self, seed, n):
         # s = v^2 and psi within 1e-13 of their largest; v only within
@@ -658,7 +645,14 @@ class TestCurveLadder:
         # the uniform seed's rows chop at the first stage; BUMP3_SPEC's at
         # n = 2 at none, so its last stage solves the rest of the extrema
         kernel = clt_density_flow(make_measure(spec), n).curve.kernel
-        solved = self._spy_solved_points(monkeypatch)
+        solved = []  # the points handed to _newton_blocks
+        newton_blocks = flow._newton_blocks
+
+        def spy(kernel, u, guess):
+            solved.append(u)
+            return newton_blocks(kernel, u, guess)
+
+        monkeypatch.setattr(flow, "_newton_blocks", spy)
         curve = flow_curve(kernel)
         (g, h), = curve.regions
         grid = _chebyshev_extrema(g, h, flow._CURVE_POINTS)
