@@ -30,8 +30,9 @@ _V_NEWTON_MAX = 60          # monotone Newton needs about a dozen steps
 _V_STEP_RTOL = 2.2e-16      # stop once a step is below this share of v^2
 _V_RESID_FLOOR = 8.8e-16    # ... or once t*I - 1 is at most 4 rounding units
 _CURVE_POINTS = 1401        # Chebyshev extrema of the curve's table per region
-# an ac curve's nested height solves: every 8th, 4th, 2nd and every extremum
-_CURVE_STAGES = tuple((_CURVE_POINTS - 1) // 2 ** k for k in (3, 2, 1, 0))
+# an ac curve's nested height solves, in intervals of the extrema: 36, 71,
+# 141, 281 and all 1,401 points; each divides the next and _CURVE_POINTS - 1
+_CURVE_STAGES = (35, 70, 140, 280, 1400)
 _MOMENT_NODES = 320         # Gauss nodes per half-region of region_integral
 _BLOCK_ENTRIES = 2 ** 15    # entries of one (points x nodes) work array
 _WARM_STRIDE = 8            # height solve: every 8th sorted point is an anchor
@@ -121,108 +122,96 @@ def _node_columns(kernel: FlowKernel) -> np.ndarray:
 def _newton_blocks(kernel: FlowKernel, u: np.ndarray, guess) -> np.ndarray:
     """Rows (s, J, M2, M2x) at s = v^2 for the flat points u, block by block.
 
-    Cold (guess None): the monotone climb of _climb_blocks from s0.  Warm:
-    one pass at the guess s_g, clamped at 0, gives the Newton step d.  A
-    row with |d| <= sqrt(_V_STEP_RTOL) s_g is at the root to rounding and
+    A climb is flow_v's monotone Newton from s0 = max(0, max_j(w_j t -
+    a_j)), or from max(start, s0), a NaN start taken as s0.  Each pass
+    takes r = 1/(a + s) and r^2 against W = [w, w x], so it also gives
+    J = u I - sum w x r and M2x = u M2 - sum w x r^2.  A row stops once its
+    step is below _V_STEP_RTOL * s or t I - 1 is at most _V_RESID_FLOOR:
+    past that the step is rounding noise.  Cold (guess None): every block
+    climbs from s0 until no row moves, and keeps the sums of that pass.
+
+    Warm: one pass at the guess s_g, clamped at 0, gives the Newton step d.
+    A row with |d| <= sqrt(_V_STEP_RTOL) s_g is at the root to rounding and
     stops after that one pass, at s = s_g + d, with its sums carried to s
     to first order: I and sum w x r move by -d times M2 and sum w x r^2,
-    M2 and sum w x r^2 by -2 d times sum w r^3 and sum w x r^3, so the pass
-    also takes r^3 against W.  |f''/f'| <= 2/s for f = 1/I, so the step
-    leaves an error of at most d^2/s and the carried sums one of about
-    (d/s)^2 relative, both below the climb's own floor, from either side
-    of the root.  The other rows (tiny s near a region end, NaN on a node,
+    M2 and sum w x r^2 by -2 d times sum w r^3 and sum w x r^3, so an exit
+    pass also takes r^3 against W.  |f''/f'| <= 2/s for f = 1/I, so the
+    step leaves an error of at most d^2/s and the carried sums one of about
+    (d/s)^2 relative, both below the climb's own floor, from either side of
+    the root.  The other rows (tiny s near a region end, NaN on a node,
     guesses far off) are gathered into full blocks and climb from
     max(s_g + d, s0): from any start one Newton step lands at or below the
-    root, as 1/I is concave.
+    root, as 1/I is concave.  Such a block exits the same way, at the first
+    pass where every row still climbing has a step of at most
+    sqrt(_V_STEP_RTOL) s: those rows step to s + d with carried sums, and
+    no last pass only confirms them.
     """
-    if guess is None:
-        return _climb_blocks(kernel, u, None)
     t, x = kernel.t, kernel.nodes
+    wt = kernel.weights * t
     W = _node_columns(kernel)
     rows = _block_rows(kernel)
-    shape = (min(rows, u.size), x.size)
-    r, r2 = np.empty(shape), np.empty(shape)
+    a, r, r2 = (np.empty((min(rows, u.size), x.size)) for _ in range(3))
     out = np.empty((4, u.size))
-    start = np.empty(u.size)
-    exits = np.empty(u.size, dtype=bool)
     exit_rtol = math.sqrt(_V_STEP_RTOL)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, u.size, rows):
-            k = min(rows, u.size - lo)
-            u_k, r_k, r2_k = u[lo:lo + k], r[:k], r2[:k]
-            s = np.maximum(guess[lo:lo + k], 0.0)
-            np.subtract(u_k[:, None], x, out=r_k)
-            np.square(r_k, out=r_k)
-            np.add(r_k, s[:, None], out=r_k)
-            np.reciprocal(r_k, out=r_k)
-            S1 = r_k @ W
-            np.square(r_k, out=r2_k)
-            S2 = r2_k @ W
-            np.multiply(r2_k, r_k, out=r_k)
-            S3 = r_k @ W
-            I, M2 = S1[:, 0], S2[:, 0]
-            d = (t * I - 1.0) * I / M2
-            I = I - d * M2
-            M2 = M2 - 2.0 * d * S3[:, 0]
-            start[lo:lo + k] = s + d
-            exits[lo:lo + k] = np.abs(d) <= exit_rtol * s
-            out[1, lo:lo + k] = u_k * I - (S1[:, 1] - d * S2[:, 1])
-            out[2, lo:lo + k] = M2
-            out[3, lo:lo + k] = u_k * M2 - (S2[:, 1] - 2.0 * d * S3[:, 1])
-    out[0] = start
-    climb = np.flatnonzero(~exits)
-    if climb.size:
-        out[:, climb] = _climb_blocks(kernel, u[climb], start[climb])
-    return out
 
+    def newton_pass(s):
+        # (S1, S2, t I - 1, Newton step) at s, a = (u - x)^2 loaded
+        r_k, r2_k = r[:s.size], r2[:s.size]
+        np.add(a[:s.size], s[:, None], out=r_k)
+        np.reciprocal(r_k, out=r_k)
+        S1 = r_k @ W
+        np.square(r_k, out=r2_k)
+        S2 = r2_k @ W
+        resid = t * S1[:, 0] - 1.0
+        return S1, S2, resid, resid * S1[:, 0] / S2[:, 0]
 
-def _climb_blocks(kernel: FlowKernel, u: np.ndarray, start) -> np.ndarray:
-    """Rows (s, J, M2, M2x) by the monotone climb from
-    s0 = max(0, max_j(w_j t - a_j)), or from max(start, s0) with a NaN
-    start taken as s0.  A row stops once its step is below _V_STEP_RTOL * s
-    or its residual t I - 1 is at most _V_RESID_FLOOR: past that the step
-    is rounding noise.  Each pass takes r = 1/(a + s) and r^2 against the
-    two columns W = [w, w x], so the last pass also gives J = u I -
-    sum w x r and M2x = u M2 - sum w x r^2.
-    """
-    t = kernel.t
-    x, w = kernel.nodes, kernel.weights
-    wt = w * t
-    W = _node_columns(kernel)
-    rows = _block_rows(kernel)
-    shape = (min(rows, u.size), x.size)
-    a, r, r2 = (np.empty(shape) for _ in range(3))
-    out = np.empty((4, u.size))
+    def carry(idx, s, d, S1, S2):
+        # out rows at s + d from the pass at s; r^3 only for a step
+        r_k = r[:s.size]
+        S3 = (np.multiply(r2[:s.size], r_k, out=r_k) @ W if d.any()
+              else np.zeros_like(S2))
+        I, M2 = S1[:, 0] - d * S2[:, 0], S2[:, 0] - 2.0 * d * S3[:, 0]
+        out[0, idx] = s + d
+        out[1, idx] = u[idx] * I - (S1[:, 1] - d * S2[:, 1])
+        out[2, idx] = M2
+        out[3, idx] = u[idx] * M2 - (S2[:, 1] - 2.0 * d * S3[:, 1])
+
+    def load(idx):
+        a_k = a[:u[idx].size]
+        np.subtract(u[idx, None], x, out=a_k)
+        np.square(a_k, out=a_k)
+        return a_k
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, u.size, rows):
-            k = min(rows, u.size - lo)
-            u_k, a_k, r_k, r2_k = u[lo:lo + k], a[:k], r[:k], r2[:k]
-            np.subtract(u_k[:, None], x, out=a_k)
-            np.square(a_k, out=a_k)               # (u - x)^2, fixed per block
-            np.subtract(wt, a_k, out=r_k)
-            s0 = np.maximum(np.max(r_k, axis=1), 0.0)
-            s = s0 if start is None else np.fmax(start[lo:lo + k], s0)
+        climb, start, climb_rtol = np.arange(u.size), None, 0.0
+        if guess is not None:
+            exits = np.empty(u.size, dtype=bool)
+            for lo in range(0, u.size, rows):
+                idx = slice(lo, lo + rows)
+                load(idx)
+                s = np.maximum(guess[idx], 0.0)
+                S1, S2, _, d = newton_pass(s)
+                exits[idx] = np.abs(d) <= exit_rtol * s
+                carry(idx, s, d, S1, S2)
+            climb = np.flatnonzero(~exits)
+            start, climb_rtol = out[0, climb], exit_rtol
+        for lo in range(0, climb.size, rows):
+            idx = climb[lo:lo + rows]
+            a_k = load(idx)
+            s0 = np.maximum(np.max(np.subtract(wt, a_k, out=r[:idx.size]),
+                                   axis=1), 0.0)
+            s = s0 if start is None else np.fmax(start[lo:lo + rows], s0)
             for _ in range(_V_NEWTON_MAX):
-                np.add(a_k, s[:, None], out=r_k)
-                np.reciprocal(r_k, out=r_k)
-                S1 = r_k @ W
-                np.square(r_k, out=r2_k)
-                S2 = r2_k @ W
-                I, M2 = S1[:, 0], S2[:, 0]
-                resid = t * I - 1.0
-                step = resid * I / M2
+                S1, S2, resid, step = newton_pass(s)
                 active = (step > _V_STEP_RTOL * s) & (resid > _V_RESID_FLOOR)
-                if not active.any():
+                if np.all(~active | (step <= climb_rtol * s)):
                     break
                 s = np.where(active, s + step, s)
             else:
                 raise ConsistencyError(
                     "flow height Newton solve did not converge in %d steps"
                     % _V_NEWTON_MAX)
-            out[0, lo:lo + k] = s
-            out[1, lo:lo + k] = u_k * I - S1[:, 1]
-            out[2, lo:lo + k] = M2
-            out[3, lo:lo + k] = u_k * M2 - S2[:, 1]
+            carry(idx, s, np.where(active, step, 0.0), S1, S2)
     return out
 
 
@@ -322,7 +311,10 @@ def flow_v(kernel: FlowKernel, u) -> np.ndarray:
     recursively, so only one block is solved cold (see _height_sums).  A
     warm point stops after one pass over the nodes once its Newton step is
     at most sqrt(2.2e-16) ~ 1.5e-8 relative to s, which leaves an error
-    below 2.2e-16 relative; the others climb on (see _newton_blocks).
+    below 2.2e-16 relative; the others climb on, and their blocks stop the
+    same way, one pass before the step falls below 2.2e-16 (see
+    _newton_blocks).  flow_curve solves an ac kernel's heights in stages,
+    each warm from the Chebyshev interpolant of the last (see _ladder_rows).
     """
     return _height_sums(kernel, u)[0]
 
@@ -416,10 +408,11 @@ class FlowCurve:
 
     _series holds, per region, the chopped coefficients of the curve's rows
     (s = v^2, J, M2, M2x) in cos(k theta), u = mid - half cos(theta), from
-    the first stage of the height solve whose rows chop (see _ladder_rows
-    and _chebyshev_series); the extrema that stage did not solve took
-    their rows from it.  None for an atomic kernel, or where no stage's
-    rows chop, so that every extremum was solved."""
+    the first stage of the height solve whose rows chop, at 36, 71, 141 or
+    281 extrema or at all of them (see _ladder_rows and _chebyshev_series);
+    the extrema that stage did not solve took their rows from it.  None
+    for an atomic kernel, or where no stage's rows chop, so that every
+    extremum was solved."""
 
     kernel: FlowKernel
     regions: Tuple[Tuple[float, float], ...]
@@ -438,21 +431,36 @@ class FlowCurve:
         return (self.psi - self.u) / self.t
 
 
-def _chebyshev_series(rows: np.ndarray) -> Optional[np.ndarray]:
+def _chebyshev_coefficients(rows: np.ndarray) -> np.ndarray:
     """The coefficients c_k of sum_k c_k cos(k theta) through each row's
-    values at theta_j = pi j / (N - 1), j = 0..N-1, from one DCT-I: one
-    row of coefficients per row, all chopped after the last coefficient
-    that is above _SERIES_RTOL of its row's largest.  None when the last
-    _SERIES_TAIL coefficients of some row are not all at or below that
-    level, or a value is not finite (a plateau test after Aurentz &
+    values at theta_j = pi j / (N - 1), j = 0..N-1, from one DCT-I."""
+    c = dct(rows, type=1, axis=1) / (rows.shape[1] - 1)
+    c[:, [0, -1]] *= 0.5
+    return c
+
+
+def _extrema_values(coefficients: np.ndarray, size: int) -> np.ndarray:
+    """Each row of coefficients summed, sum_k c_k cos(k theta_j), at the
+    size extrema theta_j = pi j / (size - 1), from one DCT-I of the
+    zero-padded rows (DCT-I weighs its inner terms twice)."""
+    padded = np.zeros((coefficients.shape[0], size))
+    padded[:, :coefficients.shape[1]] = coefficients
+    padded[:, 1:-1] *= 0.5
+    return dct(padded, type=1, axis=1)
+
+
+def _chebyshev_series(rows: np.ndarray) -> Optional[np.ndarray]:
+    """The _chebyshev_coefficients of the rows, all chopped after the last
+    coefficient that is above _SERIES_RTOL of its row's largest.  None when
+    the last _SERIES_TAIL coefficients of some row are not all at or below
+    that level, or a value is not finite (a plateau test after Aurentz &
     Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017).  The
     coefficients do not depend on N, so a series from N points sums to the
     rows at any theta, as the curve's other extrema do (see
     _ladder_rows)."""
     if not np.all(np.isfinite(rows)):
         return None
-    c = dct(rows, type=1, axis=1) / (rows.shape[1] - 1)
-    c[:, [0, -1]] *= 0.5
+    c = _chebyshev_coefficients(rows)
     above = np.abs(c) > _SERIES_RTOL * np.max(np.abs(c), axis=1,
                                               keepdims=True)
     if above[:, -_SERIES_TAIL:].any():
@@ -489,38 +497,35 @@ def _ladder_rows(kernel: FlowKernel, u: np.ndarray):
     """Rows (s, J, M2, M2x) at the _CURVE_POINTS Chebyshev extrema u of a
     region, with their chopped series, or None where no stage chops.
 
-    The heights are solved in the nested stages _CURVE_STAGES: every 8th
-    extremum by _sorted_sums (one block cold), then every 4th, 2nd and
-    every one, each adding only the points not yet solved, warm from the
-    Hermite guess through all rows solved so far.  The first stage whose
-    rows chop under _chebyshev_series ends the solve.  Solved points keep
-    their rows; the others take theirs from one DCT-I of the zero-padded
-    series, with s clamped at 0.  A region that never chops has solved
-    every extremum."""
+    The heights are solved in the nested stages _CURVE_STAGES: 36 extrema
+    by _sorted_sums (one block cold), then 71, 141, 281 and every one,
+    each stage adding only the points the last did not solve, warm from
+    the Chebyshev interpolant of the last stage's s (its DCT-I
+    coefficients, unchopped, summed at the new extrema).  The first stage
+    whose rows chop under _chebyshev_series ends the solve.  Solved points
+    keep their rows; the others take theirs from the zero-padded series
+    summed at every extremum, with s clamped at 0.  A region that never
+    chops has solved every extremum."""
     rows = np.empty((4, u.size))
+    index = np.arange(u.size)
     step = 0
     for intervals in _CURVE_STAGES:
         coarse, step = step, (u.size - 1) // intervals
         if not coarse:
-            new = slice(None, None, step)
+            new = index[::step]
             rows[:, new] = _sorted_sums(kernel, u[new])
         else:
-            new = slice(step, None, coarse)
-            s, _, M2, M2x = rows[:, ::coarse]
-            guess = _hermite_guess(_anchor_rows(u[::coarse], s, M2, M2x),
-                                   u[new])
+            new = index[(index % step == 0) & (index % coarse != 0)]
+            guess = _extrema_values(_chebyshev_coefficients(
+                rows[:1, ::coarse]), u.size)[0, new]
             rows[:, new] = _newton_blocks(kernel, u[new], guess)
         _checked_height(kernel, rows[0, new])
         series = _chebyshev_series(rows[:, ::step])
         if series is not None:
             break
     if series is not None and step > 1:
-        # DCT-I weighs its inner terms twice: sum c_k cos(k theta_j)
-        padded = np.zeros(rows.shape)
-        padded[:, :series.shape[1]] = series
-        padded[:, 1:-1] *= 0.5
         solved = rows[:, ::step]
-        rows = dct(padded, type=1, axis=1)
+        rows = _extrema_values(series, u.size)
         np.maximum(rows[0], 0.0, out=rows[0])
         rows[:, ::step] = solved
     return rows, series
@@ -533,9 +538,10 @@ def flow_curve(kernel: FlowKernel) -> FlowCurve:
     the curve (Cauchy-Schwarz: M2x^2 <= M2 (I - v^2 M2)), so an image gap is
     at most twice its u gap.  An atomic kernel solves the height at every
     extremum.  A kernel with an ac part solves it only as finely as the
-    rows (s, J, M2, M2x) need to chop (see _ladder_rows), fills the other
-    extrema from their series, and keeps that series per region, taken
-    before the ends are set and any point is dropped."""
+    rows (s, J, M2, M2x) need to chop, from 36 extrema up, each stage warm
+    from the last one's Chebyshev interpolant (see _ladder_rows), fills the
+    other extrema from their series, and keeps that series per region,
+    taken before the ends are set and any point is dropped."""
     regions = flow_region(kernel)
     us, vs, ps, ridx, series = [], [], [], [], []
     for k, (g, h) in enumerate(regions):
