@@ -166,45 +166,46 @@ def _newton_blocks(kernel: FlowKernel, u: np.ndarray, guess) -> np.ndarray:
         return S1, S2, resid, resid * S1[:, 0] / S2[:, 0]
 
     def carry(idx, s, d, S1, S2):
-        # out rows at s + d from the pass at s; r^3 only for a step
-        r_k = r[:s.size]
-        S3 = (np.multiply(r2[:s.size], r_k, out=r_k) @ W if d.any()
-              else np.zeros_like(S2))
-        I, M2 = S1[:, 0] - d * S2[:, 0], S2[:, 0] - 2.0 * d * S3[:, 0]
+        # out rows at s + d from the pass at s: the columns of S1 (I,
+        # sum w x r) move by -d S2, those of S2 by -2 d S3, S3 = r^3 @ W
+        if d.any():
+            r_k = np.multiply(r2[:s.size], r[:s.size], out=r[:s.size])
+            S1, S2 = S1 - d[:, None] * S2, S2 - 2.0 * d[:, None] * (r_k @ W)
         out[0, idx] = s + d
-        out[1, idx] = u[idx] * I - (S1[:, 1] - d * S2[:, 1])
-        out[2, idx] = M2
-        out[3, idx] = u[idx] * M2 - (S2[:, 1] - 2.0 * d * S3[:, 1])
+        out[1, idx] = u[idx] * S1[:, 0] - S1[:, 1]
+        out[2, idx] = S2[:, 0]
+        out[3, idx] = u[idx] * S2[:, 0] - S2[:, 1]
 
     def load(idx):
-        a_k = a[:u[idx].size]
-        np.subtract(u[idx, None], x, out=a_k)
+        u_k = u[idx]
+        a_k = a[:u_k.size]
+        np.subtract(u_k[:, None], x, out=a_k)
         np.square(a_k, out=a_k)
         return a_k
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        climb, start, climb_rtol = np.arange(u.size), None, 0.0
+        blocks = [slice(lo, lo + rows) for lo in range(0, u.size, rows)]
         if guess is not None:
             exits = np.empty(u.size, dtype=bool)
-            for lo in range(0, u.size, rows):
-                idx = slice(lo, lo + rows)
+            for idx in blocks:
                 load(idx)
                 s = np.maximum(guess[idx], 0.0)
                 S1, S2, _, d = newton_pass(s)
                 exits[idx] = np.abs(d) <= exit_rtol * s
                 carry(idx, s, d, S1, S2)
             climb = np.flatnonzero(~exits)
-            start, climb_rtol = out[0, climb], exit_rtol
-        for lo in range(0, climb.size, rows):
-            idx = climb[lo:lo + rows]
+            blocks = [climb[lo:lo + rows]
+                      for lo in range(0, climb.size, rows)]
+        for idx in blocks:
             a_k = load(idx)
-            s0 = np.maximum(np.max(np.subtract(wt, a_k, out=r[:idx.size]),
-                                   axis=1), 0.0)
-            s = s0 if start is None else np.fmax(start[lo:lo + rows], s0)
+            np.subtract(wt, a_k, out=r[:a_k.shape[0]])
+            s0 = np.maximum(np.max(r[:a_k.shape[0]], axis=1), 0.0)
+            s = s0 if guess is None else np.fmax(out[0, idx], s0)
             for _ in range(_V_NEWTON_MAX):
                 S1, S2, resid, step = newton_pass(s)
                 active = (step > _V_STEP_RTOL * s) & (resid > _V_RESID_FLOOR)
-                if np.all(~active | (step <= climb_rtol * s)):
+                if not active.any() or (guess is not None and np.all(
+                        step[active] <= exit_rtol * s[active])):
                     break
                 s = np.where(active, s + step, s)
             else:
