@@ -674,7 +674,7 @@ class TestCurveLadder:
     def test_power_takes_at_most_its_row_passes(self, spec, n, most,
                                                 monkeypatch):
         # structural guard: rows of every np.reciprocal call, one per row
-        # and Newton pass (1,872 and 1,544 when every extremum is solved)
+        # and Newton pass (1,703 and 1,503 when every extremum is solved)
         rows = [0]
         reciprocal = np.reciprocal
 
