@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,12 +31,12 @@ _V_NEWTON_MAX = 60          # monotone Newton needs about a dozen steps
 _V_STEP_RTOL = 2.2e-16      # stop once a step is below this share of v^2
 _V_RESID_FLOOR = 8.8e-16    # ... or once t*I - 1 is at most 4 rounding units
 _CURVE_POINTS = 1401        # Chebyshev extrema of the curve's table per region
-# an ac curve's nested height solves, in intervals of the extrema: 36, 71,
-# 141, 281 and all 1,401 points; each divides the next and _CURVE_POINTS - 1
-_CURVE_STAGES = (35, 70, 140, 280, 1400)
+# an ac curve's nested height solves, in intervals of the extrema: 6, 36,
+# 71, 141, 281 and all 1,401 points; each divides the next and
+# _CURVE_POINTS - 1
+_CURVE_STAGES = (5, 35, 70, 140, 280, 1400)
 _MOMENT_NODES = 320         # Gauss nodes per half-region of region_integral
 _BLOCK_ENTRIES = 2 ** 15    # entries of one (points x nodes) work array
-_WARM_STRIDE = 8            # height solve: every 8th sorted point is an anchor
 _SERIES_TAIL = 16           # curve series: these last coefficients of a row
 _SERIES_RTOL = 1e-15        # ... at most this share of its largest, or no series
 
@@ -217,19 +218,12 @@ def _newton_blocks(kernel: FlowKernel, u: np.ndarray, guess) -> np.ndarray:
 
 
 def _height_sums(kernel: FlowKernel, u):
-    """(v, J, M2, M2x) at the curve height v(u), from one Newton solve.
+    """(v, J, M2, M2x) at the curve height v(u), from one cold Newton solve.
 
     J, M2 and M2x are the kernel sums at (u, v(u)), taken from the solve's
-    last pass, or carried from it to the root to first order.  Points that
-    fit in one block are solved cold.  More start from the cubic Hermite
-    guess through anchors: every _WARM_STRIDE-th point of the sorted u and
-    its last point, solved by this same scheme, recursively, so only the
-    last level (one block) is solved cold.  The guess takes the anchors'
-    s = v^2 and slopes ds/du = -2 M2x / M2 (implicit differentiation of
-    I(u, s) = 1/t).  A point whose guess is already at the root to
-    rounding stops after one pass over the nodes; the others climb from
-    where one Newton step lands, at or below the root, as a cold solve
-    does (see _newton_blocks).
+    last pass.  Points that span more than one block are solved in sorted
+    order (a stable sort), so a block holds the same points, and each
+    point gets the same bits, however u is ordered or shaped.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     flat = u.ravel()
@@ -238,7 +232,7 @@ def _height_sums(kernel: FlowKernel, u):
     else:
         order = np.argsort(flat, kind="stable")
         sums = np.empty((4, flat.size))
-        sums[:, order] = _sorted_sums(kernel, flat[order])
+        sums[:, order] = _newton_blocks(kernel, flat[order], None)
     s, J, M2, M2x = (row.reshape(u.shape) for row in sums)
     return _checked_height(kernel, s), J, M2, M2x
 
@@ -249,47 +243,6 @@ def _checked_height(kernel: FlowKernel, s: np.ndarray) -> np.ndarray:
     if np.any(v > math.sqrt(kernel.t) * (1.0 + 1e-12)):
         raise ConsistencyError("flow height exceeded sqrt(t)")
     return v
-
-
-def _sorted_sums(kernel: FlowKernel, us: np.ndarray) -> np.ndarray:
-    """Rows (s, J, M2, M2x) at the sorted points us: cold within one block,
-    else warm from the anchors every _WARM_STRIDE-th point and the last,
-    which are solved the same way."""
-    if us.size <= _block_rows(kernel):
-        return _newton_blocks(kernel, us, None)
-    anchor = np.zeros(us.size, dtype=bool)
-    anchor[::_WARM_STRIDE] = True
-    anchor[-1] = True
-    sums = np.empty((4, us.size))
-    sums[:, anchor] = _sorted_sums(kernel, us[anchor])
-    s, _, M2, M2x = sums[:, anchor]
-    guess = _hermite_guess(_anchor_rows(us[anchor], s, M2, M2x), us[~anchor])
-    sums[:, ~anchor] = _newton_blocks(kernel, us[~anchor], guess)
-    return sums
-
-
-def _anchor_rows(u, s, M2, M2x) -> np.ndarray:
-    """Rows (u, s, ds/du) of solved points for _hermite_guess, with
-    ds/du = -2 M2x / M2, and 0 where s = 0 or the sums are not finite."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = -2.0 * M2x / M2
-    return np.vstack([u, s, np.where((s > 0.0) & np.isfinite(slope),
-                                     slope, 0.0)])
-
-
-def _hermite_guess(anchors: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """s at the points u from the cubic Hermite interpolant through the
-    anchors, rows (u, s, ds/du) sorted by u, with at least two columns; a
-    point outside them takes the nearer end value."""
-    ua, s, slope = anchors
-    k = np.clip(np.searchsorted(ua, u, side="right") - 1, 0, ua.size - 2)
-    h = ua[k + 1] - ua[k]
-    tau = np.divide(u - ua[k], h, out=np.zeros_like(h), where=h > 0)
-    tau = np.clip(tau, 0.0, 1.0)
-    sl, sr = s[k], s[k + 1]
-    ml, mr = h * slope[k], h * slope[k + 1]
-    return sl + tau * (ml + tau * (3.0 * (sr - sl) - 2.0 * ml - mr
-                                   + tau * (2.0 * (sl - sr) + ml + mr)))
 
 
 def flow_v(kernel: FlowKernel, u) -> np.ndarray:
@@ -306,16 +259,14 @@ def flow_v(kernel: FlowKernel, u) -> np.ndarray:
     needs no special case.  Where I(u, 0) <= 1/t the first step is not
     positive and v stays 0.  Iteration stops once a step falls below
     2.2e-16 relative to s, or once the residual t I - 1 is at most
-    4 * 2.2e-16, where a step is rounding noise.  When u spans more than
-    one block, each point starts from a cubic Hermite guess through the
-    s and slopes ds/du = -2 M2x / M2 of anchors solved the same way,
-    recursively, so only one block is solved cold (see _height_sums).  A
-    warm point stops after one pass over the nodes once its Newton step is
-    at most sqrt(2.2e-16) ~ 1.5e-8 relative to s, which leaves an error
-    below 2.2e-16 relative; the others climb on, and their blocks stop the
-    same way, one pass before the step falls below 2.2e-16 (see
-    _newton_blocks).  flow_curve solves an ac kernel's heights in stages,
-    each warm from the Chebyshev interpolant of the last (see _ladder_rows).
+    4 * 2.2e-16, where a step is rounding noise.  Every point here is
+    solved cold (see _height_sums).  flow_curve solves an ac kernel's
+    heights in stages, each warm from the Chebyshev interpolant of the last
+    (see _ladder_rows): a warm point stops after one pass over the nodes
+    once its Newton step is at most sqrt(2.2e-16) ~ 1.5e-8 relative to s,
+    which leaves an error below 2.2e-16 relative; the others climb on, and
+    their blocks stop the same way, one pass before the step falls below
+    2.2e-16 (see _newton_blocks).
     """
     return _height_sums(kernel, u)[0]
 
@@ -410,10 +361,11 @@ class FlowCurve:
     _series holds, per region, the chopped coefficients of the curve's rows
     (s = v^2, J, M2, M2x) in cos(k theta), u = mid - half cos(theta), from
     the first stage of the height solve whose rows chop, at 36, 71, 141 or
-    281 extrema or at all of them (see _ladder_rows and _chebyshev_series);
-    the extrema that stage did not solve took their rows from it.  None
-    for an atomic kernel, or where no stage's rows chop, so that every
-    extremum was solved."""
+    281 extrema or at all of them (see _ladder_rows and _chebyshev_series;
+    the 6 extrema of the cold first stage are too few to chop); the
+    extrema that stage did not solve took their rows from it.  None for an
+    atomic kernel, or where no stage's rows chop, so that every extremum
+    was solved (see _moment_sums)."""
 
     kernel: FlowKernel
     regions: Tuple[Tuple[float, float], ...]
@@ -471,13 +423,35 @@ def _chebyshev_series(rows: np.ndarray) -> Optional[np.ndarray]:
 
 def _series_sums(series: np.ndarray, region: Tuple[float, float], u):
     """(v, J, M2, M2x) at the points u of the region from its curve series,
-    with s = v^2 clamped at 0: one product against cos(k theta) at
-    theta = arccos((g + h - 2u) / (h - g))."""
+    or (v,) from a series of s = v^2 alone: one product against
+    cos(k theta) at theta = arccos((g + h - 2u) / (h - g)) sums every row,
+    and the first, s, is clamped at 0."""
     g, h = region
     theta = np.arccos(np.clip((g + h - 2.0 * u) / (h - g), -1.0, 1.0))
-    s, J, M2, M2x = series @ np.cos(np.arange(series.shape[1])[:, None]
-                                    * theta)
-    return np.sqrt(np.maximum(s, 0.0)), J, M2, M2x
+    s, *rest = series @ np.cos(np.arange(series.shape[1])[:, None] * theta)
+    return (np.sqrt(np.maximum(s, 0.0)), *rest)
+
+
+def _moment_sums(curve: FlowCurve, k: int):
+    """sums(u) -> (v, J, M2, M2x) at points u of region k of the curve, for
+    its moments: off the region's series where it has one, else from a
+    height solve, cold for an atomic kernel.  An ac region without a series
+    solved every extremum, and its solve starts warm from the Chebyshev
+    interpolant of the curve's s = v^2, unchopped: its last coefficients
+    are at most about 2e-10 of the largest, where M2's need not fall."""
+    kernel, region, series = curve.kernel, curve.regions[k], curve._series[k]
+    if series is not None:
+        return partial(_series_sums, series, region)
+    if kernel.nu.ac is None:
+        return partial(_height_sums, kernel)
+    s_series = _chebyshev_coefficients(
+        curve.v[None, curve.region_index == k] ** 2)
+
+    def sums(u):
+        guess = _series_sums(s_series, region, u)[0] ** 2
+        s, J, M2, M2x = _newton_blocks(kernel, u, guess)
+        return _checked_height(kernel, s), J, M2, M2x
+    return sums
 
 
 def _increasing_subsequence(psi: np.ndarray, delta: float):
@@ -498,28 +472,27 @@ def _ladder_rows(kernel: FlowKernel, u: np.ndarray):
     """Rows (s, J, M2, M2x) at the _CURVE_POINTS Chebyshev extrema u of a
     region, with their chopped series, or None where no stage chops.
 
-    The heights are solved in the nested stages _CURVE_STAGES: 36 extrema
-    by _sorted_sums (one block cold), then 71, 141, 281 and every one,
-    each stage adding only the points the last did not solve, warm from
-    the Chebyshev interpolant of the last stage's s (its DCT-I
-    coefficients, unchopped, summed at the new extrema).  The first stage
-    whose rows chop under _chebyshev_series ends the solve.  Solved points
-    keep their rows; the others take theirs from the zero-padded series
-    summed at every extremum, with s clamped at 0.  A region that never
-    chops has solved every extremum."""
+    The heights are solved in the nested stages _CURVE_STAGES: 6 extrema
+    cold, in one block, then 36, 71, 141, 281 and every one, each stage
+    adding only the points the last did not solve, warm from the Chebyshev
+    interpolant of the last stage's s (its DCT-I coefficients, unchopped,
+    summed at the new extrema).  The first stage whose rows chop under
+    _chebyshev_series ends the solve.  Solved points keep their rows; the
+    others take theirs from the zero-padded series summed at every
+    extremum, with s clamped at 0.  A region that never chops has solved
+    every extremum."""
     rows = np.empty((4, u.size))
     index = np.arange(u.size)
     step = 0
     for intervals in _CURVE_STAGES:
         coarse, step = step, (u.size - 1) // intervals
         if not coarse:
-            new = index[::step]
-            rows[:, new] = _sorted_sums(kernel, u[new])
+            new, guess = index[::step], None
         else:
             new = index[(index % step == 0) & (index % coarse != 0)]
             guess = _extrema_values(_chebyshev_coefficients(
                 rows[:1, ::coarse]), u.size)[0, new]
-            rows[:, new] = _newton_blocks(kernel, u[new], guess)
+        rows[:, new] = _newton_blocks(kernel, u[new], guess)
         _checked_height(kernel, rows[0, new])
         series = _chebyshev_series(rows[:, ::step])
         if series is not None:
@@ -539,10 +512,11 @@ def flow_curve(kernel: FlowKernel) -> FlowCurve:
     the curve (Cauchy-Schwarz: M2x^2 <= M2 (I - v^2 M2)), so an image gap is
     at most twice its u gap.  An atomic kernel solves the height at every
     extremum.  A kernel with an ac part solves it only as finely as the
-    rows (s, J, M2, M2x) need to chop, from 36 extrema up, each stage warm
-    from the last one's Chebyshev interpolant (see _ladder_rows), fills the
-    other extrema from their series, and keeps that series per region,
-    taken before the ends are set and any point is dropped."""
+    rows (s, J, M2, M2x) need to chop, from 6 extrema solved cold up, each
+    later stage warm from the last one's Chebyshev interpolant (see
+    _ladder_rows), fills the other extrema from their series, and keeps
+    that series per region, taken before the ends are set and any point is
+    dropped."""
     regions = flow_region(kernel)
     us, vs, ps, ridx, series = [], [], [], [], []
     for k, (g, h) in enumerate(regions):

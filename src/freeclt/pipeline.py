@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -47,9 +46,8 @@ from .transforms import (
 from .flow import (
     FlowCurve,
     FlowKernel,
-    _height_sums,
+    _moment_sums,
     _psi_prime,
-    _series_sums,
     flow_curve,
     flow_map,
     region_integral,
@@ -68,7 +66,6 @@ _MASS_TOL = 1e-6            # largest |mass - 1| a power may have
 _PROBE_POINTS = 257         # cross-route comparison grid
 _TAIL_CONSTANT = 72.0       # constant of the tail decay inequality
 _SUPPORT_TOL = 1e-6         # largest mass a power may have outside its bound
-_CONTAINMENT_SAMPLES = 801  # u points of the flow range containment check
 
 
 def default_grid() -> np.ndarray:
@@ -204,8 +201,9 @@ def _power(n: int, path: str, atoms, tables, moments, **extra) -> CltDensity:
 def clt_density_flow(mu: Measure, n: int) -> CltDensity:
     """Density of the normalized n-th power through the flow parametrization:
     one table per region of flow_curve, from the quotient at its image
-    points, and moments from region_integral in u, over the region's
-    curve series where it has one (mass gate in _power)."""
+    points, and moments from region_integral in u, over the heights and
+    sums that flow._moment_sums reads off the curve (mass gate in
+    _power)."""
     n = _require_power(n)
     _require_standardized(mu)
     if n == 1:
@@ -225,14 +223,10 @@ def clt_density_flow(mu: Measure, n: int) -> CltDensity:
 
     # moments in the u variable: spectrally accurate with sqrt endpoint
     # substitutions, valid for both soft (+1/2) and singular (-1/2) edges;
-    # the heights and sums at the nodes come from the region's curve
-    # series, or from one height solve where it has none
-    moments = []
-    for series, reg in zip(curve._series, curve.regions):
-        sums = (partial(_height_sums, kernel) if series is None
-                else partial(_series_sums, series, reg))
-        moments.append(region_integral(kernel, reg,
-                                       _moment_integrand(t, sums)))
+    # the heights and sums at the nodes come from the curve (_moment_sums)
+    moments = [region_integral(kernel, reg,
+                               _moment_integrand(t, _moment_sums(curve, k)))
+               for k, reg in enumerate(curve.regions)]
     return _power(n, "flow", atoms_of_power(mu, n), tables, moments,
                   curve=curve)
 
@@ -629,7 +623,11 @@ def support_check(dens: CltDensity, mu: Measure) -> dict:
 
 def range_containment_check(mu: Measure, n: int, eta: float) -> dict:
     """Containment of the flow image: psi([-1 + eta, 1 - eta]) inside
-    [-2 + eta, 2 - eta] for the kernel of the n-th power, eta in (0, 1)."""
+    [-2 + eta, 2 - eta] for the kernel of the n-th power, eta in (0, 1).
+
+    psi is non-decreasing on the real line: psi' = 1 - t I(u, 0) >= 0 off
+    the regions and 2 t (M2x^2 + v^2 M2^2) / M2 >= 0 on them, so its
+    largest |psi| on the interval is at one of the two ends."""
     n = _require_power(n)
     _require_standardized(mu)
     if not (0.0 < eta < 1.0):
@@ -639,8 +637,7 @@ def range_containment_check(mu: Measure, n: int, eta: float) -> dict:
     nu = companion_measure(mu)
     nu_s = dilate(nu, 1.0 / math.sqrt(n))
     kernel = FlowKernel(nu_s, (n - 1) / n)
-    u = np.linspace(-1.0 + eta, 1.0 - eta, _CONTAINMENT_SAMPLES)
-    _, psi = flow_map(kernel, u)
+    _, psi = flow_map(kernel, np.array([-1.0 + eta, 1.0 - eta]))
     worst = float(np.max(np.abs(psi)))
     return {"n": n, "eta": eta, "ok": bool(worst <= 2.0 - eta),
             "max_abs_psi": worst, "bound": 2.0 - eta}

@@ -165,12 +165,12 @@ class TestHeightNewtonSolve:
 
 class TestHeightSolve:
     """flow._height_sums: v with the kernel sums J, M2 and M2x at the curve
-    height, by blocks of flow._block_rows(kernel) points.  Once u spans more
-    than one block, each point starts from a Hermite guess through every 8th
-    sorted point and the last, which are solved the same way, recursively,
-    so only one block is solved cold.  A warm point whose guess is at the
-    root to rounding stops after one pass over the nodes, with its sums
-    carried to the root; the others climb as a cold solve does."""
+    height, solved cold by blocks of flow._block_rows(kernel) points, in
+    sorted order once u spans more than one block.  flow._newton_blocks
+    also starts from a guess, as the flow curve's later stages and the
+    moments of a region without a series do: a warm point whose guess is
+    at the root to rounding stops after one pass over the nodes, with its
+    sums carried to the root; the others climb as a cold solve does."""
 
     @pytest.fixture(scope="class")
     def kernels(self, delta0, two_atoms, uniform):
@@ -268,7 +268,7 @@ class TestHeightSolve:
             assert self._rel(M2, kernel.second_moments(u, zero)[0]) < 1e-13
 
     def test_exactly_on_an_atom(self, kernels):
-        # warm-started blocks of an ac kernel meet I(u, 0) = +inf
+        # sorted blocks of an ac kernel meet I(u, 0) = +inf
         kernel = kernels["outer_atom"]
         (atom,) = kernel.nu.atoms
         g, h = next(r for r in flow_region(kernel) if r[0] < atom.x < r[1])
@@ -294,23 +294,6 @@ class TestHeightSolve:
         u = self._probe(kernel, 1401)
         cold = flow._newton_blocks(kernel, u, None)[0]
         s = flow._newton_blocks(kernel, u, factor * cold)[0]
-        self._assert_matches_cold(s, cold)
-
-    @pytest.mark.parametrize("name", ["uniform", "outer_atom"])
-    def test_warm_from_a_nan_slope(self, kernels, name):
-        # every other anchor has no finite slope: the guess uses slope 0
-        kernel = kernels[name]
-        u = self._probe(kernel, 1401)
-        anchors = np.zeros(u.size, dtype=bool)
-        anchors[::flow._WARM_STRIDE] = True
-        anchors[-1] = True
-        s, _, M2, M2x = flow._newton_blocks(kernel, u[anchors], None)
-        M2[::2] = np.nan
-        rows = flow._anchor_rows(u[anchors], s, M2, M2x)
-        guess = flow._hermite_guess(rows, u[~anchors])
-        assert np.all(np.isfinite(guess))
-        s = flow._newton_blocks(kernel, u[~anchors], guess)[0]
-        cold = flow._newton_blocks(kernel, u[~anchors], None)[0]
         self._assert_matches_cold(s, cold)
 
     @staticmethod
@@ -365,33 +348,6 @@ class TestHeightSolve:
         for got, want in zip(rows, cold):
             assert self._rel(got, want) < 1e-13
 
-    def test_warm_blocks_take_at_most_1_6_passes(self, kernels, monkeypatch):
-        # structural guard: one np.reciprocal call per Newton pass of a block
-        kernel = kernels["uniform"]
-        (g, h), = flow_region(kernel)
-        u = _chebyshev_extrema(g, h, 1401)
-        passes, blocks = [0], [0]
-        reciprocal, newton_blocks = np.reciprocal, flow._newton_blocks
-
-        def counted_reciprocal(*args, **kwargs):
-            passes[0] += 1
-            return reciprocal(*args, **kwargs)
-
-        def counted_blocks(kernel, u, guess):
-            if guess is None:
-                return newton_blocks(kernel, u, guess)
-            monkeypatch.setattr(flow.np, "reciprocal", counted_reciprocal)
-            try:
-                return newton_blocks(kernel, u, guess)
-            finally:
-                monkeypatch.setattr(flow.np, "reciprocal", reciprocal)
-                blocks[0] += -(-u.size // flow._block_rows(kernel))
-
-        monkeypatch.setattr(flow, "_newton_blocks", counted_blocks)
-        flow._height_sums(kernel, u)
-        assert blocks[0] > 100
-        assert passes[0] <= 1.6 * blocks[0]
-
     @staticmethod
     def _spy_cold_rows(monkeypatch):
         # sizes of the cold _newton_blocks calls
@@ -407,43 +363,65 @@ class TestHeightSolve:
         return cold
 
     @staticmethod
-    def _moment_calls(monkeypatch):
-        # per region_integral call of the flow route, the _newton_blocks
-        # calls (every kernel pass of a height solve) made inside it
-        calls = [0]
-        newton_blocks = flow._newton_blocks
+    def _per_moment(monkeypatch, owner, name, count):
+        # per region_integral call of the flow route, count(*args) of each
+        # call of owner.name made inside it
+        seen = []
+        original = getattr(owner, name)
 
-        def spy(*args):
-            calls[0] += 1
-            return newton_blocks(*args)
+        def spy(*args, **kwargs):
+            seen.append(count(*args))
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(flow, "_newton_blocks", spy)
+        monkeypatch.setattr(owner, name, spy)
         region_integral = pipeline.region_integral
         in_moments = []
 
         def spied_integral(kernel, region, integrand):
-            before = calls[0]
+            before = len(seen)
             total = region_integral(kernel, region, integrand)
-            in_moments.append(calls[0] - before)
+            in_moments.append(seen[before:])
             return total
 
         monkeypatch.setattr(pipeline, "region_integral", spied_integral)
         return in_moments
 
+    @classmethod
+    def _moment_calls(cls, monkeypatch):
+        # whether each _newton_blocks call (every kernel pass of a height
+        # solve) was cold
+        return cls._per_moment(monkeypatch, flow, "_newton_blocks",
+                               lambda kernel, u, guess: guess is None)
+
     def test_moments_take_no_kernel_pass(self, uniform, monkeypatch):
         in_moments = self._moment_calls(monkeypatch)
         dens = clt_density_flow(uniform, 4)
         assert dens.curve._series[0] is not None
-        assert in_moments == [0]
+        assert in_moments == [[]]
 
     def test_moments_without_series_solve_heights(self, monkeypatch):
         # BUMP3_SPEC at n = 2: the region ends on the companion's support,
-        # M2 is not smooth there, and the series does not chop
+        # M2 is not smooth there, and the series does not chop, so the
+        # moments solve their heights, every one warm from the curve's s
         in_moments = self._moment_calls(monkeypatch)
         dens = clt_density_flow(make_measure(BUMP3_SPEC), 2)
         assert dens.curve._series == (None,)
-        assert len(in_moments) == 1 and in_moments[0] > 0
+        assert len(in_moments) == 1 and in_moments[0]
+        assert not any(in_moments[0])
         assert abs(dens.mass - 1.0) <= pipeline._MASS_TOL
+
+    def test_moments_without_series_take_at_most_1300_row_passes(
+            self, monkeypatch):
+        # structural guard: rows of every np.reciprocal call inside the
+        # moments of BUMP3_SPEC at n = 2, one per node and Newton pass over
+        # the kernel's nodes (640 nodes)
+        in_moments = self._per_moment(
+            monkeypatch, flow.np, "reciprocal",
+            lambda x, *args: x.shape[0] if x.ndim == 2 else 1)
+        dens = clt_density_flow(make_measure(BUMP3_SPEC), 2)
+        assert dens.curve._series == (None,)
+        assert len(in_moments) == 1
+        assert 640 <= sum(in_moments[0]) <= 1300
 
     def test_atomic_curve_has_no_series(self, kernels):
         for name in ("point_mass", "two_atoms"):
@@ -607,8 +585,8 @@ class TestCurveSeries:
 
 
 class TestCurveLadder:
-    """On an ac kernel flow_curve solves each region's heights at 36, 71,
-    141, 281 and all 1,401 Chebyshev extrema, in turn, up to the first
+    """On an ac kernel flow_curve solves each region's heights at 6, 36,
+    71, 141, 281 and all 1,401 Chebyshev extrema, in turn, up to the first
     stage whose rows chop, and fills the other extrema from that series."""
 
     SPECS = {"uniform": UNIFORM_SPEC, "arcsine": ARCSINE_SPEC,
@@ -650,8 +628,8 @@ class TestCurveLadder:
                              ids=["uniform-4", "arcsine-64", "bump3-2"])
     def test_solves_each_point_of_its_last_stage_once(self, spec, n, step,
                                                       monkeypatch):
-        # the uniform seed's rows at n = 4 chop at the second stage, the
-        # arcsine seed's at n = 64 at the first; BUMP3_SPEC's at n = 2 at
+        # the uniform seed's rows at n = 4 chop at the third stage, the
+        # arcsine seed's at n = 64 at the second; BUMP3_SPEC's at n = 2 at
         # none, so its last stage solves the rest of the extrema
         kernel = clt_density_flow(make_measure(spec), n).curve.kernel
         solved = []  # the points handed to _newton_blocks

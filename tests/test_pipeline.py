@@ -8,14 +8,18 @@ import pytest
 from freeclt import (
     Atom,
     ConsistencyError,
+    FlowKernel,
     InvalidArgumentError,
     atoms_of_power,
     cauchy,
     clt_cauchy,
     clt_density_flow,
     clt_density_subordination,
+    companion_measure,
     cross_check,
     default_grid,
+    dilate,
+    flow_map,
     make_measure,
     range_containment_check,
     subordination_omega,
@@ -32,10 +36,16 @@ from freeclt.pipeline import (
 )
 
 from conftest import (
+    ARCSINE_SPEC,
     ASYM_SPEC,
+    BERNOULLI_SPEC,
+    BUMP3_SPEC,
     FOUR_GAP_SPEC,
+    MIXTURE_SPEC,
+    SEMICIRCLE_SPEC,
     SQRT2,
     THREE_GAP_SPEC,
+    UNIFORM_SPEC,
     arcsine_density,
     asym_power_density,
     atomic_power_density,
@@ -187,6 +197,25 @@ class TestConsistencyChecks:
         rep = range_containment_check(bernoulli, 4, eta=0.1)
         assert rep["ok"] is True
         assert rep["max_abs_psi"] <= rep["bound"] <= 1.9
+
+    @pytest.mark.parametrize("spec", [
+        BERNOULLI_SPEC, ASYM_SPEC, THREE_GAP_SPEC, FOUR_GAP_SPEC,
+        UNIFORM_SPEC, ARCSINE_SPEC, SEMICIRCLE_SPEC, MIXTURE_SPEC,
+        BUMP3_SPEC], ids=["fair", "asym", "three_gap", "four_gap", "uniform",
+                          "arcsine", "semicircle", "mixture", "bump3"])
+    def test_range_containment_at_the_ends(self, spec):
+        # psi is non-decreasing, so the check's two ends reach the largest
+        # |psi| of 801 samples of [-1 + eta, 1 - eta]
+        mu = make_measure(spec)
+        nu = companion_measure(mu)
+        for n in (2, 4, 16, 64):
+            kernel = FlowKernel(dilate(nu, 1.0 / math.sqrt(n)), (n - 1) / n)
+            for eta in (0.1, 0.3):
+                u = np.linspace(-1.0 + eta, 1.0 - eta, 801)
+                sampled = np.max(np.abs(flow_map(kernel, u)[1]))
+                rep = range_containment_check(mu, n, eta)
+                assert rep["max_abs_psi"] == pytest.approx(sampled,
+                                                           rel=1e-15)
 
     def test_range_containment_argument_domain(self, bernoulli):
         with pytest.raises(InvalidArgumentError):
