@@ -18,7 +18,6 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidArgumentError, QuadratureError
 from .measures import DensityTable, SemicircleFamily, _leggauss
@@ -50,6 +49,9 @@ _ENTROPY_CONSTANT = 0.75 + 0.5 * math.log(2.0 * math.pi)
 _REFERENCE = SemicircleFamily(1.0)
 _ENERGY_NODES = 512       # Gauss nodes per table for chi's energy and Phi
 _LP_CUT_FLOOR = 1e3 * np.finfo(float).eps  # noise floor of a density difference
+_BRENT_XTOL = 1e-14      # the L^p cuts' brentq xtol
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # brentq's least rtol
+_BRENT_ITER = 100        # brentq's maxiter
 
 
 @dataclass(frozen=True)
@@ -137,38 +139,40 @@ def _lp_pieces(tables: Tuple[DensityTable, ...]
     """(ends, signs, widths) of the half-pieces ``lp_distance`` integrates.
 
     The supports' endpoints split the line into panels, and each panel is
-    cut again at the sign changes of the difference, found by a 257-point
-    scan and ``brentq``.  A sign change between two scan points counts only
-    if the difference at one of them exceeds a rounding floor,
-    ``_LP_CUT_FLOOR`` times the larger of the two densities' maxima on the
-    scan.  A power that equals the semicircle to rounding (the semicircle
-    seed's) has a difference of pure noise, which changes sign every few
-    points; cutting there gives 100-160 half-pieces instead of 2, and the
-    Gauss-Kronrod work grows with them, for no accuracy.  None of this
-    depends on p, so the last table set's pieces are kept: the L^p
-    distances of one report row share them.
+    cut again at the sign changes of the difference.  One call of the
+    difference scans every panel at its 255 interior points of a 257-point
+    grid, and ``_brentq_lanes`` solves all the brackets it finds together,
+    starting from the scan's own values there, so each cut is the one
+    scalar ``brentq`` gives on its bracket.  A sign change between two scan
+    points counts only if the difference at one of them exceeds a rounding
+    floor, ``_LP_CUT_FLOOR`` times the larger of the two densities' maxima
+    on the panel's scan.  A power that equals the semicircle to rounding
+    (the semicircle seed's) has a difference of pure noise, which changes
+    sign every few points; cutting there gives 100-160 half-pieces instead
+    of 2, and the Gauss-Kronrod work grows with them, for no accuracy.
+    None of this depends on p, so the last table set's pieces are kept:
+    the L^p distances of one report row share them.
     """
-    def diff_at(x: float) -> float:
-        return float(_diff_reference(tables, np.array([x]))[0])
-
     bps = _diff_breakpoints(tables)
+    panels = [(lo, hi) for lo, hi in zip(bps, bps[1:]) if hi - lo >= 1e-14]
+    scan = np.concatenate([np.linspace(lo, hi, 257)[1:-1]
+                           for lo, hi in panels]).reshape(len(panels), 255)
+    dens, ref = _density_sum(tables, scan), _REFERENCE.density(scan)
+    vals = dens - ref
+    floor = _LP_CUT_FLOOR * np.maximum(np.max(dens, axis=1),
+                                       np.max(ref, axis=1))
+    # split each panel at sign changes so |diff|^p is smooth inside
+    crossing = ((np.sign(vals[:, :-1]) * np.sign(vals[:, 1:]) < 0)
+                & (np.maximum(np.abs(vals[:, :-1]), np.abs(vals[:, 1:]))
+                   > floor[:, None]))
+    panel, i = np.nonzero(crossing)
+    roots = _brentq_lanes(
+        lambda x: _diff_reference(tables, np.array(x)).tolist(),
+        scan[panel, i].tolist(), scan[panel, i + 1].tolist(),
+        vals[panel, i].tolist(), vals[panel, i + 1].tolist())
     ends, signs, widths = [], [], []
-    for lo, hi in zip(bps, bps[1:]):
-        if hi - lo < 1e-14:
-            continue
-        # split the panel at sign changes so |diff|^p is smooth inside
-        scan = np.linspace(lo, hi, 257)[1:-1]
-        dens, ref = _density_sum(tables, scan), _REFERENCE.density(scan)
-        vals = dens - ref
-        floor = _LP_CUT_FLOOR * max(np.max(dens), np.max(ref))
-        crossing = ((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-                    & (np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
-                       > floor))
-        cuts = [lo]
-        for i in np.nonzero(crossing)[0]:
-            cuts.append(float(brentq(diff_at, scan[i], scan[i + 1],
-                                     xtol=1e-14)))
-        cuts.append(hi)
+    for k, (lo, hi) in enumerate(panels):
+        cuts = [lo] + [x for j, x in zip(panel, roots) if j == k] + [hi]
         for a, b in zip(cuts, cuts[1:]):
             if b - a < 1e-14:
                 continue
@@ -178,6 +182,89 @@ def _lp_pieces(tables: Tuple[DensityTable, ...]
                 signs.append(sign)
                 widths.append(math.sqrt(abs(mid - end)))
     return tuple(ends), tuple(signs), tuple(widths)
+
+
+def _brentq_lanes(f: Callable[[List[float]], List[float]],
+                  xa: List[float], xb: List[float],
+                  fa: List[float], fb: List[float]) -> List[float]:
+    """A root in each bracket ``[xa[k], xb[k]]``, where f takes the values
+    ``fa[k]`` and ``fb[k]``, by Brent's method in every bracket at once.
+
+    Each bracket is a lane of scipy's ``brentq`` (its ``brentq.c``), step
+    for step in Python floats, so each root is the one ``brentq(g, xa[k],
+    xb[k], xtol=1e-14)`` returns for a g with ``f([x]) == [g(x)]``.  The
+    lanes run in lockstep, and each iteration makes one call of ``f`` on
+    the points of the lanes still running.  Raises as ``brentq`` does:
+    ``ValueError`` on a NaN value or on a bracket without a sign change,
+    ``RuntimeError`` when a lane has not converged after 100 iterations.
+    """
+    def checked(x: float, fx: float) -> float:
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    roots: List[float] = [0.0] * len(xa)
+    lanes = []  # [k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur]
+    for k in range(len(xa)):
+        fpre, fcur = checked(xa[k], fa[k]), checked(xb[k], fb[k])
+        if fpre == 0:
+            roots[k] = xa[k]
+        elif fcur == 0:
+            roots[k] = xb[k]
+        elif math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+            raise ValueError("f(a) and f(b) must have different signs")
+        else:
+            lanes.append([k, xa[k], xb[k], 0.0, fpre, fcur, 0.0, 0.0, 0.0])
+    for _ in range(_BRENT_ITER):
+        running = []
+        for lane in lanes:
+            k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = lane
+            if (fpre != 0 and fcur != 0
+                    and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+                xblk, fblk = xpre, fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+            delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            if fcur == 0 or abs(sbis) < delta:
+                roots[k] = xcur
+                continue
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+                bound = 3 * abs(sbis) - delta
+                if abs(spre) < bound:
+                    bound = abs(spre)
+                if 2 * abs(stry) < bound:
+                    # good short step
+                    spre, scur = scur, stry
+                else:
+                    spre = scur = sbis
+            else:
+                spre = scur = sbis
+            xpre, fpre = xcur, fcur
+            if abs(scur) > delta:
+                xcur += scur
+            else:
+                xcur += delta if sbis > 0 else -delta
+            lane[1:] = xpre, xcur, xblk, fpre, fcur, fblk, spre, scur
+            running.append(lane)
+        lanes = running
+        if not lanes:
+            return roots
+        for lane, fx in zip(lanes, f([lane[2] for lane in lanes])):
+            lane[5] = checked(lane[2], fx)
+    raise RuntimeError(f"Failed to converge after {_BRENT_ITER} iterations.")
 
 
 def lp_distance(obj: TableLike, p: float) -> float:

@@ -251,6 +251,11 @@ class DensityTable(_AcPart):
     def _edge_factor(self, x: np.ndarray) -> np.ndarray:
         a, b = self.support
         alpha_l, alpha_r = self.edge_orders
+        if (alpha_l or 0.0) > 0.0 and (alpha_r or 0.0) > 0.0:
+            # both factors vanish at worst, and 1 * f == f: the general
+            # product below, without its set-up
+            return (np.maximum(x - a, 0.0) ** alpha_l
+                    * np.maximum(b - x, 0.0) ** alpha_r)
         phi = np.ones_like(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             if alpha_l:
@@ -283,10 +288,10 @@ class DensityTable(_AcPart):
         out = np.zeros_like(x)
         a, b = self.support
         inside = (x >= a) & (x <= b)
-        if np.any(inside):
-            xi = x[inside]
-            q = np.asarray(self._reduced_spline()(xi), dtype=float)
-            out[inside] = np.maximum(q * self._edge_factor(xi), 0.0)
+        xi = x[inside]
+        if xi.size:
+            out[inside] = np.maximum(
+                self._reduced_spline()(xi) * self._edge_factor(xi), 0.0)
         return out
 
     def _slope(self, x: np.ndarray) -> np.ndarray:

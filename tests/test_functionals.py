@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from freeclt import (
     CHI_SEMICIRCLE,
@@ -21,6 +23,7 @@ from freeclt import (
     UniformFamily,
     build_table,
     clt_density_flow,
+    clt_density_subordination,
     convergence_report,
     free_entropy,
     free_fisher,
@@ -174,6 +177,181 @@ class TestLpDistance:
         # while p = 1 and p = 0.6 are integrable
         assert math.isfinite(lp_distance(arcsine_table, 1.0))
         assert math.isfinite(lp_distance(arcsine_table, 0.6))
+
+
+def _scalar_pieces(tables):
+    """``_lp_pieces`` with one scalar ``brentq`` per bracket of each panel's
+    scan, one panel after another."""
+    def diff_at(x):
+        return float(functionals._diff_reference(tables, np.array([x]))[0])
+
+    bps = functionals._diff_breakpoints(tables)
+    ends, signs, widths = [], [], []
+    for lo, hi in zip(bps, bps[1:]):
+        if hi - lo < 1e-14:
+            continue
+        scan = np.linspace(lo, hi, 257)[1:-1]
+        dens = functionals._density_sum(tables, scan)
+        ref = SemicircleFamily(1.0).density(scan)
+        vals = dens - ref
+        floor = functionals._LP_CUT_FLOOR * max(np.max(dens), np.max(ref))
+        crossing = ((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+                    & (np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
+                       > floor))
+        cuts = ([lo] + [brentq(diff_at, scan[i], scan[i + 1], xtol=1e-14)
+                        for i in np.nonzero(crossing)[0]] + [hi])
+        for a, b in zip(cuts, cuts[1:]):
+            if b - a < 1e-14:
+                continue
+            mid = 0.5 * (a + b)
+            for end, sign in ((a, 1.0), (b, -1.0)):
+                ends.append(end)
+                signs.append(sign)
+                widths.append(math.sqrt(abs(mid - end)))
+    return tuple(ends), tuple(signs), tuple(widths)
+
+
+# closed-form brackets for _brentq_lanes: between them they take Brent's
+# interpolation, extrapolation and short steps, both kinds of bisection, the
+# minimal step of xtol / 2 and an exact zero
+BRENT_BRACKETS = [
+    (lambda x: x ** 3 - 2.0, 0.0, 2.0),
+    (lambda x: math.exp(x) - 2.0, -1.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.5),
+    (lambda x: math.atan(1e4 * (x - 0.123)), -1.0, 1.0),
+    (lambda x: math.copysign(1.0, x - 1.0 / 3.0), 0.0, 1.0),
+    (lambda x: (x - 0.25) * (x * x + 1.0), 0.0, 1.0),
+    (lambda x: math.tanh(50.0 * (x - 0.9)), 0.0, 1.0),
+    (lambda x: x ** 9 - 0.5, 0.0, 1.0),
+    (lambda x: x - 1.0, 1.0, 2.0),
+]
+
+
+def _lanes(g, brackets):
+    """``_brentq_lanes`` on g over the (a, b) brackets, with the number of
+    points it evaluated g at."""
+    points = []
+
+    def f(xs):
+        points.extend(xs)
+        return [g(x) for x in xs]
+
+    xa, xb = [a for a, _ in brackets], [b for _, b in brackets]
+    roots = functionals._brentq_lanes(f, xa, xb, [g(a) for a in xa],
+                                      [g(b) for b in xb])
+    return roots, len(points)
+
+
+class TestLpCuts:
+    @pytest.mark.parametrize("seed,n", (
+        [(seed, n) for seed in ("coin", "asym") for n in (2, 3, 4, 16, 64)]
+        + [(seed, n) for seed in ("uniform", "mixture", "semicircle")
+           for n in (4, 64)]))
+    def test_cuts_are_scalar_brentq(self, seed, n):
+        tables = tuple(flow_power(seed, n).tables)
+        functionals._lp_pieces.cache_clear()
+        assert functionals._lp_pieces(tables) == _scalar_pieces(tables)
+
+    def test_brentq_lanes_is_scipy_brentq(self):
+        for g, a, b in BRENT_BRACKETS:
+            root, info = brentq(g, a, b, xtol=1e-14, full_output=True)
+            roots, count = _lanes(g, [(a, b)])
+            assert roots == [root]
+            assert count == info.function_calls - 2
+
+    def test_brentq_lanes_in_lockstep(self):
+        # bracket k moved to k * 10, so that one function holds them all
+        # and its lanes run for different numbers of iterations
+        def g(x):
+            k = round(x / 10.0)
+            return BRENT_BRACKETS[k][0](x - 10.0 * k)
+
+        brackets = [(a + 10.0 * k, b + 10.0 * k)
+                    for k, (_, a, b) in enumerate(BRENT_BRACKETS)]
+        want = [brentq(g, a, b, xtol=1e-14, full_output=True)
+                for a, b in brackets]
+        roots, count = _lanes(g, brackets)
+        assert roots == [root for root, _ in want]
+        assert count == sum(info.function_calls - 2 for _, info in want)
+
+    def test_brentq_lanes_raises_as_brentq(self):
+        cases = [
+            (lambda x: x * x + 1.0, ValueError, "different signs"),
+            (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, ValueError,
+             "NaN"),
+            (lambda x: (x - 0.7) ** 5, RuntimeError, "100 iterations"),
+        ]
+        for g, error, match in cases:
+            with pytest.raises(error, match=match):
+                brentq(g, 0.0, 1.0, xtol=1e-14)
+            with pytest.raises(error, match=match):
+                _lanes(g, [(0.0, 1.0)])
+
+    @pytest.mark.parametrize("seed", ["coin", "asym"])
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_density_calls(self, monkeypatch, seed, n):
+        # one scan of every panel, then one call per Brent iteration
+        tables = tuple(flow_power(seed, n).tables)
+        calls = []
+        density_sum = functionals._density_sum
+
+        def counted(tabs, x):
+            calls.append(np.size(x))
+            return density_sum(tabs, x)
+
+        monkeypatch.setattr(functionals, "_density_sum", counted)
+        functionals._lp_pieces.cache_clear()
+        functionals._lp_pieces(tables)
+        assert len(calls) <= 10
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the scan takes each panel's 255 interior points of a "
+               "257-point grid, so a sign change between the last of them "
+               "and the panel end is never cut: here one sits 4.5e-3 "
+               "inside the power's edge at 1.493453, and L^0.6 is "
+               "0.5759101971318381, 9.9e-10 relative off quad's "
+               "0.57591019656265 (mpmath tanh-sinh: 0.57591019656245)")
+    def test_sign_change_in_a_panels_end_cell(self):
+        # the 7th draw of a seeded three-atom law, at n = 4
+        spec = {"atoms": [{"x": -1.448073719815931, "w": 0.18607726731404217},
+                          {"x": -1.057609204463697, "w": 0.20272732769154178},
+                          {"x": 0.7916615283126216, "w": 0.611195404994416}]}
+        tables = tuple(clt_density_flow(make_measure(spec), 4).tables)
+
+        def diff(x):
+            return abs(float(functionals._diff_reference(
+                tables, np.array([x]))[0]))
+
+        # quad on every cut of a 40,001-point scan of each panel
+        total = 0.0
+        bps = functionals._diff_breakpoints(tables)
+        for lo, hi in zip(bps, bps[1:]):
+            xs = np.linspace(lo, hi, 40001)
+            vals = functionals._diff_reference(tables, xs)
+            change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+            cuts = ([lo] + [brentq(lambda x: float(functionals._diff_reference(
+                tables, np.array([x]))[0]), xs[i], xs[i + 1], xtol=1e-15)
+                for i in change] + [hi])
+            for a, b in zip(cuts, cuts[1:]):
+                total += quad(lambda x: diff(x) ** 0.6, a, b, epsabs=0.0,
+                              epsrel=1e-12, limit=200)[0]
+        assert lp_distance(tables, 0.6) == pytest.approx(
+            total ** (1.0 / 0.6), rel=1e-10, abs=0.0)
+
+    @pytest.mark.xfail(
+        strict=True, raises=QuadratureError,
+        reason="after x = end +/- s^2 the integrand behaves like s^(1 - p) "
+               "at a -1/2 edge, and 200 Gauss-Kronrod bisections cannot "
+               "bring its error under 1e-8 + 1e-6 |value| for p in "
+               "[1.25, 2): the distance exists, as p * alpha = -0.75 > -1")
+    @pytest.mark.parametrize("route", [clt_density_flow,
+                                       clt_density_subordination])
+    def test_finite_at_a_minus_half_edge(self, route):
+        dens = route(make_measure(BERNOULLI_SPEC), 2)
+        assert [tab.edge_orders for tab in dens.tables] == [(-0.5, -0.5)]
+        assert math.isfinite(lp_distance(dens, 1.1))
+        assert math.isfinite(lp_distance(dens, 1.5))
 
 
 class TestGaussKronrod:

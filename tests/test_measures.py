@@ -217,6 +217,38 @@ class TestDensityTable:
         slope = (tab.density(x + h) - tab.density(x - h)) / (2.0 * h)
         assert np.allclose(tab._slope(x), slope, rtol=1e-8, atol=0.0)
 
+    @pytest.mark.parametrize("orders,rows", [
+        ((0.5, 0.5), 41), ((-0.5, -0.5), 41), ((None, None), 41),
+        ((0.5, None), 41), ((0.0, 1.5), 41), ((0.5, 0.5), 5)])
+    def test_density_is_the_edge_factor_product(self, orders, rows):
+        # q(x) * (x - a)^alpha_l * (b - x)^alpha_r, each factor taken only
+        # for a nonzero order, clipped at 0: bit for bit, at and past the
+        # support's ends as well
+        a, b = -1.25, 1.5
+        grid = np.linspace(a, b, rows + 2)[1:-1]
+        phi = np.ones_like(grid)
+        for side, order in zip((grid - a, b - grid), orders):
+            phi = phi * side ** (order or 0.0)
+        tab = DensityTable(grid, (1.0 + 0.3 * grid) * phi, (a, b), orders,
+                           None)
+        x = np.concatenate(([a - 0.5, a, np.nextafter(a, b)],
+                            np.linspace(a, b, 23)[1:-1],
+                            [np.nextafter(b, a), b, b + 0.5]))
+        want = np.zeros_like(x)
+        inside = (x >= a) & (x <= b)
+        xi = x[inside]
+        factor = np.ones_like(xi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if orders[0]:
+                factor = factor * np.maximum(xi - a, 0.0) ** orders[0]
+            if orders[1]:
+                factor = factor * np.maximum(b - xi, 0.0) ** orders[1]
+        want[inside] = np.maximum(
+            np.asarray(tab._reduced_spline()(xi), dtype=float) * factor, 0.0)
+        assert tab.density(x).tobytes() == want.tobytes()
+        assert tab.density(np.array([a - 1.0, b + 1.0])).tobytes() \
+            == np.zeros(2).tobytes()
+
     def test_dilated_translated_moments(self):
         tab = SemicircleFamily(1.0).to_table(2001)
         moved = tab.dilated(0.5).translated(1.25)
