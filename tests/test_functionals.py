@@ -213,7 +213,7 @@ def _scalar_pieces(tables):
 
 # closed-form brackets for _brentq_lanes: between them they take Brent's
 # interpolation, extrapolation and short steps, both kinds of bisection, the
-# minimal step of xtol / 2 and an exact zero
+# least step (the tolerance delta), an exact zero and a root at an end
 BRENT_BRACKETS = [
     (lambda x: x ** 3 - 2.0, 0.0, 2.0),
     (lambda x: math.exp(x) - 2.0, -1.0, 3.0),
