@@ -22,6 +22,7 @@ import numpy as np
 from .errors import InvalidArgumentError, QuadratureError
 from .measures import DensityTable, SemicircleFamily, _leggauss
 from .pipeline import CltDensity, clt_density_flow
+from .transforms import _brentq_lanes
 
 __all__ = [
     "CHI_SEMICIRCLE",
@@ -51,7 +52,6 @@ _ENERGY_NODES = 512       # Gauss nodes per table for chi's energy and Phi
 _LP_CUT_FLOOR = 1e3 * np.finfo(float).eps  # noise floor of a density difference
 _BRENT_XTOL = 1e-14      # the L^p cuts' brentq xtol
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # brentq's least rtol
-_BRENT_ITER = 100        # brentq's maxiter
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,8 @@ def _lp_pieces(tables: Tuple[DensityTable, ...]
     roots = _brentq_lanes(
         lambda x: _diff_reference(tables, np.array(x)).tolist(),
         scan[panel, i].tolist(), scan[panel, i + 1].tolist(),
-        vals[panel, i].tolist(), vals[panel, i + 1].tolist())
+        vals[panel, i].tolist(), vals[panel, i + 1].tolist(),
+        xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
     ends, signs, widths = [], [], []
     for k, (lo, hi) in enumerate(panels):
         cuts = [lo] + [x for j, x in zip(panel, roots) if j == k] + [hi]
@@ -182,89 +183,6 @@ def _lp_pieces(tables: Tuple[DensityTable, ...]
                 signs.append(sign)
                 widths.append(math.sqrt(abs(mid - end)))
     return tuple(ends), tuple(signs), tuple(widths)
-
-
-def _brentq_lanes(f: Callable[[List[float]], List[float]],
-                  xa: List[float], xb: List[float],
-                  fa: List[float], fb: List[float]) -> List[float]:
-    """A root in each bracket ``[xa[k], xb[k]]``, where f takes the values
-    ``fa[k]`` and ``fb[k]``, by Brent's method in every bracket at once.
-
-    Each bracket is a lane of scipy's ``brentq`` (its ``brentq.c``), step
-    for step in Python floats, so each root is the one ``brentq(g, xa[k],
-    xb[k], xtol=1e-14)`` returns for a g with ``f([x]) == [g(x)]``.  The
-    lanes run in lockstep, and each iteration makes one call of ``f`` on
-    the points of the lanes still running.  Raises as ``brentq`` does:
-    ``ValueError`` on a NaN value or on a bracket without a sign change,
-    ``RuntimeError`` when a lane has not converged after 100 iterations.
-    """
-    def checked(x: float, fx: float) -> float:
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    roots: List[float] = [0.0] * len(xa)
-    lanes = []  # [k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur]
-    for k in range(len(xa)):
-        fpre, fcur = checked(xa[k], fa[k]), checked(xb[k], fb[k])
-        if fpre == 0:
-            roots[k] = xa[k]
-        elif fcur == 0:
-            roots[k] = xb[k]
-        elif math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-            raise ValueError("f(a) and f(b) must have different signs")
-        else:
-            lanes.append([k, xa[k], xb[k], 0.0, fpre, fcur, 0.0, 0.0, 0.0])
-    for _ in range(_BRENT_ITER):
-        running = []
-        for lane in lanes:
-            k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = lane
-            if (fpre != 0 and fcur != 0
-                    and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-                xblk, fblk = xpre, fpre
-                spre = scur = xcur - xpre
-            if abs(fblk) < abs(fcur):
-                xpre, xcur, xblk = xcur, xblk, xcur
-                fpre, fcur, fblk = fcur, fblk, fcur
-            delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            if fcur == 0 or abs(sbis) < delta:
-                roots[k] = xcur
-                continue
-            if abs(spre) > delta and abs(fcur) < abs(fpre):
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-                bound = 3 * abs(sbis) - delta
-                if abs(spre) < bound:
-                    bound = abs(spre)
-                if 2 * abs(stry) < bound:
-                    # good short step
-                    spre, scur = scur, stry
-                else:
-                    spre = scur = sbis
-            else:
-                spre = scur = sbis
-            xpre, fpre = xcur, fcur
-            if abs(scur) > delta:
-                xcur += scur
-            else:
-                xcur += delta if sbis > 0 else -delta
-            lane[1:] = xpre, xcur, xblk, fpre, fcur, fblk, spre, scur
-            running.append(lane)
-        lanes = running
-        if not lanes:
-            return roots
-        for lane, fx in zip(lanes, f([lane[2] for lane in lanes])):
-            lane[5] = checked(lane[2], fx)
-    raise RuntimeError(f"Failed to converge after {_BRENT_ITER} iterations.")
 
 
 def lp_distance(obj: TableLike, p: float) -> float:

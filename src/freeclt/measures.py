@@ -455,9 +455,20 @@ def _chebyshev_extrema(a: float, b: float, n: int) -> np.ndarray:
     return np.sort(0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * k / (n - 1)))
 
 
-def _chebyshev_roots(a: float, b: float, n: int) -> np.ndarray:
-    k = np.arange(n)
-    return np.sort(0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * (k + 0.5) / n))
+def _chebyshev_rule(a: float, b: float, n: int):
+    """The n first-kind Chebyshev roots x = c - r cos(theta) on [a, b],
+    theta = pi (k + 1/2) / n, sorted, with their weights r (pi / n)
+    sin(theta) in the midpoint rule in theta: sum w f(x) ~ int f(x) dx.
+
+    For a density with edge exponents in {-1/2, 1/2}, p sin(theta) is
+    smooth and periodic in theta, so the rule is spectrally accurate for
+    the moments of p (Trefethen, ATAP, 2013).
+    """
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(theta)
+    order = np.argsort(x, kind="stable")
+    w = 0.5 * (b - a) * (np.pi / n) * np.sin(theta)
+    return x[order], w[order]
 
 
 # -- measures -------------------------------------------------------------

@@ -36,9 +36,10 @@ from .errors import (
     FixedPointError,
     InvalidArgumentError,
 )
-from .measures import (Atom, DensityTable, Measure, _chebyshev_roots,
+from .measures import (Atom, DensityTable, Measure, _chebyshev_rule,
                        build_table, dilate)
 from .transforms import (
+    _brentq_lanes,
     cauchy,
     cauchy_derivative,
     companion_measure,
@@ -102,8 +103,11 @@ class CltDensity:
 
     tables may be empty (purely atomic, only possible at n = 1 or via the
     weight criterion) and has one entry per support interval.  Moments
-    include atom contributions.  curve is set on the flow route.  On the
-    subordination route, residual is the largest
+    include atom contributions; the tables' part is integrated in u along
+    the flow curve on the flow route, and on the subordination route by
+    the midpoint rule in theta on each table's own 801 values, so neither
+    route reads a table's spline for them.  curve is set on the flow
+    route.  On the subordination route, residual is the largest
     |Z/n + (1-1/n) F_mu(omega) - omega| over the tables' nodes, and
     iterations the largest Picard/Newton count of their omega solves; the
     support comes from the fold map and solves nothing.  For a seed with no
@@ -441,34 +445,44 @@ def _boundary_density(mu: Measure, n: int, x: np.ndarray):
     return p, iters, res
 
 
+def _fold_h(mu: Measure, n: int, w: np.ndarray) -> np.ndarray:
+    """h = n G^2 + (n-1) G' = G^2 Z' of the fold map at real w off the
+    seed's support, G = G_mu(w + i0), in real arithmetic.  Each atom adds
+    a.w * (1/d) to G and -a.w * (1/d^2) to G', d = w - a.x, which is the
+    real part, to the last bit, of the complex sums cauchy and
+    cauchy_derivative make at w + 1e-30j; an ac part adds the real part of
+    its transform there."""
+    g = np.zeros_like(w)
+    gp = np.zeros_like(w)
+    for a in mu.atoms:
+        d = w - a.x
+        g += a.w * (1.0 / d)
+        gp -= a.w * (1.0 / (d * d))
+    if mu.ac is not None:
+        ac, z = Measure((), mu.ac), w + 1e-30j
+        g += cauchy(ac, z).real
+        gp += cauchy_derivative(ac, z).real
+    ng = n * g
+    return ng * g + (n - 1) * gp
+
+
 def _support_intervals(mu: Measure, n: int):
     """Support intervals of the ac part of the normalized n-th power.
 
     The complement of the support is the image of the increasing branches
     of the fold map Z(omega) = n omega - (n-1)/G_mu(omega) on the real axis
     off the seed's support (Huang, IMRN 2015).  h = n G^2 + (n-1) G' = G^2 Z'
-    has Z''s sign and stays finite where G = 0.  On each gap of the seed's
-    support and on the two outer rays, each run of a 1501-point grid where
-    h > 0 is one branch.  A branch ends at a fold, a root of h in the grid
-    cell next to the run, or at the segment's end: Z(e + i0) at an atom or
-    ac endpoint e (n e at an atom), +-inf at the far end of a ray.  The
-    support is the positive-length gaps between the sorted branch images.
+    (_fold_h) has Z''s sign and stays finite where G = 0.  On each gap of
+    the seed's support and on the two outer rays, each run of a 1501-point
+    grid where h > 0 is one branch.  A branch ends at a fold, a root of h
+    in the grid cell next to the run, or at the segment's end: Z(e + i0) at
+    an atom or ac endpoint e (n e at an atom), +-inf at the far end of a
+    ray.  Every fold of every segment is solved in one lockstep Brent solve
+    (transforms._brentq_lanes, from the grid's h at the cell's ends, with
+    brentq's xtol 1e-15 and rtol 8.9e-16), and every finite branch end is
+    mapped by Z in one call.  The support is the positive-length gaps
+    between the sorted branch images.
     """
-    from scipy.optimize import brentq
-
-    def h(w):
-        z = np.asarray(w, dtype=float) + 1e-30j
-        g = cauchy(mu, z)
-        return np.real(n * g * g + (n - 1) * cauchy_derivative(mu, z))
-
-    def image(w: float) -> float:
-        z = np.array([w + 1e-30j])
-        return float(np.real(n * z - (n - 1) / cauchy(mu, z))[0])
-
-    def fold(lo: float, hi: float) -> float:
-        return image(brentq(lambda w: float(h([w])[0]), lo, hi,
-                            xtol=1e-15, rtol=8.9e-16))
-
     comps = mu.support_components()
     hull_lo, hull_hi = comps[0][0], comps[-1][1]
     reach = 4.0 + math.sqrt(n)
@@ -478,19 +492,38 @@ def _support_intervals(mu: Measure, n: int):
             segments.append((c_hi, c_lo, None, None))
     segments.append((hull_hi, hull_hi + reach, None, math.inf))
 
-    branches = []
+    # each branch's start and end: a point for Z to map (a fold, once it is
+    # solved from its grid cell xa..xb, where h is fa..fb), or the image
+    # +-inf of a ray's far end
+    ends, mapped, folds, xa, xb, fa, fb = [], [], [], [], [], [], []
     for lo, hi, lo_image, hi_image in segments:
         pad = 1e-9 * max(1.0, abs(lo), abs(hi))
         grid = np.linspace(lo + pad, hi - pad, 1501)
-        up = np.concatenate(([False], h(grid) > 0.0, [False]))
+        hg = _fold_h(mu, n, grid)
+        up = np.concatenate(([False], hg > 0.0, [False]))
         steps = np.diff(up.astype(np.int8))
         for i, j in zip(np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)):
-            start = fold(grid[i - 1], grid[i]) if i > 0 else (
-                image(lo) if lo_image is None else lo_image)
-            end = fold(grid[j - 1], grid[j]) if j < grid.size else (
-                image(hi) if hi_image is None else hi_image)
-            branches.append((start, end))
-    branches.sort()
+            for k, edge, edge_image in ((i, lo, lo_image), (j, hi, hi_image)):
+                if 0 < k < grid.size:  # a fold in the grid cell (k - 1, k)
+                    folds.append(len(ends))
+                    xa.append(float(grid[k - 1]))
+                    xb.append(float(grid[k]))
+                    fa.append(float(hg[k - 1]))
+                    fb.append(float(hg[k]))
+                    ends.append(math.nan)
+                    mapped.append(True)
+                else:
+                    ends.append(edge if edge_image is None else edge_image)
+                    mapped.append(edge_image is None)
+
+    ends = np.array(ends, dtype=float)
+    ends[folds] = _brentq_lanes(
+        lambda w: _fold_h(mu, n, np.array(w)).tolist(), xa, xb, fa, fb,
+        xtol=1e-15, rtol=8.9e-16)
+    mapped = np.array(mapped, dtype=bool)
+    z = ends[mapped] + 1e-30j
+    ends[mapped] = np.real(n * z - (n - 1) / cauchy(mu, z))
+    branches = sorted(zip(ends[0::2].tolist(), ends[1::2].tolist()))
     rt = math.sqrt(n)
     return [(e / rt, s / rt) for (_, e), (s, _) in zip(branches, branches[1:])
             if s > e]
@@ -499,9 +532,12 @@ def _support_intervals(mu: Measure, n: int):
 def clt_density_subordination(mu: Measure, n: int) -> CltDensity:
     """Density of the normalized n-th power from subordination boundary values.
 
-    Boundary values on the real axis at the Chebyshev roots of each support
-    interval come from _boundary_density, one table per interval; the mass
-    gate is _power's.
+    Boundary values on the real axis at the 801 Chebyshev roots of each
+    support interval come from _boundary_density, one table per interval;
+    the interval's mass, mean and second moment are the midpoint rule in
+    theta on those same values (measures._chebyshev_rule), so no table is
+    resampled and a table's spline is built only when its density is first
+    read.  The mass gate is _power's.
     """
     n = _require_power(n)
     _require_standardized(mu)
@@ -515,14 +551,13 @@ def clt_density_subordination(mu: Measure, n: int) -> CltDensity:
     tables, moments = [], []
     max_res, max_iters = 0.0, 0
     for a, b in intervals:
-        x = _chebyshev_roots(a, b, _INVERSION_GRID)
+        x, w = _chebyshev_rule(a, b, _INVERSION_GRID)
         p, iters, res = _boundary_density(mu, n, x)
         max_iters, max_res = max(max_iters, iters), max(max_res, res)
-        tab = build_table(x, p, support=(a, b), edge_orders="fit",
-                          expected_mass=None)
-        tables.append(tab)
-        m0, mean, var = tab.moments()
-        moments.append((m0, m0 * mean, m0 * (var + mean ** 2)))
+        tables.append(build_table(x, p, support=(a, b), edge_orders="fit",
+                                  expected_mass=None))
+        wp = w * p
+        moments.append((np.sum(wp), np.sum(wp * x), np.sum(wp * x * x)))
     return _power(n, "subordination", atoms, tables, moments,
                   residual=max_res, iterations=max_iters)
 

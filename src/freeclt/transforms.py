@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -103,7 +103,10 @@ def _table_cauchy(tab, z: np.ndarray, derivative: bool = False) -> np.ndarray:
     quadrature integrand stays bounded when z approaches the support; the
     subtracted constant is added back in closed form.  It integrates on
     the part's own Gauss-theta node set; a companion's node set has no
-    values off it and is summed plainly, for Im z > 0 only.
+    values off it and is summed plainly, for Im z > 0 only.  The blocks of
+    256 points share two buffers, so a call allocates them once: a fresh
+    16 MB temporary per block can be handed back to the OS when freed and
+    faulted in again, page by page, in the next block.
     """
     a, b = tab.support
     xq, jac, pq = tab._node_set(_AC_NODES)
@@ -111,14 +114,20 @@ def _table_cauchy(tab, z: np.ndarray, derivative: bool = False) -> np.ndarray:
     out = np.empty(flat.shape, dtype=complex)
     xstar = np.clip(flat.real, a, b)
     pstar = 0.0 * xstar if isinstance(tab, _NodeSet) else tab.density(xstar)
+    rows = min(256, flat.size)
+    num = np.empty((rows, xq.size))
+    den = np.empty((rows, xq.size), dtype=complex)
     for lo in range(0, flat.size, 256):
         sl = slice(lo, min(lo + 256, flat.size))
-        zz = flat[sl, None]
-        diff = pq[None, :] - pstar[sl, None]
+        k = sl.stop - lo
+        np.subtract(pq, pstar[sl, None], out=num[:k])
+        np.multiply(jac, num[:k], out=num[:k])
+        np.subtract(flat[sl, None], xq, out=den[:k])
         if derivative:
-            out[sl] = -np.sum(jac[None, :] * diff / (zz - xq[None, :]) ** 2, axis=1)
-        else:
-            out[sl] = np.sum(jac[None, :] * diff / (zz - xq[None, :]), axis=1)
+            np.square(den[:k], out=den[:k])
+        np.divide(num[:k], den[:k], out=den[:k])
+        total = np.sum(den[:k], axis=1)
+        out[sl] = -total if derivative else total
     if derivative:
         out += pstar * (1.0 / (flat - a) - 1.0 / (flat - b))
     else:
@@ -238,6 +247,98 @@ def stieltjes_invert(transform: Callable[[np.ndarray], np.ndarray], x,
             "extrapolated density %.3g < 0 at x=%.6g" % (values[i], x[i]),
             x=float(x[i]))
     return InversionResult(np.maximum(values, 0.0), err)
+
+
+# -- roots of many brackets in lockstep -------------------------------------
+
+_BRENT_ITER = 100        # brentq's maxiter
+
+
+def _brentq_lanes(f: Callable[[List[float]], List[float]],
+                  xa: List[float], xb: List[float],
+                  fa: List[float], fb: List[float], *,
+                  xtol: float, rtol: float) -> List[float]:
+    """A root in each bracket ``[xa[k], xb[k]]``, where f takes the values
+    ``fa[k]`` and ``fb[k]``, by Brent's method in every bracket at once.
+
+    Each bracket is a lane of scipy's ``brentq`` (its ``brentq.c``), step
+    for step in Python floats, so each root is the one ``brentq(g, xa[k],
+    xb[k], xtol=xtol, rtol=rtol)`` returns for a g with ``f([x]) ==
+    [g(x)]``.  The lanes run in lockstep, and each iteration makes one call
+    of ``f`` on the points of the lanes still running.  The L^p cuts of
+    ``functionals`` and the fold points of ``pipeline._support_intervals``
+    are solved here, each with the tolerances of the scalar call it
+    replaces.  Raises as ``brentq`` does: ``ValueError`` on a NaN value or
+    on a bracket without a sign change, ``RuntimeError`` when a lane has
+    not converged after 100 iterations.
+    """
+    def checked(x: float, fx: float) -> float:
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    roots: List[float] = [0.0] * len(xa)
+    lanes = []  # [k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur]
+    for k in range(len(xa)):
+        fpre, fcur = checked(xa[k], fa[k]), checked(xb[k], fb[k])
+        if fpre == 0:
+            roots[k] = xa[k]
+        elif fcur == 0:
+            roots[k] = xb[k]
+        elif math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+            raise ValueError("f(a) and f(b) must have different signs")
+        else:
+            lanes.append([k, xa[k], xb[k], 0.0, fpre, fcur, 0.0, 0.0, 0.0])
+    for _ in range(_BRENT_ITER):
+        running = []
+        for lane in lanes:
+            k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = lane
+            if (fpre != 0 and fcur != 0
+                    and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+                xblk, fblk = xpre, fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+            delta = (xtol + rtol * abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            if fcur == 0 or abs(sbis) < delta:
+                roots[k] = xcur
+                continue
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+                bound = 3 * abs(sbis) - delta
+                if abs(spre) < bound:
+                    bound = abs(spre)
+                if 2 * abs(stry) < bound:
+                    # good short step
+                    spre, scur = scur, stry
+                else:
+                    spre = scur = sbis
+            else:
+                spre = scur = sbis
+            xpre, fpre = xcur, fcur
+            if abs(scur) > delta:
+                xcur += scur
+            else:
+                xcur += delta if sbis > 0 else -delta
+            lane[1:] = xpre, xcur, xblk, fpre, fcur, fblk, spre, scur
+            running.append(lane)
+        lanes = running
+        if not lanes:
+            return roots
+        for lane, fx in zip(lanes, f([lane[2] for lane in lanes])):
+            lane[5] = checked(lane[2], fx)
+    raise RuntimeError(f"Failed to converge after {_BRENT_ITER} iterations.")
 
 
 # -- companion recovery -----------------------------------------------------

@@ -34,6 +34,7 @@ from freeclt import (
     report_row,
     sup_distance,
 )
+from freeclt.transforms import _brentq_lanes
 
 from conftest import (
     ARCSINE_SPEC,
@@ -227,7 +228,12 @@ BRENT_BRACKETS = [
 ]
 
 
-def _lanes(g, brackets):
+# brentq's (xtol, rtol) of the L^p cuts and of the fold points
+CUT_TOLS = (1e-14, 4.0 * float(np.finfo(float).eps))
+FOLD_TOLS = (1e-15, 8.9e-16)
+
+
+def _lanes(g, brackets, tols=CUT_TOLS):
     """``_brentq_lanes`` on g over the (a, b) brackets, with the number of
     points it evaluated g at."""
     points = []
@@ -237,8 +243,9 @@ def _lanes(g, brackets):
         return [g(x) for x in xs]
 
     xa, xb = [a for a, _ in brackets], [b for _, b in brackets]
-    roots = functionals._brentq_lanes(f, xa, xb, [g(a) for a in xa],
-                                      [g(b) for b in xb])
+    xtol, rtol = tols
+    roots = _brentq_lanes(f, xa, xb, [g(a) for a in xa], [g(b) for b in xb],
+                          xtol=xtol, rtol=rtol)
     return roots, len(points)
 
 
@@ -253,11 +260,13 @@ class TestLpCuts:
         assert functionals._lp_pieces(tables) == _scalar_pieces(tables)
 
     def test_brentq_lanes_is_scipy_brentq(self):
-        for g, a, b in BRENT_BRACKETS:
-            root, info = brentq(g, a, b, xtol=1e-14, full_output=True)
-            roots, count = _lanes(g, [(a, b)])
-            assert roots == [root]
-            assert count == info.function_calls - 2
+        for tols in (CUT_TOLS, FOLD_TOLS):
+            for g, a, b in BRENT_BRACKETS:
+                root, info = brentq(g, a, b, xtol=tols[0], rtol=tols[1],
+                                    full_output=True)
+                roots, count = _lanes(g, [(a, b)], tols)
+                assert roots == [root]
+                assert count == info.function_calls - 2
 
     def test_brentq_lanes_in_lockstep(self):
         # bracket k moved to k * 10, so that one function holds them all

@@ -1,9 +1,11 @@
 """Unit tests for the two density routes and their consistency checks."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from freeclt import (
     Atom,
@@ -12,6 +14,7 @@ from freeclt import (
     InvalidArgumentError,
     atoms_of_power,
     cauchy,
+    cauchy_derivative,
     clt_cauchy,
     clt_density_flow,
     clt_density_subordination,
@@ -27,10 +30,11 @@ from freeclt import (
     tail_bound_check,
 )
 from freeclt import pipeline
-from freeclt.measures import _chebyshev_roots
+from freeclt.measures import _chebyshev_rule
 from freeclt.pipeline import (
     _boundary_density,
     _compare_densities,
+    _fold_h,
     _omega_roots,
     _support_intervals,
 )
@@ -41,7 +45,9 @@ from conftest import (
     BERNOULLI_SPEC,
     BUMP3_SPEC,
     FOUR_GAP_SPEC,
+    INNER_OUTER_ATOM_SPEC,
     MIXTURE_SPEC,
+    OUTER_ATOM_SPEC,
     SEMICIRCLE_SPEC,
     SQRT2,
     THREE_GAP_SPEC,
@@ -308,7 +314,7 @@ class TestAtomicBoundaryValues:
         mu = make_measure(spec)
         intervals = _support_intervals(mu, n)
         for a, b in intervals:
-            x = _chebyshev_roots(a, b, 801)
+            x, _ = _chebyshev_rule(a, b, 801)
             x = x[_interior(x, a, b)]
             p, _, res = _boundary_density(mu, n, x)
             assert np.max(np.abs(p - atomic_power_density(spec, n, x))) <= 1e-11
@@ -428,3 +434,113 @@ class TestSeveralIntervals:
         mu = make_measure(THREE_GAP_SPEC)
         with pytest.raises(ConsistencyError, match="n=2"):
             clt_density_subordination(mu, 2)
+
+
+ROUTE_TWO_SEEDS = {
+    "coin": BERNOULLI_SPEC, "asym": ASYM_SPEC, "three-gap": THREE_GAP_SPEC,
+    "four-gap": FOUR_GAP_SPEC, "uniform": UNIFORM_SPEC,
+    "arcsine": ARCSINE_SPEC, "semicircle": SEMICIRCLE_SPEC,
+    "mixture": MIXTURE_SPEC, "outer-atom": OUTER_ATOM_SPEC,
+    "inner-outer-atom": INNER_OUTER_ATOM_SPEC,
+}
+# INNER_OUTER_ATOM_SPEC at n = 2 fails the mass gate on this route
+ROUTE_TWO_CASES = [(seed, n) for seed in ROUTE_TWO_SEEDS
+                   for n in (2, 3, 4, 16, 64)
+                   if (seed, n) != ("inner-outer-atom", 2)]
+
+TABLE_SEEDS = ("mixture", "outer-atom", "inner-outer-atom")
+SCAN_CASES = [(seed, n) for seed in list(ROUTE_TWO_SEEDS)
+              + [f"rng{s}" for s in range(1, 13)]
+              for n in (2, 3, 4, 16, 64)
+              if seed not in TABLE_SEEDS or n in (3, 64)]
+
+
+@functools.lru_cache(maxsize=None)
+def route_two_seed(name):
+    if name.startswith("rng"):
+        return make_measure(three_atom_spec(int(name[3:])))
+    return make_measure(ROUTE_TWO_SEEDS[name])
+
+
+def complex_fold_h(mu, n, w):
+    """h = n G^2 + (n-1) G' of the fold map, the real part of the complex
+    sums at w + 1e-30j."""
+    z = np.asarray(w, dtype=float) + 1e-30j
+    g = cauchy(mu, z)
+    return np.real(n * g * g + (n - 1) * cauchy_derivative(mu, z))
+
+
+def scalar_support_intervals(mu, n):
+    """The fold scan with the complex h, one scalar brentq per fold bracket
+    and one scalar image per branch end, one segment after another."""
+    def image(w):
+        z = np.array([w + 1e-30j])
+        return float(np.real(n * z - (n - 1) / cauchy(mu, z))[0])
+
+    def fold(lo, hi):
+        return image(brentq(lambda w: float(complex_fold_h(mu, n, [w])[0]),
+                            lo, hi, xtol=1e-15, rtol=8.9e-16))
+
+    comps = mu.support_components()
+    hull_lo, hull_hi = comps[0][0], comps[-1][1]
+    reach = 4.0 + math.sqrt(n)
+    segments = [(hull_lo - reach, hull_lo, -math.inf, None)]
+    for (_, c_hi), (c_lo, _) in zip(comps, comps[1:]):
+        if c_lo - c_hi > 1e-10:
+            segments.append((c_hi, c_lo, None, None))
+    segments.append((hull_hi, hull_hi + reach, None, math.inf))
+
+    branches = []
+    for lo, hi, lo_image, hi_image in segments:
+        pad = 1e-9 * max(1.0, abs(lo), abs(hi))
+        grid = np.linspace(lo + pad, hi - pad, 1501)
+        up = np.concatenate(([False], complex_fold_h(mu, n, grid) > 0.0,
+                             [False]))
+        steps = np.diff(up.astype(np.int8))
+        for i, j in zip(np.flatnonzero(steps == 1),
+                        np.flatnonzero(steps == -1)):
+            start = fold(grid[i - 1], grid[i]) if i > 0 else (
+                image(lo) if lo_image is None else lo_image)
+            end = fold(grid[j - 1], grid[j]) if j < grid.size else (
+                image(hi) if hi_image is None else hi_image)
+            branches.append((start, end))
+    branches.sort()
+    rt = math.sqrt(n)
+    return [(e / rt, s / rt) for (_, e), (s, _) in zip(branches, branches[1:])
+            if s > e]
+
+
+class TestRouteTwoCosts:
+    """The subordination route's moments come from its own node values, and
+    its fold scan solves every fold in one lockstep solve with h in real
+    arithmetic; both give what the slower forms give."""
+
+    @pytest.mark.parametrize("seed,n", ROUTE_TWO_CASES,
+                             ids=[f"{s}-{n}" for s, n in ROUTE_TWO_CASES])
+    def test_moments_are_exact_to_rounding(self, seed, n):
+        # the midpoint rule in theta on the 801 node values; the spline
+        # table's moments were off by up to 6.6e-10 (asym, n = 4)
+        dens = clt_density_subordination(route_two_seed(seed), n)
+        assert abs(dens.mass - 1.0) <= 1e-13
+        assert abs(dens.mean) <= 1e-13
+        assert abs(dens.variance - 1.0) <= 1e-13
+
+    # a table seed's scan sums 4096 nodes per point: two powers each
+    @pytest.mark.parametrize("seed,n", SCAN_CASES,
+                             ids=[f"{s}-{n}" for s, n in SCAN_CASES])
+    def test_support_intervals_are_the_scalar_scan(self, seed, n):
+        mu = route_two_seed(seed)
+        assert _support_intervals(mu, n) == scalar_support_intervals(mu, n)
+
+    @pytest.mark.parametrize("seed,n,points", [("asym", 3, 200_001),
+                                               ("mixture", 4, 4_001)])
+    def test_real_fold_h_is_the_complex_form(self, seed, n, points):
+        # every point of a fine grid over the scan's reach, off the support
+        mu = route_two_seed(seed)
+        comps = mu.support_components()
+        reach = 4.0 + math.sqrt(n)
+        w = np.linspace(comps[0][0] - reach, comps[-1][1] + reach, points)
+        for a, b in comps:
+            w = w[(w < a - 1e-9) | (w > b + 1e-9)]
+        assert w.size > points // 2
+        assert np.array_equal(_fold_h(mu, n, w), complex_fold_h(mu, n, w))
