@@ -21,11 +21,10 @@ from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.fft import dct
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import ConsistencyError, InvalidArgumentError
 from .measures import Measure, _chebyshev_extrema, _leggauss
+from .transforms import _brentq_lanes
 
 _V_NEWTON_MAX = 60          # monotone Newton needs about a dozen steps
 _V_STEP_RTOL = 2.2e-16      # stop once a step is below this share of v^2
@@ -295,62 +294,87 @@ def flow_region(kernel: FlowKernel) -> Tuple[Tuple[float, float], ...]:
     I(., 0) is convex on each gap between support components and decays to
     zero at infinity, so each boundary is a simple crossing of 1/t -- or
     the support point itself, when I(., 0) stays <= 1/t next to it (a
-    density that vanishes fast enough there).
+    density that vanishes fast enough there).  A gap splits the region
+    where the minimum of I(., 0) on it is below 1/t: that minimum is the
+    root of I' = -2 sum w / (x - x_k)^3, or the gap end where I' keeps one
+    sign, and the minima of all gaps are solved in one _brentq_lanes call.
+    So are all the crossings, both outer ones and the pair of each split
+    gap, each to brentq's xtol=1e-14, rtol=8.9e-16.
     """
     t = kernel.t
     target = 1.0 / t
     comps = kernel.support_components
     nodes, weights = kernel.nodes, kernel.weights
 
-    def i0(x: float) -> float:
-        d = x - nodes
+    def sums(power: int, shift: float, x):
+        # sum w / (x - x_k)^power - shift at each point of the list x
+        d = np.array(x)[:, None] - nodes
         with np.errstate(divide="ignore"):
-            return float(np.sum(weights / (d * d)))
+            q = d * d if power == 2 else d * d * d
+            return (np.sum(weights / q, axis=1) - shift).tolist()
 
-    f = lambda x: i0(x) - target
+    f_lanes = partial(sums, 2, target)   # I(., 0) - 1/t
+    slope = partial(sums, 3, 0.0)        # -I'/2
+    f = lambda x: f_lanes([x])[0]
 
-    def crossing(pt: float, sign: float, d: float, far: float) -> float:
+    # brackets [xa, xb] of every crossing, with f at both ends
+    xa, xb, fa, fb = [], [], [], []
+    ends = []  # each region end: a support point, or None for a bracket's
+
+    def crossing(pt: float, sign: float, d: float, far: float, f_far: float):
         # the crossing between the support point pt and far, where f < 0:
         # step in from pt + sign * d until f > 0, or end on pt
-        while f(pt + sign * d) <= 0:
+        while (f_in := f(pt + sign * d)) <= 0:
             if pt + sign * d == pt:
-                return pt
+                ends.append(pt)
+                return
             d *= 0.25
-        a, b = sorted((pt + sign * d, far))
-        return brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
+        (a, f_a), (b, f_b) = sorted(((pt + sign * d, f_in), (far, f_far)))
+        ends.append(None)
+        xa.append(a)
+        xb.append(b)
+        fa.append(f_a)
+        fb.append(f_b)
 
     hull_lo, hull_hi = comps[0][0], comps[-1][1]
     scale = max(1.0, abs(hull_lo), abs(hull_hi), math.sqrt(t))
 
-    def outer_crossing(hull_pt: float, sign: float) -> float:
+    def outer_crossing(hull_pt: float, sign: float):
         # I decays to 0 far away, so one crossing of 1/t lies on each side
         # of the hull
         step = math.sqrt(t)
-        while f(hull_pt + sign * step) > 0:
+        while (f_far := f(hull_pt + sign * step)) > 0:
             step *= 2.0
-        return crossing(hull_pt, sign, 1e-12 * scale, hull_pt + sign * step)
+        crossing(hull_pt, sign, 1e-12 * scale, hull_pt + sign * step, f_far)
 
-    g0 = outer_crossing(hull_lo, -1.0)
-    h_last = outer_crossing(hull_hi, +1.0)
+    outer_crossing(hull_lo, -1.0)
 
-    # interior gaps: convexity gives at most two crossings per gap
-    cuts = []  # (h_i, g_{i+1}) pairs where the region splits
-    for (_, c_hi), (c_lo, _) in zip(comps, comps[1:]):
-        gap = c_lo - c_hi
-        if gap < 1e-12:
-            continue
-        res = minimize_scalar(i0, bounds=(c_hi + 1e-9 * gap, c_lo - 1e-9 * gap),
-                              method="bounded", options={"xatol": 1e-13})
-        if res.fun >= target:
+    # interior gaps: convexity gives at most two crossings per gap, on
+    # either side of the minimum; sum w / (x - x_k)^3 = -I'/2 falls across
+    # a gap, so where it does not change sign the minimum is at an end
+    gaps = [(c_hi, c_lo, c_lo - c_hi)
+            for (_, c_hi), (c_lo, _) in zip(comps, comps[1:])
+            if c_lo - c_hi >= 1e-12]
+    lo = [c_hi + 1e-9 * gap for c_hi, _, gap in gaps]
+    hi = [c_lo - 1e-9 * gap for _, c_lo, gap in gaps]
+    s_lo, s_hi = slope(lo), slope(hi)
+    x_min = [lo[k] if s_lo[k] <= 0 else hi[k] for k in range(len(gaps))]
+    turn = [k for k in range(len(gaps)) if s_lo[k] > 0 > s_hi[k]]
+    for k, x in zip(turn, _brentq_lanes(
+            slope, [lo[k] for k in turn], [hi[k] for k in turn],
+            [s_lo[k] for k in turn], [s_hi[k] for k in turn],
+            xtol=1e-13, rtol=8.9e-16)):
+        x_min[k] = x
+    for (c_hi, c_lo, gap), xm, f_min in zip(gaps, x_min, f_lanes(x_min)):
+        if f_min >= 0:
             continue  # gap stays inside one region
-        xm = float(res.x)
-        cuts.append((crossing(c_hi, +1.0, 1e-9 * gap, xm),
-                     crossing(c_lo, -1.0, 1e-9 * gap, xm)))
+        crossing(c_hi, +1.0, 1e-9 * gap, xm, f_min)
+        crossing(c_lo, -1.0, 1e-9 * gap, xm, f_min)
 
-    edges = [g0]
-    for h_i, g_i in cuts:
-        edges.extend([h_i, g_i])
-    edges.append(h_last)
+    outer_crossing(hull_hi, +1.0)
+    roots = iter(_brentq_lanes(f_lanes, xa, xb, fa, fb,
+                               xtol=1e-14, rtol=8.9e-16))
+    edges = [next(roots) if e is None else e for e in ends]
     return tuple((edges[k], edges[k + 1]) for k in range(0, len(edges), 2))
 
 
@@ -384,10 +408,19 @@ class FlowCurve:
         return (self.psi - self.u) / self.t
 
 
+def _dct1(rows: np.ndarray) -> np.ndarray:
+    """The unnormalized DCT-I of each row, y_k = x_0 + (-1)^k x_{N-1} +
+    2 sum_{j=1}^{N-2} x_j cos(pi j k / (N - 1)): the real part of the real
+    FFT of the row's even extension, x_0 .. x_{N-1} .. x_1, which is how
+    pocketfft takes a DCT-I, so the values are scipy.fft.dct(type=1)'s."""
+    return np.fft.rfft(np.concatenate((rows, rows[:, -2:0:-1]), axis=1),
+                       axis=1).real
+
+
 def _chebyshev_coefficients(rows: np.ndarray) -> np.ndarray:
     """The coefficients c_k of sum_k c_k cos(k theta) through each row's
     values at theta_j = pi j / (N - 1), j = 0..N-1, from one DCT-I."""
-    c = dct(rows, type=1, axis=1) / (rows.shape[1] - 1)
+    c = _dct1(rows) / (rows.shape[1] - 1)
     c[:, [0, -1]] *= 0.5
     return c
 
@@ -399,7 +432,7 @@ def _extrema_values(coefficients: np.ndarray, size: int) -> np.ndarray:
     padded = np.zeros((coefficients.shape[0], size))
     padded[:, :coefficients.shape[1]] = coefficients
     padded[:, 1:-1] *= 0.5
-    return dct(padded, type=1, axis=1)
+    return _dct1(padded)
 
 
 def _chebyshev_series(rows: np.ndarray) -> Optional[np.ndarray]:

@@ -173,6 +173,100 @@ class _NodeSet(_AcPart):
                         x + c, jac, p)
 
 
+def _tridiagonal_solve(rows: np.ndarray) -> np.ndarray:
+    """x with a_i x_{i-1} + b_i x_i + c_i x_{i+1} = r_i, for the rows
+    (a, c, r, b) of a diagonally dominant system of 2^k - 1 equations with
+    a_0 = c_{-1} = 0, by odd-even cyclic reduction: each odd row takes its
+    even neighbours out, which leaves a system of the same form in the odd
+    unknowns alone, and the even unknowns follow from it.  A system of at
+    most 15 equations is solved densely, in one LAPACK call, where cyclic
+    reduction would take four more levels of small array operations."""
+    a, c, r, b = rows
+    if b.size <= 15:
+        return np.linalg.solve(np.diag(b) + np.diag(a[1:], -1)
+                               + np.diag(c[:-1], 1), r)
+    even, odd = rows[:, 0::2], rows[:, 1::2]
+    left, right = even[:, :-1], even[:, 1:]
+    from_left = (odd[0] / left[3]) * left[:3]
+    from_right = (odd[1] / right[3]) * right[:3]
+    reduced = np.empty_like(odd)
+    np.negative(from_left[0], out=reduced[0])
+    np.negative(from_right[1], out=reduced[1])
+    np.subtract(odd[2], from_left[2], out=reduced[2])
+    reduced[2] -= from_right[2]
+    np.subtract(odd[3], from_left[1], out=reduced[3])
+    reduced[3] -= from_right[0]
+    x = np.zeros(rows.shape[1] + 2)  # padded with x_{-1} = x_{2^k - 1} = 0
+    x[2:-1:2] = _tridiagonal_solve(reduced)
+    x[1:-1:2] = (even[2] - even[0] * x[0:-2:2] - even[1] * x[2::2]) / even[3]
+    return x[1:-1]
+
+
+class _NotAKnotSpline:
+    """Cubic spline through (x, y) with not-a-knot ends, x strictly
+    increasing with at least 4 points: spline(t) its values, spline(t, 1)
+    its first derivative, past the end knots from the end pieces.  The same
+    spline as scipy's ``CubicSpline(x, y, bc_type="not-a-knot",
+    extrapolate=True)``, to a few rounding units.
+
+    The slopes s at the knots solve the tridiagonal system of C^2 joins,
+    dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1} = 3 (dx_i m_{i-1}
+    + dx_{i-1} m_i), with dx_i = x_{i+1} - x_i and the secant slopes m_i,
+    and the two not-a-knot rows, which share their s_0 (s_{n-1})
+    coefficient with the first (last) join: subtracting them leaves a
+    strictly diagonally dominant system in s_1 .. s_{n-2}, solved by
+    _tridiagonal_solve, and s_0 and s_{n-1} from the not-a-knot rows.
+    Each piece is c0 h^3 + c1 h^2 + c2 h + c3 in h = t - x_k, summed by
+    Horner's rule.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        n = x.size
+        dx = np.diff(x)
+        m = np.diff(y) / dx
+        d_lo, d_hi = x[2] - x[0], x[-1] - x[-3]
+        # not-a-knot rows: dx_1 s_0 + d_lo s_1 = r_lo, dx_{-2} s_{n-1} +
+        # d_hi s_{n-2} = r_hi
+        r_lo = ((dx[0] + 2.0 * d_lo) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d_lo
+        r_hi = ((dx[-1] + 2.0 * d_hi) * dx[-2] * m[-1]
+                + dx[-1] ** 2 * m[-2]) / d_hi
+        size = 2 ** (n - 2).bit_length() - 1  # rows padded with x_i = 0
+        rows = np.zeros((4, size))
+        a, c, r, b = rows[:, :n - 2]
+        a[:] = dx[1:]
+        c[:] = dx[:-1]
+        r[:] = 3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:])
+        b[:] = 2.0 * (dx[:-1] + dx[1:])
+        rows[3, n - 2:] = 1.0
+        # the first and last joins less the not-a-knot rows, right sides
+        # in closed form
+        a[0] = c[-1] = 0.0
+        b[0], b[-1] = dx[0] + dx[1], dx[-2] + dx[-1]
+        r[0] = (dx[1] ** 2 * m[0]
+                + dx[0] * (2.0 * dx[0] + 3.0 * dx[1]) * m[1]) / d_lo
+        r[-1] = (dx[-2] ** 2 * m[-1]
+                 + dx[-1] * (2.0 * dx[-1] + 3.0 * dx[-2]) * m[-2]) / d_hi
+        s = np.empty(n)
+        s[1:-1] = _tridiagonal_solve(rows)[:n - 2]
+        s[0] = (r_lo - d_lo * s[1]) / dx[1]
+        s[-1] = (r_hi - d_hi * s[-2]) / dx[-2]
+        curl = (s[:-1] + s[1:] - 2.0 * m) / dx
+        # per piece k: c0, c1, c2, c3 and its left knot x_k
+        self._pieces = np.stack(
+            (curl / dx, (m - s[:-1]) / dx - curl, s[:-1], y[:-1], x[:-1]))
+        self._inner = x[1:-1]
+
+    def __call__(self, t, nu: int = 0) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        c0, c1, c2, c3, x_k = np.take(
+            self._pieces, np.searchsorted(self._inner, t, side="right"),
+            axis=1)
+        h = t - x_k
+        if nu:
+            return (3.0 * c0 * h + 2.0 * c1) * h + c2
+        return ((c0 * h + c1) * h + c2) * h + c3
+
+
 @dataclass(frozen=True)
 class Atom:
     x: float
@@ -268,13 +362,11 @@ class DensityTable(_AcPart):
         cached = self.__dict__.get("_spline_cache")
         if cached is not None:
             return cached
-        # imported here: scipy.interpolate adds ~15 ms to `import freeclt`
-        from scipy.interpolate import CubicSpline
         phi = self._edge_factor(self.grid)
         keep = np.isfinite(phi) & (phi > 0)
         xs, qs = self.grid[keep], self.values[keep] / phi[keep]
         if xs.size >= 8:
-            spline = CubicSpline(xs, qs, bc_type="not-a-knot", extrapolate=True)
+            spline = _NotAKnotSpline(xs, qs)
         else:  # degenerate small table: linear, constant past its end rows
             slopes = np.concatenate(([0.0], np.diff(qs) / np.diff(xs), [0.0]))
             spline = lambda t, nu=0: (slopes[np.searchsorted(xs, t)] if nu

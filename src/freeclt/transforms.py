@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     CompanionRecoveryError,
@@ -265,10 +264,12 @@ def _brentq_lanes(f: Callable[[List[float]], List[float]],
     for step in Python floats, so each root is the one ``brentq(g, xa[k],
     xb[k], xtol=xtol, rtol=rtol)`` returns for a g with ``f([x]) ==
     [g(x)]``.  The lanes run in lockstep, and each iteration makes one call
-    of ``f`` on the points of the lanes still running.  The L^p cuts of
-    ``functionals`` and the fold points of ``pipeline._support_intervals``
-    are solved here, each with the tolerances of the scalar call it
-    replaces.  Raises as ``brentq`` does: ``ValueError`` on a NaN value or
+    of ``f`` on the points of the lanes still running.  Every root solve
+    of the library is made here, each with the tolerances of the scalar
+    call it replaces: the L^p cuts of ``functionals``, the fold points of
+    ``pipeline._support_intervals``, the companion atoms of
+    ``_companion_atoms``, and the region ends and gap minima of
+    ``flow.flow_region``.  Raises as ``brentq`` does: ``ValueError`` on a NaN value or
     on a bracket without a sign change, ``RuntimeError`` when a lane has
     not converged after 100 iterations.
     """
@@ -351,15 +352,21 @@ def _companion_atoms(mu: Measure) -> Tuple[Atom, ...]:
     (the atoms and the ac interval), so a gap holds one zero exactly when
     G_mu changes sign across it.  The atom part is summed
     in real arithmetic; the ac part is the real boundary value off its
-    support.
+    support.  The zeros of all gaps are solved in one _brentq_lanes call,
+    each to brentq's xtol=1e-15, rtol=8.9e-16.
     """
     xs = np.array([a.x for a in mu.atoms])
     ws = np.array([a.w for a in mu.atoms])
     ac = None if mu.ac is None else Measure((), mu.ac)
 
-    def g(x):
-        val = float(np.sum(ws / (x - xs)))
-        return val if ac is None else val + float(cauchy(ac, x + 1e-30j).real)
+    def g_lanes(x):
+        # G_mu at each point of the list x, one row of the atom sum each
+        x = np.array(x)
+        val = np.sum(ws / (x[:, None] - xs), axis=1)
+        return (val if ac is None else val + cauchy(ac, x + 1e-30j).real
+                ).tolist()
+
+    g = lambda x: g_lanes([x])[0]
 
     def gprime(x):
         val = float(-np.sum(ws / (x - xs) ** 2))
@@ -367,16 +374,20 @@ def _companion_atoms(mu: Measure) -> Tuple[Atom, ...]:
             val + float(cauchy_derivative(ac, x + 1e-30j).real)
 
     comps = mu.support_components()
-    roots = []
+    xa, xb, fa, fb = [], [], [], []
     for (_, lo), (hi, _) in zip(comps, comps[1:]):
         gap = hi - lo
         d = 1e-9 * gap
-        while g(lo + d) < 0 or g(hi - d) > 0:
+        while (g_lo := g(lo + d)) < 0 or (g_hi := g(hi - d)) > 0:
             d *= 0.5
             if d < 1e-15 * gap:
                 break  # no sign change: the gap holds no zero
         else:
-            roots.append(brentq(g, lo + d, hi - d, xtol=1e-15, rtol=8.9e-16))
+            xa.append(lo + d)
+            xb.append(hi - d)
+            fa.append(g_lo)
+            fb.append(g_hi)
+    roots = _brentq_lanes(g_lanes, xa, xb, fa, fb, xtol=1e-15, rtol=8.9e-16)
     return tuple(Atom(r, -1.0 / gprime(r)) for r in roots)
 
 

@@ -212,6 +212,25 @@ def asym_power_density(x, m):
     return np.where(np.isfinite(p) & (p > 0.0), p, 0.0)
 
 
+def three_atom_spec(seed: int) -> dict:
+    """Standardized three-atom law drawn from default_rng(seed), every weight
+    below 0.7 and the atoms at least 0.25 apart before standardizing (the
+    benchmark's three_atom_spec)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        w = rng.dirichlet((2.0, 2.0, 2.0))
+        if w.max() < 0.7:
+            break
+    while True:
+        x = np.sort(rng.uniform(-1.0, 1.0, 3))
+        if np.min(np.diff(x)) > 0.25:
+            break
+    mean = float(np.dot(w, x))
+    x = (x - mean) / math.sqrt(float(np.dot(w, (x - mean) ** 2)))
+    w = w / w.sum()
+    return {"atoms": [{"x": float(a), "w": float(b)} for a, b in zip(x, w)]}
+
+
 def constant_table_cauchy(mu, x):
     """G_mu and G_mu' at real x off the support of a seed made of atoms and
     a constant table of height h on [a, b]:

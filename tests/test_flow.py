@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.fft import dct
+from scipy.optimize import brentq, minimize_scalar
 
 from freeclt import (
     ConsistencyError,
@@ -12,6 +14,7 @@ from freeclt import (
     InvalidArgumentError,
     clt_density_flow,
     companion_measure,
+    dilate,
     flow_curve,
     flow_map,
     flow_psi,
@@ -38,6 +41,7 @@ from conftest import (
     THREE_GAP_SPEC,
     UNIFORM_SPEC,
     semicircle_density,
+    three_atom_spec,
 )
 
 
@@ -712,3 +716,135 @@ class TestRegionsAndMass:
         assert stacked.shape == (2,)
         assert stacked[0] == pytest.approx(2.0, abs=1e-13)
         assert stacked[1] == scalar == pytest.approx(2.0 / 3.0, abs=1e-13)
+
+
+def _bump_atom_spec() -> dict:
+    """0.7 of (1 - x^2)^4 as a 401-row table on [-1, 1], with an atom of
+    0.3 at 2, standardized.  At every power I' > 0 across the gap between
+    its companion's ac part and atom, so I(., 0) is least at the gap's left
+    end, and above 1/t there: the branch of flow_region where I' does not
+    change sign on a gap.  No seed found reaches that branch with a
+    minimum below 1/t."""
+    x = np.linspace(-1.0, 1.0, 401)
+    p = (1.0 - x * x) ** 4
+    p *= 0.7 / np.trapezoid(p, x)
+    return {"atoms": [{"x": 2.0, "w": 0.3}],
+            "density": {"table": [[float(a), float(b)]
+                                  for a, b in zip(x, p)]},
+            "standardize": True}
+
+
+def _scalar_regions(kernel):
+    """flow_region as one scalar scipy solve per crossing, with each gap's
+    minimum from minimize_scalar: the regions the lockstep solves
+    replace."""
+    t, target = kernel.t, 1.0 / kernel.t
+    comps = kernel.support_components
+    nodes, weights = kernel.nodes, kernel.weights
+
+    def i0(x):
+        d = x - nodes
+        with np.errstate(divide="ignore"):
+            return float(np.sum(weights / (d * d)))
+
+    def f(x):
+        return i0(x) - target
+
+    def crossing(pt, sign, d, far):
+        while f(pt + sign * d) <= 0:
+            if pt + sign * d == pt:
+                return pt
+            d *= 0.25
+        a, b = sorted((pt + sign * d, far))
+        return brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
+
+    lo, hi = comps[0][0], comps[-1][1]
+    scale = max(1.0, abs(lo), abs(hi), math.sqrt(t))
+
+    def outer(pt, sign):
+        step = math.sqrt(t)
+        while f(pt + sign * step) > 0:
+            step *= 2.0
+        return crossing(pt, sign, 1e-12 * scale, pt + sign * step)
+
+    edges = [outer(lo, -1.0)]
+    for (_, c_hi), (c_lo, _) in zip(comps, comps[1:]):
+        gap = c_lo - c_hi
+        if gap < 1e-12:
+            continue
+        res = minimize_scalar(i0, bounds=(c_hi + 1e-9 * gap,
+                                          c_lo - 1e-9 * gap),
+                              method="bounded", options={"xatol": 1e-13})
+        if res.fun < target:
+            edges += [crossing(c_hi, 1.0, 1e-9 * gap, float(res.x)),
+                      crossing(c_lo, -1.0, 1e-9 * gap, float(res.x))]
+    edges.append(outer(hi, 1.0))
+    return [edges[k:k + 2] for k in range(0, len(edges), 2)]
+
+
+def _power_kernel(spec, n):
+    nu = companion_measure(make_measure(spec))
+    return FlowKernel(dilate(nu, 1.0 / math.sqrt(n)), (n - 1) / n)
+
+
+REGION_CASES = ([(spec, n) for spec in (THREE_GAP_SPEC, FOUR_GAP_SPEC)
+                 for n in (2, 3, 4, 16)]
+                + [(three_atom_spec(s), n) for s in range(1, 41)
+                   for n in (2, 3, 4)])
+
+
+class TestRegionEnds:
+    """flow_region solves every gap minimum in one _brentq_lanes call and
+    every crossing in another; the ends are those of one scipy solve per
+    crossing to 1e-14, and each is a sign change of t I(., 0) - 1 within
+    one Brent tolerance."""
+
+    @pytest.mark.parametrize("spec,n", REGION_CASES)
+    def test_ends_match_the_scalar_solves(self, spec, n):
+        kernel = _power_kernel(spec, n)
+        regions = flow_region(kernel)
+        want = _scalar_regions(kernel)
+        assert len(regions) == len(want)
+        assert np.max(np.abs(np.array(regions) - np.array(want))) <= 1e-14
+
+    @pytest.mark.parametrize("spec,n", REGION_CASES)
+    def test_ends_are_sign_changes(self, spec, n):
+        kernel = _power_kernel(spec, n)
+        t, x_k, w_k = kernel.t, kernel.nodes, kernel.weights
+        for end in np.ravel(flow_region(kernel)):
+            tol = 1e-14 + 8.9e-16 * abs(end)
+            d = np.array([end - tol, end + tol])[:, None] - x_k
+            below, above = t * np.sum(w_k / (d * d), axis=1) - 1.0
+            assert below * above <= 0.0
+
+    def test_gap_minimum_at_its_end(self):
+        spec = _bump_atom_spec()
+        for n in (2, 4, 64):
+            kernel = _power_kernel(spec, n)
+            (_, c_hi), (c_lo, _) = kernel.support_components
+            gap = c_lo - c_hi
+            ends = np.array([c_hi + 1e-9 * gap, c_lo - 1e-9 * gap])
+            d = ends[:, None] - kernel.nodes
+            slope = np.sum(kernel.weights / (d * d * d), axis=1)
+            assert np.all(slope < 0.0)  # I' = -2 slope > 0 across the gap
+            regions = flow_region(kernel)
+            assert len(regions) == 1
+            assert np.max(np.abs(np.array(regions)
+                                 - np.array(_scalar_regions(kernel)))) \
+                <= 1e-14
+
+
+class TestDctOne:
+    """flow._dct1, the real part of numpy's real FFT of each row's even
+    extension, is scipy's DCT-I bit for bit: at each stage size of the
+    curve's heights, at the moment rule's sizes and at sizes a region has
+    once points are dropped."""
+
+    @pytest.mark.parametrize("size", sorted(
+        {k + 1 for k in flow._CURVE_STAGES}
+        | {flow._MOMENT_NODES, 2 * flow._MOMENT_NODES,
+           2 * flow._MOMENT_NODES + 1, 997, 1399}))
+    def test_is_scipy_dct(self, size):
+        rows = np.random.default_rng(size).standard_normal((4, size))
+        assert flow._dct1(rows).tobytes() \
+            == dct(rows, type=1, axis=1).tobytes()

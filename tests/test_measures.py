@@ -6,6 +6,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from freeclt import (
     ArcsineFamily,
@@ -26,7 +27,7 @@ from freeclt import (
     translate,
 )
 
-from freeclt.measures import _leggauss
+from freeclt.measures import _NotAKnotSpline, _leggauss
 
 from conftest import (ARCSINE_SPEC, SEMICIRCLE_SPEC, SQRT2, UNIFORM_SPEC,
                       kesten_density, semicircle_density)
@@ -265,6 +266,61 @@ class TestDensityTable:
             build_table(x[::-1], np.ones_like(x))
         with pytest.raises(InvalidSpecError):
             build_table(x, np.full_like(x, np.nan))
+
+
+def _spline_grid(kind: str, rows: int) -> np.ndarray:
+    """Knots on [-1.5, 2.5]: equally spaced, the Chebyshev roots (route 2's
+    table grid), or spacings drawn between half and one and a half times
+    their mean."""
+    if kind == "uniform":
+        return np.linspace(-1.5, 2.5, rows)
+    if kind == "chebyshev":
+        return 0.5 - 2.0 * np.cos(np.pi * (np.arange(rows) + 0.5) / rows)
+    steps = np.random.default_rng(rows).uniform(0.5, 1.5, rows - 1)
+    return -1.5 + 4.0 / rows * np.concatenate(([0.0], np.cumsum(steps)))
+
+
+class TestNotAKnotSpline:
+    """The table's spline against scipy's CubicSpline with not-a-knot ends,
+    values and first derivative, between and on the knots and two end
+    spacings past each end knot, to a few rounding units of the largest
+    value (of the derivative) there.  Where the two differ most (9 random
+    knots: 11 and 18 units), the slopes at the knots are the nearer of the
+    two to the exact rational solution of the same system."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "chebyshev", "random"])
+    @pytest.mark.parametrize("rows", [8, 9, 17, 401, 801, 1401])
+    def test_matches_cubic_spline(self, kind, rows):
+        x = _spline_grid(kind, rows)
+        y = 4.0 + 3.0 * np.exp(-x * x) * np.cos(3.0 * x) + 0.5 * x
+        want = CubicSpline(x, y, bc_type="not-a-knot", extrapolate=True)
+        got = _NotAKnotSpline(x, y)
+        t = np.concatenate((
+            np.linspace(x[0] - 2.0 * (x[1] - x[0]), x[0], 50),
+            np.linspace(x[0], x[-1], 2001), x,
+            np.linspace(x[-1], x[-1] + 2.0 * (x[-1] - x[-2]), 50)))
+        eps = np.finfo(float).eps
+        for nu, units in ((0, 16), (1, 32)):
+            ref = want(t, nu)
+            assert np.max(np.abs(got(t, nu) - ref)) \
+                <= units * eps * np.max(np.abs(ref))
+
+    def test_table_density_is_the_spline_product(self):
+        # a route-2 style table: Chebyshev roots inside (a, b), square-root
+        # edges, read at 4,001 points of its support and at its nodes
+        a, b = -2.0, 2.0
+        x = 2.0 * np.cos(np.pi * (np.arange(801) + 0.5) / 801)[::-1]
+        tab = build_table(x, semicircle_density(x) * (1.0 + 0.1 * x),
+                          support=(a, b), edge_orders=(0.5, 0.5),
+                          expected_mass=None)
+        phi = np.sqrt((x - a) * (b - x))
+        q = CubicSpline(x, tab.values / phi, bc_type="not-a-knot",
+                        extrapolate=True)
+        probe = np.linspace(a, b, 4001)
+        want = np.maximum(q(probe) * np.sqrt((probe - a) * (b - probe)), 0.0)
+        assert np.max(np.abs(tab.density(probe) - want)) \
+            <= 1e-14 * np.max(want)
+        assert isinstance(tab._reduced_spline(), _NotAKnotSpline)
 
 
 class TestGaussLegendre:

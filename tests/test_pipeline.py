@@ -56,6 +56,7 @@ from conftest import (
     asym_power_density,
     atomic_power_density,
     kesten_density,
+    three_atom_spec,
 )
 
 
@@ -252,25 +253,6 @@ class TestEmittedDensities:
     def test_density_vanishes_outside_support(self, bernoulli):
         dens = clt_density_flow(bernoulli, 4)
         assert np.all(dens.density(np.array([-3.0, 2.4, 5.0])) == 0.0)
-
-
-def three_atom_spec(seed: int) -> dict:
-    """Standardized three-atom law drawn from default_rng(seed), every weight
-    below 0.7 and the atoms at least 0.25 apart before standardizing (the
-    benchmark's three_atom_spec)."""
-    rng = np.random.default_rng(seed)
-    while True:
-        w = rng.dirichlet((2.0, 2.0, 2.0))
-        if w.max() < 0.7:
-            break
-    while True:
-        x = np.sort(rng.uniform(-1.0, 1.0, 3))
-        if np.min(np.diff(x)) > 0.25:
-            break
-    mean = float(np.dot(w, x))
-    x = (x - mean) / math.sqrt(float(np.dot(w, (x - mean) ** 2)))
-    w = w / w.sum()
-    return {"atoms": [{"x": float(a), "w": float(b)} for a, b in zip(x, w)]}
 
 
 # four atoms whose outer pair is light and far: three intervals at n = 16

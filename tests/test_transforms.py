@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from freeclt import (
     DensityTable,
@@ -28,13 +29,16 @@ from freeclt import (
 from freeclt import measures, transforms
 
 from conftest import (
+    ATOM_BUMP_SPEC,
     FOUR_GAP_SPEC,
     INNER_OUTER_ATOM_SPEC,
     MIXTURE_SPEC,
     OUTER_ATOM_SPEC,
     SQRT2,
+    THREE_GAP_SPEC,
     constant_table_companion_atoms,
     semicircle_density,
+    three_atom_spec,
 )
 
 RNG = np.random.default_rng(1202)
@@ -278,6 +282,36 @@ class TestCompanionMeasure:
             assert atom.w == pytest.approx(w, abs=1e-12)
         mass = sum(a.w for a in nu.atoms) + nu.ac.mass()
         assert abs(mass - 1.0) <= transforms._COMPANION_MASS_TOL
+
+    @pytest.mark.parametrize("spec", [
+        THREE_GAP_SPEC, FOUR_GAP_SPEC, OUTER_ATOM_SPEC, INNER_OUTER_ATOM_SPEC,
+        MIXTURE_SPEC, ATOM_BUMP_SPEC] + [three_atom_spec(s)
+                                         for s in range(1, 13)])
+    def test_atoms_are_the_scalar_brentq_roots(self, spec):
+        # all gaps in one _brentq_lanes call: each zero is the one a scipy
+        # brentq per gap returns, bit for bit, from the same brackets
+        mu = make_measure(spec)
+        xs = np.array([a.x for a in mu.atoms])
+        ws = np.array([a.w for a in mu.atoms])
+        ac = None if mu.ac is None else measures.Measure((), mu.ac)
+
+        def g(x):
+            val = float(np.sum(ws / (x - xs)))
+            return val if ac is None else \
+                val + float(cauchy(ac, x + 1e-30j).real)
+
+        want = []
+        comps = mu.support_components()
+        for (_, lo), (hi, _) in zip(comps, comps[1:]):
+            d = 1e-9 * (hi - lo)
+            while g(lo + d) < 0 or g(hi - d) > 0:
+                d *= 0.5
+                if d < 1e-15 * (hi - lo):
+                    break
+            else:
+                want.append(brentq(g, lo + d, hi - d, xtol=1e-15,
+                                   rtol=8.9e-16))
+        assert [a.x for a in transforms._companion_atoms(mu)] == want
 
     @pytest.mark.parametrize("spec", [
         OUTER_ATOM_SPEC,
