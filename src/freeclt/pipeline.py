@@ -14,8 +14,10 @@ quotient -- no fixed-point iteration anywhere.
 Route 2 (subordination): omega(Z) solves omega = Z/n + (1-1/n)/G_mu(omega);
 then the transform of the power at Z is G_mu(omega(Z)), rescaled back to the
 normalized variable.  The density comes straight from boundary values
-omega(Z + i0) on the real axis: an eigenvalue of a k x k matrix for a seed
-of k atoms, else a Newton solve at real Z, where Im omega > 0 in the support.
+omega(Z + i0) on the real axis, where Im omega > 0 in the support: for a
+seed of k atoms, a certified Newton root of the secular equation, started
+from eigenvalues of k x k matrices at one point in nine, else a Newton
+solve at real Z.
 The support itself is read off the real fold map
 Z(omega) = n omega - (n-1)/G_mu(omega), with no omega solve.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -63,6 +66,8 @@ _PICARD_MAX = 400
 _NEWTON_MAX = 60
 _AXIS_START = 1e-3          # height of the solve that starts an axis solve
 _AXIS_STRIDE = 8            # roots between the continuation's anchors
+_ROOT_STRIDE = 9            # roots between an atomic seed's eigenproblems
+_SECULAR_STEPS = 8          # Newton steps of an atomic seed's boundary solve
 _MASS_TOL = 1e-6            # largest |mass - 1| a power may have
 _PROBE_POINTS = 257         # cross-route comparison grid
 _TAIL_CONSTANT = 72.0       # constant of the tail decay inequality
@@ -111,8 +116,9 @@ class CltDensity:
     |Z/n + (1-1/n) F_mu(omega) - omega| over the tables' nodes, and
     iterations the largest Picard/Newton count of their omega solves; the
     support comes from the fold map and solves nothing.  For a seed with no
-    ac part omega comes from an eigenproblem, so iterations is 0 and
-    residual is taken over the nodes with Im omega > 0.
+    ac part omega comes from eigenproblems and at most _SECULAR_STEPS
+    Newton steps per node (_omega_secular), iterations is 0, and residual
+    is taken over the nodes with Im omega > 0.
     """
 
     n: int
@@ -370,7 +376,8 @@ def _omega_roots(mu: Measure, n: int, z_big):
     (Denjoy-Wolff); omega is the root of largest imaginary part, and
     Im omega <= 0 means Z lies off the support.  Returns (omega, residual),
     the residual of the fixed-point equation over the roots with
-    Im omega > 0.
+    Im omega > 0.  It is _omega_secular's coarse stage and fallback, and
+    the tests' oracle for it.
     """
     x = np.array([a.x for a in mu.atoms])
     w = np.array([a.w for a in mu.atoms])
@@ -379,10 +386,86 @@ def _omega_roots(mu: Measure, n: int, z_big):
     mats += np.diag(x)
     roots = np.linalg.eigvals(mats).astype(complex)
     omega = roots[np.arange(z.size), np.argmax(roots.imag, axis=1)]
+    return omega, _boundary_residual(mu, n, z, omega)
+
+
+def _boundary_residual(mu: Measure, n: int, z: np.ndarray,
+                       omega: np.ndarray) -> float:
+    """Largest |phi(Z, omega) - omega| over the points with Im omega > 0."""
     up = omega.imag > 0.0
     phi, _ = _phi_factory(mu, n)
     res = np.abs(phi(z[up], omega[up]) - omega[up])
-    return omega, float(np.max(res, initial=0.0))
+    return float(np.max(res, initial=0.0))
+
+
+@lru_cache(maxsize=8)
+def _cubic_starts(size: int):
+    """Columns and weights of the local cubic Lagrange interpolant, in the
+    index, from the values at indices _ROOT_STRIDE // 2 + j _ROOT_STRIDE to
+    every index of an array of this size: each index reads the four
+    consecutive nodes around its cell, the first or last four at the ends.
+    Returns (cols, weights), both (size, 4); a node's own row is one-hot."""
+    nodes = np.arange(_ROOT_STRIDE // 2, size, _ROOT_STRIDE)
+    i = np.arange(size)
+    first = np.clip(np.searchsorted(nodes, i, side="right") - 2,
+                    0, nodes.size - 4)
+    cols = first[:, None] + np.arange(4)
+    t = (i - nodes[first]) / _ROOT_STRIDE   # the nodes sit at t = 0..3
+    weights = np.ones((size, 4))
+    for a in range(4):
+        for b in range(4):
+            if b != a:
+                weights[:, a] *= (t - b) / (a - b)
+    cols.flags.writeable = weights.flags.writeable = False
+    return cols, weights
+
+
+def _omega_secular(mu: Measure, n: int, z: np.ndarray):
+    """omega(Z + i0) at the sorted real Z of a seed with no ac part, as
+    _omega_roots gives it, from an eigenproblem at one Z in _ROOT_STRIDE.
+
+    _omega_roots solves every _ROOT_STRIDE-th Z from index _ROOT_STRIDE // 2
+    (for 801 Chebyshev roots, the 89 roots of the 89-point rule); every Z
+    starts from their local cubic interpolant in the index (_cubic_starts),
+    in which omega is smooth even at a square-root edge, and all take up to
+    _SECULAR_STEPS Newton steps in lockstep on the secular equation
+    f = 1 + sum_i c_i / (omega - x_i) = 0, c_i = w_i (n x_i - Z), summed
+    atom by atom, O(k) per point and step.  A point whose last step is at
+    most 1e-13 max(1, |omega|) with Im omega > 1e-8 max(1, |omega|) is the
+    equation's one root in the upper half-plane; every other point, and
+    every point of an array shorter than four strides, takes _omega_roots.
+    Returns (omega, residual) as _omega_roots does."""
+    if z.size < 4 * _ROOT_STRIDE:
+        return _omega_roots(mu, n, z)
+    cols, weights = _cubic_starts(z.size)
+    coarse, _ = _omega_roots(mu, n, z[_ROOT_STRIDE // 2::_ROOT_STRIDE])
+    omega = weights[:, 0] * coarse[cols[:, 0]]
+    for j in range(1, 4):
+        omega += weights[:, j] * coarse[cols[:, j]]
+    done = np.zeros(z.size, dtype=bool)
+    todo = np.arange(z.size)
+    with np.errstate(all="ignore"):
+        for _ in range(_SECULAR_STEPS):
+            w, zz = omega[todo], z[todo]
+            f = np.ones_like(w)
+            fp = np.zeros_like(w)
+            for a in mu.atoms:
+                r = 1.0 / (w - a.x)
+                cr = a.w * (n * a.x - zz) * r
+                f += cr
+                fp -= cr * r
+            step = f / fp
+            w -= step
+            omega[todo] = w
+            size = np.maximum(1.0, np.abs(w))
+            small = np.abs(step) <= 1e-13 * size
+            done[todo[small & (w.imag > 1e-8 * size)]] = True
+            todo = todo[np.isfinite(step) & ~small]
+            if todo.size == 0:
+                break
+    if not np.all(done):
+        omega[~done], _ = _omega_roots(mu, n, z[~done])
+    return omega, _boundary_residual(mu, n, z, omega)
 
 
 def _omega_axis(mu: Measure, n: int, z: np.ndarray):
@@ -429,14 +512,14 @@ def _omega_axis(mu: Measure, n: int, z: np.ndarray):
 
 def _boundary_density(mu: Measure, n: int, x: np.ndarray):
     """Density of the normalized n-th power at the sorted real x of one
-    support interval, from omega(Z + i0) at Z = sqrt(n) x (_omega_roots for a
-    seed with no ac part, else _omega_axis): G_mu(omega) = (n-1)/(n omega -
-    Z), so p(x) = -sqrt(n) Im[(n-1)/(n omega - Z)]/pi, 0 where Im omega <= 0.
-    Returns (p, iterations, residual)."""
+    support interval, from omega(Z + i0) at Z = sqrt(n) x (_omega_secular
+    for a seed with no ac part, with iterations 0, else _omega_axis):
+    G_mu(omega) = (n-1)/(n omega - Z), so p(x) = -sqrt(n) Im[(n-1)/(n omega
+    - Z)]/pi, 0 where Im omega <= 0.  Returns (p, iterations, residual)."""
     rt = math.sqrt(n)
     z = rt * np.asarray(x, dtype=float)
     if mu.ac is None:
-        (omega, res), iters = _omega_roots(mu, n, z), 0
+        (omega, res), iters = _omega_secular(mu, n, z), 0
     else:
         omega, iters, res = _omega_axis(mu, n, z)
     up = omega.imag > 0.0

@@ -3,6 +3,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -32,10 +33,14 @@ from freeclt import (
 from freeclt import pipeline
 from freeclt.measures import _chebyshev_rule
 from freeclt.pipeline import (
+    _INVERSION_GRID,
+    _ROOT_STRIDE,
     _boundary_density,
     _compare_densities,
+    _cubic_starts,
     _fold_h,
     _omega_roots,
+    _omega_secular,
     _support_intervals,
 )
 
@@ -526,3 +531,145 @@ class TestRouteTwoCosts:
             w = w[(w < a - 1e-9) | (w > b + 1e-9)]
         assert w.size > points // 2
         assert np.array_equal(_fold_h(mu, n, w), complex_fold_h(mu, n, w))
+
+
+def normal_atoms_spec(k):
+    """k standard-normal draws from default_rng(3), equal weights,
+    standardized: an empirical spectrum of k atoms."""
+    x = np.random.default_rng(3).standard_normal(k)
+    return {"atoms": [{"x": float(v), "w": 1.0 / k} for v in x],
+            "standardize": True}
+
+
+SECULAR_SEEDS = dict(
+    {"coin": BERNOULLI_SPEC, "asym": ASYM_SPEC, "three-gap": THREE_GAP_SPEC,
+     "four-gap": FOUR_GAP_SPEC, "wide-four": WIDE_FOUR_SPEC,
+     "twenty": TWENTY_ATOM_SPEC, "normal50": normal_atoms_spec(50)},
+    **{f"rng{s}": three_atom_spec(s)
+       for s in list(range(1, 41)) + list(range(101, 111))})
+# WIDE_FOUR_SPEC at n = 2 is judged against mpmath instead: at the ends of
+# its middle interval the eigenvalue is 5.6e-11 of max p off the 40-digit
+# root, and Newton's root 1.1e-13
+SECULAR_CASES = [(seed, n) for seed in SECULAR_SEEDS for n in (2, 3, 4, 16, 64)
+                 if (seed, n) != ("wide-four", 2)]
+MPMATH_CASES = [(seed, n) for seed in ("coin", "rng26", "rng108")
+                for n in (2, 64)] + [("wide-four", 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def secular_seed(name):
+    return make_measure(SECULAR_SEEDS[name])
+
+
+def roots_density(mu, n, x):
+    """The power's density at x from _omega_roots at every point."""
+    rt = math.sqrt(n)
+    z = rt * x
+    omega, _ = _omega_roots(mu, n, z)
+    up = omega.imag > 0.0
+    p = np.zeros(x.shape)
+    p[up] = -rt * np.imag((n - 1) / (n * omega[up] - z[up])) / np.pi
+    return p
+
+
+def mpmath_density(mu, n, x, start):
+    """The power's density at float x from a 40-digit root of the secular
+    equation 1 + sum_i w_i (n x_i - Z) / (omega - x_i) = 0 in the upper
+    half-plane, at the same float Z = sqrt(n) x, from mpmath.findroot
+    started at start."""
+    with mpmath.workdps(40):
+        z = mpmath.mpf(math.sqrt(n) * x)
+        atoms = [(mpmath.mpf(a.x), mpmath.mpf(a.w)) for a in mu.atoms]
+        omega = mpmath.findroot(
+            lambda w: 1 + sum(b * (n * a - z) / (w - a) for a, b in atoms),
+            mpmath.mpc(start))
+        assert omega.imag > 0
+        return float(-mpmath.sqrt(n) * mpmath.im((n - 1) / (n * omega - z))
+                     / mpmath.pi)
+
+
+class TestSecularSolve:
+    """On a seed with no ac part, route 2 solves an eigenproblem at one root
+    in _ROOT_STRIDE and a certified lockstep Newton on the secular equation
+    at every root (_omega_secular); _omega_roots at every point is its
+    oracle, and takes every point that Newton does not certify."""
+
+    def test_coarse_stage_is_the_89_point_rule(self):
+        x, _ = _chebyshev_rule(-1.5, 2.0, _INVERSION_GRID)
+        coarse, _ = _chebyshev_rule(-1.5, 2.0, _INVERSION_GRID // _ROOT_STRIDE)
+        assert np.max(np.abs(x[_ROOT_STRIDE // 2::_ROOT_STRIDE] - coarse)) \
+            <= 1e-15
+
+    def test_cubic_starts_reproduce_cubics(self):
+        cols, weights = _cubic_starts(_INVERSION_GRID)
+        i = np.arange(_INVERSION_GRID, dtype=float)
+        node = i[_ROOT_STRIDE // 2::_ROOT_STRIDE]
+        for cubic in (np.ones_like, lambda t: (t / 400.0 - 1.0) ** 3):
+            start = np.sum(weights * cubic(node)[cols], axis=1)
+            assert np.max(np.abs(start - cubic(i))) <= 1e-12
+        assert np.array_equal(weights[_ROOT_STRIDE // 2::_ROOT_STRIDE]
+                              .max(axis=1), np.ones(node.size))
+
+    @pytest.mark.parametrize("seed,n", SECULAR_CASES,
+                             ids=[f"{s}-{n}" for s, n in SECULAR_CASES])
+    def test_densities_match_the_eigenproblem_at_every_root(self, seed, n):
+        mu = secular_seed(seed)
+        for a, b in _support_intervals(mu, n):
+            x, _ = _chebyshev_rule(a, b, _INVERSION_GRID)
+            p, iters, res = _boundary_density(mu, n, x)
+            exact = roots_density(mu, n, x)
+            assert np.max(np.abs(p - exact)) <= 2e-11 * np.max(exact)
+            assert iters == 0 and res < 1e-11
+
+    @pytest.mark.parametrize("seed,n", MPMATH_CASES,
+                             ids=[f"{s}-{n}" for s, n in MPMATH_CASES])
+    def test_edge_roots_match_a_40_digit_root(self, seed, n):
+        # three_atom_spec(108) at n = 2: at the first root the eigenvalue is
+        # 1.35e-11 of max p off the 40-digit value, the Newton root 9.8e-15
+        mu = secular_seed(seed)
+        for a, b in _support_intervals(mu, n):
+            x, _ = _chebyshev_rule(a, b, _INVERSION_GRID)
+            p, _, _ = _boundary_density(mu, n, x)
+            omega, _ = _omega_roots(mu, n, math.sqrt(n) * x)
+            for i in list(range(5)) + list(range(x.size - 5, x.size)):
+                ref = mpmath_density(mu, n, float(x[i]), complex(omega[i]))
+                assert abs(p[i] - ref) <= 1e-12 * np.max(p), (a, b, i)
+
+    @pytest.mark.parametrize("seed,n", [("coin", 4), ("asym", 16),
+                                        ("rng108", 2), ("three-gap", 2)])
+    def test_points_off_the_support_take_the_eigenproblem(self, seed, n):
+        # the last interval's roots stretched 5 % past its right edge: there
+        # omega is real, so Newton certifies none of them
+        mu = secular_seed(seed)
+        a, b = _support_intervals(mu, n)[-1]
+        x, _ = _chebyshev_rule(a, b + 0.05 * (b - a), _INVERSION_GRID)
+        z = math.sqrt(n) * x
+        omega, _ = _omega_secular(mu, n, z)
+        exact, _ = _omega_roots(mu, n, z)
+        out = x > b + 1e-6 * (b - a)
+        assert np.count_nonzero(out) > 10
+        assert np.array_equal(omega[out], exact[out])
+        assert np.all(exact[out].imag == 0.0)
+        p, _, _ = _boundary_density(mu, n, x)
+        assert np.all(p[out] == 0.0)
+        inside = x < b
+        assert np.max(np.abs(p[inside] - roots_density(mu, n, x)[inside])) \
+            <= 2e-11 * np.max(p)
+
+    @pytest.mark.parametrize("size", [1, 4 * _ROOT_STRIDE - 1])
+    def test_short_arrays_take_the_eigenproblem_at_every_point(self, size):
+        mu = secular_seed("rng108")
+        (a, b), = _support_intervals(mu, 4)
+        z = 2.0 * _chebyshev_rule(a, b, size)[0]
+        omega, res = _omega_secular(mu, 4, z)
+        exact, exact_res = _omega_roots(mu, 4, z)
+        assert np.array_equal(omega, exact) and res == exact_res
+
+    def test_two_hundred_atoms_pass_the_route_gates(self):
+        # twenty eigenproblems of 200 x 200 per interval where there were
+        # 801: the power takes about a second on one thread
+        mu = make_measure(normal_atoms_spec(200))
+        flow = clt_density_flow(mu, 16)
+        sub = clt_density_subordination(mu, 16)
+        assert abs(sub.mass - 1.0) <= 1e-13
+        assert _compare_densities(flow, sub)["sup_diff"] < 5e-4
