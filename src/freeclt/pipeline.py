@@ -16,8 +16,8 @@ then the transform of the power at Z is G_mu(omega(Z)), rescaled back to the
 normalized variable.  The density comes straight from boundary values
 omega(Z + i0) on the real axis, where Im omega > 0 in the support: for a
 seed of k atoms, a certified Newton root of the secular equation, started
-from eigenvalues of k x k matrices at one point in nine, else a Newton
-solve at real Z.
+from eigenvalues of k x k matrices at one point in nine, else guarded Newton
+on omega = phi(Z, omega) at real Z (_newton, also used off the axis).
 The support itself is read off the real fold map
 Z(omega) = n omega - (n-1)/G_mu(omega), with no omega solve.
 
@@ -113,12 +113,12 @@ class CltDensity:
     the midpoint rule in theta on each table's own 801 values, so neither
     route reads a table's spline for them.  curve is set on the flow
     route.  On the subordination route, residual is the largest
-    |Z/n + (1-1/n) F_mu(omega) - omega| over the tables' nodes, and
-    iterations the largest Picard/Newton count of their omega solves; the
-    support comes from the fold map and solves nothing.  For a seed with no
-    ac part omega comes from eigenproblems and at most _SECULAR_STEPS
-    Newton steps per node (_omega_secular), iterations is 0, and residual
-    is taken over the nodes with Im omega > 0.
+    |Z/n + (1-1/n) F_mu(omega) - omega| over the tables' nodes with
+    Im omega > 0, taken once per table, and iterations the largest
+    Picard/Newton count of their omega solves; the support comes from the
+    fold map and solves nothing.  For a seed with no ac part omega comes
+    from eigenproblems and at most _SECULAR_STEPS Newton steps per node
+    (_omega_secular), and iterations is 0.
     """
 
     n: int
@@ -250,53 +250,61 @@ class SubordinationResult:
     residual: float
 
 
-def _phi_factory(mu: Measure, n: int):
+def _phi(mu: Measure, n: int, z, w):
+    """phi(Z, omega) = Z/n + (1-1/n)/G_mu(omega), whose fixed point is
+    omega(Z)."""
+    return z / n + ((n - 1.0) / n) / cauchy(mu, w)
+
+
+def _newton(mu: Measure, n: int, z, w, todo, steps):
+    """Up to steps guarded Newton steps on omega = phi(Z, omega) at the
+    points todo of w, in place.  Each step takes G = G_mu(w) at the open
+    points once: h = phi(Z, w) - w, and a point with |h| <= TOL_FIXED_POINT
+    leaves; the others take G' once and step by h / (1 + (1-1/n) G'/G^2),
+    capped at (1 + |w|)/2 and backtracked by 0.3 up to 8 times while
+    Im omega <= Im Z / 4 (<= 0 at real Z); a point still blocked takes a
+    damped Picard update, which never loses height.  Returns (open points,
+    steps taken, largest |h| over the open points)."""
     frac = (n - 1.0) / n
-
-    def phi(z_big: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return z_big / n + frac / cauchy(mu, w)
-
-    def phi_prime(w: np.ndarray) -> np.ndarray:
-        g = cauchy(mu, w)
-        gp = cauchy_derivative(mu, w)
-        return -frac * gp / (g * g)
-
-    return phi, phi_prime
-
-
-def _newton_candidate(phi, phi_prime, z, w, h):
-    """Newton step for omega = phi(Z, omega) from w, h = phi(Z, w) - w, capped
-    and backtracked while Im omega <= Im Z / 4 (<= 0 at real Z); a point
-    still blocked takes a damped Picard update, which never loses height."""
-    step = -h / (phi_prime(w) - 1.0)
-    cap = 0.5 * (1.0 + np.abs(w))
-    scale = np.minimum(1.0, cap / np.maximum(np.abs(step), 1e-300))
-    cand = w + scale * step
-    for _try in range(8):
-        bad = cand.imag <= 0.25 * z.imag
-        if not np.any(bad):
+    taken, worst = 0, 0.0
+    while todo.size:
+        wt, zt = w[todo], z[todo]
+        g = cauchy(mu, wt)
+        phi = zt / n + frac / g
+        h = phi - wt
+        keep = np.abs(h) > TOL_FIXED_POINT
+        todo, wt, zt, g, phi, h = (a[keep] for a in (todo, wt, zt, g, phi, h))
+        worst = float(np.max(np.abs(h), initial=0.0))
+        if todo.size == 0 or taken == steps:
             break
-        scale = np.where(bad, 0.3 * scale, scale)
-        cand = w + scale * step
-    still_bad = cand.imag <= 0.25 * z.imag
-    if np.any(still_bad):
-        pic = (1.0 - _PICARD_DAMPING) * w + _PICARD_DAMPING * phi(z, w)
-        cand[still_bad] = pic[still_bad]
-    return cand
+        taken += 1
+        step = h / (1.0 + frac * cauchy_derivative(mu, wt) / (g * g))
+        cap = 0.5 * (1.0 + np.abs(wt))
+        scale = np.minimum(1.0, cap / np.maximum(np.abs(step), 1e-300))
+        cand = wt + scale * step
+        bad = cand.imag <= 0.25 * zt.imag
+        for _try in range(8):
+            if not np.any(bad):
+                break
+            scale = np.where(bad, 0.3 * scale, scale)
+            cand = wt + scale * step
+            bad = cand.imag <= 0.25 * zt.imag
+        pic = (1.0 - _PICARD_DAMPING) * wt + _PICARD_DAMPING * phi
+        w[todo] = np.where(bad, pic, cand)
+    return todo, taken, worst
 
 
 def _omega_grid(mu: Measure, n: int, z_big):
     """Solve omega = Z/n + (1-1/n) F_mu(omega) for an array of Z.
 
     Damped Picard iteration converges globally but slows down to 1/(1-|phi'|)
-    near spectral edges; unconverged points get a guarded Newton polish.
-    Returns (omega, iterations, residual) with omega shaped like Z.
+    near spectral edges; unconverged points get a guarded Newton polish
+    (_newton).  Returns (omega, iterations, residual) with omega shaped
+    like Z.
     """
-    phi, phi_prime = _phi_factory(mu, n)
     shape = np.shape(z_big)
     z = np.atleast_1d(np.asarray(z_big, dtype=complex)).ravel()
     w = z.copy()
-    lam = _PICARD_DAMPING
     iters = 0
     pending = np.arange(z.size)
     while pending.size and iters < _OMEGA_MAX_ITER:
@@ -308,27 +316,17 @@ def _omega_grid(mu: Measure, n: int, z_big):
                 break
             iters += 1
             wp = w[pending]
-            zp = z[pending]
-            nxt = phi(zp, wp)
-            res = np.abs(nxt - wp)
-            w[pending] = (1.0 - lam) * wp + lam * nxt
-            pending = pending[res > TOL_FIXED_POINT]
-        for _ in range(min(_NEWTON_MAX, _OMEGA_MAX_ITER - iters)):
-            if pending.size == 0:
-                break
-            iters += 1
-            wp = w[pending]
-            zp = z[pending]
-            w[pending] = cand = _newton_candidate(phi, phi_prime, zp, wp,
-                                                  phi(zp, wp) - wp)
-            h_new = np.abs(phi(zp, cand) - cand)
-            pending = pending[h_new > TOL_FIXED_POINT]
+            nxt = _phi(mu, n, z[pending], wp)
+            w[pending] = (1.0 - _PICARD_DAMPING) * wp + _PICARD_DAMPING * nxt
+            pending = pending[np.abs(nxt - wp) > TOL_FIXED_POINT]
+        pending, steps, worst = _newton(
+            mu, n, z, w, pending, min(_NEWTON_MAX, _OMEGA_MAX_ITER - iters))
+        iters += steps
     if pending.size:
-        worst = float(np.max(np.abs(phi(z[pending], w[pending]) - w[pending])))
         raise FixedPointError(
             "subordination fixed point stalled at %d points" % pending.size,
             residual=worst, iterations=iters)
-    final_res = np.abs(phi(z, w) - w)
+    final_res = np.abs(_phi(mu, n, z, w) - w)
     if shape:
         return w.reshape(shape), iters, final_res.reshape(shape)
     return complex(w[0]), iters, float(final_res[0])
@@ -374,10 +372,8 @@ def _omega_roots(mu: Measure, n: int, z_big):
     per point, no iteration.  For real Z the map is a non-automorphic
     self-map of the upper half-plane, so at most one root lies there
     (Denjoy-Wolff); omega is the root of largest imaginary part, and
-    Im omega <= 0 means Z lies off the support.  Returns (omega, residual),
-    the residual of the fixed-point equation over the roots with
-    Im omega > 0.  It is _omega_secular's coarse stage and fallback, and
-    the tests' oracle for it.
+    Im omega <= 0 means Z lies off the support.  It is _omega_secular's
+    coarse stage and fallback, and the tests' oracle for it.
     """
     x = np.array([a.x for a in mu.atoms])
     w = np.array([a.w for a in mu.atoms])
@@ -385,17 +381,7 @@ def _omega_roots(mu: Measure, n: int, z_big):
     mats = np.repeat((w * (z[:, None] - n * x))[:, :, None], x.size, axis=2)
     mats += np.diag(x)
     roots = np.linalg.eigvals(mats).astype(complex)
-    omega = roots[np.arange(z.size), np.argmax(roots.imag, axis=1)]
-    return omega, _boundary_residual(mu, n, z, omega)
-
-
-def _boundary_residual(mu: Measure, n: int, z: np.ndarray,
-                       omega: np.ndarray) -> float:
-    """Largest |phi(Z, omega) - omega| over the points with Im omega > 0."""
-    up = omega.imag > 0.0
-    phi, _ = _phi_factory(mu, n)
-    res = np.abs(phi(z[up], omega[up]) - omega[up])
-    return float(np.max(res, initial=0.0))
+    return roots[np.arange(z.size), np.argmax(roots.imag, axis=1)]
 
 
 @lru_cache(maxsize=8)
@@ -433,12 +419,11 @@ def _omega_secular(mu: Measure, n: int, z: np.ndarray):
     atom by atom, O(k) per point and step.  A point whose last step is at
     most 1e-13 max(1, |omega|) with Im omega > 1e-8 max(1, |omega|) is the
     equation's one root in the upper half-plane; every other point, and
-    every point of an array shorter than four strides, takes _omega_roots.
-    Returns (omega, residual) as _omega_roots does."""
+    every point of an array shorter than four strides, takes _omega_roots."""
     if z.size < 4 * _ROOT_STRIDE:
         return _omega_roots(mu, n, z)
     cols, weights = _cubic_starts(z.size)
-    coarse, _ = _omega_roots(mu, n, z[_ROOT_STRIDE // 2::_ROOT_STRIDE])
+    coarse = _omega_roots(mu, n, z[_ROOT_STRIDE // 2::_ROOT_STRIDE])
     omega = weights[:, 0] * coarse[cols[:, 0]]
     for j in range(1, 4):
         omega += weights[:, j] * coarse[cols[:, j]]
@@ -464,8 +449,8 @@ def _omega_secular(mu: Measure, n: int, z: np.ndarray):
             if todo.size == 0:
                 break
     if not np.all(done):
-        omega[~done], _ = _omega_roots(mu, n, z[~done])
-    return omega, _boundary_residual(mu, n, z, omega)
+        omega[~done] = _omega_roots(mu, n, z[~done])
+    return omega
 
 
 def _omega_axis(mu: Measure, n: int, z: np.ndarray):
@@ -473,26 +458,18 @@ def _omega_axis(mu: Measure, n: int, z: np.ndarray):
     with an ac part, where Im omega > 0 (Belinschi 2008): a solve at height
     _AXIS_START starts the middle Z, every _AXIS_STRIDE-th Z follows it by
     continuation outward, and the others start from omega interpolated
-    between those.  Newton stops once |phi(Z, w) - w| <= TOL_FIXED_POINT, or
-    raises FixedPointError after _NEWTON_MAX steps.  Returns (omega,
-    iterations, residual)."""
-    phi, phi_prime = _phi_factory(mu, n)
-
-    def newton(zz, w):
-        w = np.array(w, dtype=complex)
-        todo = np.arange(zz.size)
-        for steps in range(_NEWTON_MAX + 1):
-            h = phi(zz[todo], w[todo]) - w[todo]
-            keep = np.abs(h) > TOL_FIXED_POINT
-            todo, h = todo[keep], h[keep]
-            if todo.size == 0:
-                return w, steps
-            if steps < _NEWTON_MAX:
-                w[todo] = _newton_candidate(phi, phi_prime, zz[todo],
-                                            w[todo], h)
-        raise FixedPointError(
-            "boundary fixed point stalled at %d points" % todo.size,
-            residual=float(np.max(np.abs(h))), iterations=_NEWTON_MAX)
+    between those.  Each solve takes up to _NEWTON_MAX steps of _newton
+    and raises FixedPointError if a point is still open after them.
+    Returns (omega, iterations)."""
+    def solve(zz, start):
+        w = np.array(start, dtype=complex)
+        todo, steps, worst = _newton(mu, n, zz, w, np.arange(zz.size),
+                                     _NEWTON_MAX)
+        if todo.size:
+            raise FixedPointError(
+                "boundary fixed point stalled at %d points" % todo.size,
+                residual=worst, iterations=_NEWTON_MAX)
+        return w, steps
 
     mid = z.size // 2
     anchors = np.arange(mid % _AXIS_STRIDE, z.size, _AXIS_STRIDE)
@@ -500,14 +477,13 @@ def _omega_axis(mu: Measure, n: int, z: np.ndarray):
     omega = np.empty(z.size, dtype=complex)
     for side in (anchors[anchors >= mid], anchors[anchors <= mid][::-1]):
         for i in side:
-            w, steps = newton(z[i:i + 1], w)
+            w, steps = solve(z[i:i + 1], w)
             omega[i], iters = w[0], max(iters, steps)
         w = omega[mid:mid + 1]
     rest = np.setdiff1d(np.arange(z.size), anchors)
-    omega[rest], steps = newton(z[rest], np.interp(z[rest], z[anchors],
-                                                   omega[anchors]))
-    res = float(np.max(np.abs(phi(z, omega) - omega)))
-    return omega, max(iters, steps), res
+    omega[rest], steps = solve(z[rest], np.interp(z[rest], z[anchors],
+                                                  omega[anchors]))
+    return omega, max(iters, steps)
 
 
 def _boundary_density(mu: Measure, n: int, x: np.ndarray):
@@ -515,16 +491,20 @@ def _boundary_density(mu: Measure, n: int, x: np.ndarray):
     support interval, from omega(Z + i0) at Z = sqrt(n) x (_omega_secular
     for a seed with no ac part, with iterations 0, else _omega_axis):
     G_mu(omega) = (n-1)/(n omega - Z), so p(x) = -sqrt(n) Im[(n-1)/(n omega
-    - Z)]/pi, 0 where Im omega <= 0.  Returns (p, iterations, residual)."""
+    - Z)]/pi, 0 where Im omega <= 0.  Returns (p, iterations, residual),
+    the residual the largest |phi(Z, omega) - omega| over the points with
+    Im omega > 0."""
     rt = math.sqrt(n)
     z = rt * np.asarray(x, dtype=float)
     if mu.ac is None:
-        (omega, res), iters = _omega_secular(mu, n, z), 0
+        omega, iters = _omega_secular(mu, n, z), 0
     else:
-        omega, iters, res = _omega_axis(mu, n, z)
+        omega, iters = _omega_axis(mu, n, z)
     up = omega.imag > 0.0
-    p = np.zeros(z.shape)
-    p[up] = -rt * np.imag((n - 1) / (n * omega[up] - z[up])) / np.pi
+    omega, z = omega[up], z[up]
+    res = float(np.max(np.abs(_phi(mu, n, z, omega) - omega), initial=0.0))
+    p = np.zeros(up.shape)
+    p[up] = -rt * np.imag((n - 1) / (n * omega - z)) / np.pi
     return p, iters, res
 
 

@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 from freeclt import (
     Atom,
     ConsistencyError,
+    FixedPointError,
     FlowKernel,
     InvalidArgumentError,
     atoms_of_power,
@@ -33,7 +34,9 @@ from freeclt import (
 from freeclt import pipeline
 from freeclt.measures import _chebyshev_rule
 from freeclt.pipeline import (
+    TOL_FIXED_POINT,
     _INVERSION_GRID,
+    _NEWTON_MAX,
     _ROOT_STRIDE,
     _boundary_density,
     _compare_densities,
@@ -331,7 +334,7 @@ class TestAtomicBoundaryValues:
             for edge, gap, outward in ((a, gap_left, -1.0),
                                        (b, gap_right, 1.0)):
                 d = min(1e-4, gap / 4.0)
-                omega, _ = _omega_roots(
+                omega = _omega_roots(
                     mu, n, rt * np.array([edge - outward * d,
                                           edge + outward * d]))
                 assert omega[0].imag > 1e-6, edge
@@ -565,7 +568,7 @@ def roots_density(mu, n, x):
     """The power's density at x from _omega_roots at every point."""
     rt = math.sqrt(n)
     z = rt * x
-    omega, _ = _omega_roots(mu, n, z)
+    omega = _omega_roots(mu, n, z)
     up = omega.imag > 0.0
     p = np.zeros(x.shape)
     p[up] = -rt * np.imag((n - 1) / (n * omega[up] - z[up])) / np.pi
@@ -630,7 +633,7 @@ class TestSecularSolve:
         for a, b in _support_intervals(mu, n):
             x, _ = _chebyshev_rule(a, b, _INVERSION_GRID)
             p, _, _ = _boundary_density(mu, n, x)
-            omega, _ = _omega_roots(mu, n, math.sqrt(n) * x)
+            omega = _omega_roots(mu, n, math.sqrt(n) * x)
             for i in list(range(5)) + list(range(x.size - 5, x.size)):
                 ref = mpmath_density(mu, n, float(x[i]), complex(omega[i]))
                 assert abs(p[i] - ref) <= 1e-12 * np.max(p), (a, b, i)
@@ -644,8 +647,8 @@ class TestSecularSolve:
         a, b = _support_intervals(mu, n)[-1]
         x, _ = _chebyshev_rule(a, b + 0.05 * (b - a), _INVERSION_GRID)
         z = math.sqrt(n) * x
-        omega, _ = _omega_secular(mu, n, z)
-        exact, _ = _omega_roots(mu, n, z)
+        omega = _omega_secular(mu, n, z)
+        exact = _omega_roots(mu, n, z)
         out = x > b + 1e-6 * (b - a)
         assert np.count_nonzero(out) > 10
         assert np.array_equal(omega[out], exact[out])
@@ -660,10 +663,18 @@ class TestSecularSolve:
     def test_short_arrays_take_the_eigenproblem_at_every_point(self, size):
         mu = secular_seed("rng108")
         (a, b), = _support_intervals(mu, 4)
-        z = 2.0 * _chebyshev_rule(a, b, size)[0]
-        omega, res = _omega_secular(mu, 4, z)
-        exact, exact_res = _omega_roots(mu, 4, z)
-        assert np.array_equal(omega, exact) and res == exact_res
+        x = _chebyshev_rule(a, b, size)[0]
+        z = 2.0 * x
+        omega = _omega_secular(mu, 4, z)
+        exact = _omega_roots(mu, 4, z)
+        assert np.array_equal(omega, exact)
+        # the residual of the eigenvalues' fixed point, taken over the
+        # points with Im omega > 0
+        up = exact.imag > 0.0
+        exact_res = np.max(np.abs(z[up] / 4 + 0.75 / cauchy(mu, exact[up])
+                                  - exact[up]), initial=0.0)
+        _, _, res = _boundary_density(mu, 4, x)
+        assert up.any() and res == exact_res
 
     def test_two_hundred_atoms_pass_the_route_gates(self):
         # twenty eigenproblems of 200 x 200 per interval where there were
@@ -673,3 +684,114 @@ class TestSecularSolve:
         sub = clt_density_subordination(mu, 16)
         assert abs(sub.mass - 1.0) <= 1e-13
         assert _compare_densities(flow, sub)["sup_diff"] < 5e-4
+
+
+def _recording(monkeypatch, name, log):
+    """Patch pipeline.<name> to append (args, result) to log per call."""
+    fn = getattr(pipeline, name)
+
+    def wrapper(*args):
+        out = fn(*args)
+        log.append((args, out))
+        return out
+    monkeypatch.setattr(pipeline, name, wrapper)
+
+
+def _count_transforms(monkeypatch, calls):
+    """Append (name, points) to calls for every cauchy and
+    cauchy_derivative call that pipeline makes."""
+    for name in ("cauchy", "cauchy_derivative"):
+        def wrapper(mu, z, fn=getattr(pipeline, name), name=name):
+            calls.append((name, np.array(z)))
+            return fn(mu, z)
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+
+class TestOmegaSolves:
+    """Route 2 has one guarded Newton loop on omega = phi(Z, omega),
+    _newton, which takes G_mu and G_mu' once per step at the open points
+    only; its budgets raise FixedPointError with the count and the open
+    residual."""
+
+    def test_each_step_takes_g_and_g_prime_once_at_the_open_points(
+            self, uniform, monkeypatch):
+        # four starts at one real Z, the last already its root
+        n, z0 = 4, 1.0
+        root = np.array([z0 + 0.5j])
+        pipeline._newton(uniform, n, np.array([z0]), root, np.arange(1),
+                         _NEWTON_MAX)
+        w = np.array([z0 + 0.2j, z0 + 0.5j, z0 + 1.0j, root[0]])
+        calls = []
+        _count_transforms(monkeypatch, calls)
+        todo, taken, worst = pipeline._newton(
+            uniform, n, np.full(w.size, z0), w, np.arange(w.size),
+            _NEWTON_MAX)
+        assert todo.size == 0 and worst == 0.0 and taken >= 3
+        assert [name for name, _ in calls] == \
+            ["cauchy", "cauchy_derivative"] * taken + ["cauchy"]
+        for (_, wg), (_, wd), (_, nxt) in zip(calls[0::2], calls[1::2],
+                                              calls[2::2]):
+            h = z0 / n + 0.75 / cauchy(uniform, wg) - wg
+            assert np.array_equal(wd, wg[np.abs(h) > TOL_FIXED_POINT])
+            assert nxt.size == wd.size
+        assert calls[0][1].size == 4 and calls[1][1].size == 3
+
+    def test_atomic_boundary_values_take_g_once_for_their_residual(
+            self, monkeypatch):
+        mu, n = secular_seed("rng108"), 4
+        (a, b), = _support_intervals(mu, n)
+        x, _ = _chebyshev_rule(a, b, _INVERSION_GRID)
+        omega = _omega_secular(mu, n, math.sqrt(n) * x)
+        calls, roots = [], []
+        _count_transforms(monkeypatch, calls)
+        roots_fn = pipeline._omega_roots
+
+        def counted_roots(*args):
+            before = len(calls)
+            out = roots_fn(*args)
+            roots.append(len(calls) - before)
+            return out
+        monkeypatch.setattr(pipeline, "_omega_roots", counted_roots)
+        _boundary_density(mu, n, x)
+        assert [name for name, _ in calls] == ["cauchy"]
+        assert np.array_equal(calls[0][1], omega[omega.imag > 0.0])
+        assert roots and not any(roots)
+
+    def test_an_exhausted_budget_raises_with_its_count(self, uniform,
+                                                        monkeypatch):
+        monkeypatch.setattr(pipeline, "_OMEGA_MAX_ITER", 3)
+        with pytest.raises(FixedPointError) as err:
+            subordination_omega(uniform, 4, 1.0 + 0.1j)
+        assert err.value.iterations == 3
+        assert err.value.residual > TOL_FIXED_POINT
+
+    def test_a_stalled_axis_solve_raises_its_open_residual(self, uniform,
+                                                            monkeypatch):
+        n = 4
+        (a, b), = _support_intervals(uniform, n)
+        x, _ = _chebyshev_rule(a, b, _INVERSION_GRID)
+        solves = []
+        _recording(monkeypatch, "_newton", solves)
+        monkeypatch.setattr(pipeline, "_NEWTON_MAX", 1)
+        with pytest.raises(FixedPointError) as err:
+            pipeline._omega_axis(uniform, n, math.sqrt(n) * x)
+        (_, _, z, w, _, _), (todo, taken, worst) = solves[-1]
+        h = z[todo] / n + 0.75 / cauchy(uniform, w[todo]) - w[todo]
+        assert err.value.iterations == taken == 1
+        assert f"stalled at {todo.size} points" in str(err.value)
+        assert err.value.residual == worst == np.max(np.abs(h))
+        assert worst > TOL_FIXED_POINT
+
+    def test_many_hand_overs_reach_the_same_omega(self, uniform,
+                                                   monkeypatch):
+        # two Picard steps and one Newton step per round
+        z = 1.0 + 0.1j
+        ref = subordination_omega(uniform, 4, z)
+        bursts = []
+        _recording(monkeypatch, "_newton", bursts)
+        monkeypatch.setattr(pipeline, "_PICARD_MAX", 2)
+        monkeypatch.setattr(pipeline, "_NEWTON_MAX", 1)
+        res = subordination_omega(uniform, 4, z)
+        assert sum(args[4].size > 0 for args, _ in bursts) >= 3
+        assert abs(res.omega - ref.omega) <= 1e-12
+        assert res.residual <= TOL_FIXED_POINT
