@@ -132,7 +132,15 @@ def _diff_reference(tables: Sequence[DensityTable],
     return _density_sum(tables, x) - _REFERENCE.density(x)
 
 
-@lru_cache(maxsize=1)
+def _lp_diverges(tables: Sequence[DensityTable], p: float) -> bool:
+    """Whether the L^p distance does not exist: a density edge with
+    power-law exponent ``alpha < 0`` makes ``|difference|**p``
+    non-integrable as soon as ``p * alpha <= -1``."""
+    return any(order is not None and order < 0.0
+               and p * order <= -1.0 + 1e-12
+               for tab in tables for order in tab.edge_orders)
+
+
 def _lp_pieces(tables: Tuple[DensityTable, ...]
                ) -> Tuple[Tuple[float, ...], Tuple[float, ...],
                           Tuple[float, ...]]:
@@ -150,8 +158,8 @@ def _lp_pieces(tables: Tuple[DensityTable, ...]
     (the semicircle seed's) has a difference of pure noise, which changes
     sign every few points; cutting there gives 100-160 half-pieces instead
     of 2, and the Gauss-Kronrod work grows with them, for no accuracy.
-    None of this depends on p, so the last table set's pieces are kept:
-    the L^p distances of one report row share them.
+    None of this depends on p, so ``lp_distance`` cuts each power once for
+    all its exponents.
     """
     bps = _diff_breakpoints(tables)
     panels = [(lo, hi) for lo, hi in zip(bps, bps[1:]) if hi - lo >= 1e-14]
@@ -185,35 +193,78 @@ def _lp_pieces(tables: Tuple[DensityTable, ...]
     return tuple(ends), tuple(signs), tuple(widths)
 
 
-def lp_distance(obj: TableLike, p: float) -> float:
+def lp_distance(obj: Union[TableLike, Sequence[TableLike]], p: float,
+                *more: float
+                ) -> Union[float, List[float], List[List[float]]]:
     """L^p distance (quasi-norm for p < 1) between the density and the
     semicircle density, integrated over the union of their supports.
 
-    Valid for p > 1/2 (below that the difference of two half-power edge
-    densities need not be integrable; the convergence statement being
-    checked also starts there).
+    ``obj`` is one power (a table, a computed power or a sequence of
+    tables) or a list of powers, and ``p, *more`` are one or more
+    exponents.  One power with one exponent gives a float; one power with
+    several gives a list of floats, one per exponent; a list of powers
+    gives one such list per power.  Every exponent must be above 1/2 (below
+    that the difference of two half-power edge densities need not be
+    integrable; the convergence statement being checked also starts
+    there), and all are checked before any integral is run.
 
     The supports' endpoints split the line into panels, and each panel is
     cut again at the sign changes of the difference, so that |difference|^p
-    is smooth inside every piece.  Each piece is halved and each half is
-    integrated from its outer end in s, with x = end +/- s^2, which keeps
-    endpoint power laws (singular density edges, root contact) smooth.
-    All halves are integrated together by a vectorised adaptive
-    Gauss-Kronrod rule (``_gk21_integrals``).
+    is smooth inside every piece; a power is cut once for all exponents
+    (``_lp_pieces``).  Each piece is halved and each half is integrated
+    from its outer end in s, with x = end +/- s^2, which keeps endpoint
+    power laws (singular density edges, root contact) smooth.  The halves
+    of every power and exponent are integrated together by one vectorised
+    adaptive Gauss-Kronrod call (``_gk21_integrals``), in which each keeps
+    its own tolerance, budget and splits, so a value does not depend on
+    what else is in the call.
 
-    Returns ``math.inf`` when the distance does not exist: a density edge
+    Gives ``math.inf`` where the distance does not exist: a density edge
     with power-law exponent ``alpha < 0`` makes ``|difference|**p``
     non-integrable as soon as ``p * alpha <= -1``.
     """
-    if not (p > 0.5):
+    ps = [float(q) for q in (p,) + more]
+    if not all(q > 0.5 for q in ps):
         raise InvalidArgumentError("L^p distance requires p > 1/2")
-    tables = _tables_of(obj)
-    for tab in tables:
-        for order in tab.edge_orders:
-            if order is not None and order < 0.0 \
-                    and p * order <= -1.0 + 1e-12:
-                return math.inf
-    ends, signs, widths = _lp_pieces(tables)
+    if isinstance(obj, (DensityTable, CltDensity)):
+        powers, one = [obj], True
+    else:
+        items = tuple(obj)
+        one = all(isinstance(t, DensityTable) for t in items)
+        powers = [items] if one else items
+    values = _lp_values([_tables_of(power) for power in powers], ps)
+    if not one:
+        return values
+    return values[0] if more else values[0][0]
+
+
+def _lp_values(powers: Sequence[Tuple[DensityTable, ...]],
+               ps: Sequence[float]) -> List[List[float]]:
+    """``lp_distance`` of every power at every exponent, as
+    ``values[power][exponent]``."""
+    values = [[math.inf if _lp_diverges(tables, p) else None for p in ps]
+              for tables in powers]
+    # one block of integrals, one per half-piece, for each finite (power,
+    # exponent); blocks are numbered power by power
+    groups = []      # (tables, [(block, p), ...]) per power with a block
+    blocks = []      # (power, exponent)
+    ends, signs, widths, block_of = [], [], [], []
+    for i, tables in enumerate(powers):
+        todo = [j for j, v in enumerate(values[i]) if v is None]
+        if not todo:
+            continue
+        piece_ends, piece_signs, piece_widths = _lp_pieces(tables)
+        groups.append((tables, [(len(blocks) + k, ps[j])
+                                for k, j in enumerate(todo)]))
+        for j in todo:
+            block_of.extend([len(blocks)] * len(piece_ends))
+            blocks.append((i, j))
+            ends.extend(piece_ends)
+            signs.extend(piece_signs)
+            widths.extend(piece_widths)
+    if not blocks:
+        return values
+    block_of = np.array(block_of)
     ends_a = np.array(ends)[:, None]
     signs_a = np.array(signs)[:, None]
     # deep refinement rounds nodes next to an end onto it, where a singular
@@ -224,15 +275,35 @@ def lp_distance(obj: TableLike, p: float) -> float:
         end = ends_a[owner]
         x = end + signs_a[owner] * s * s
         x = np.where(x == end, inner_a[owner], x)
-        return 2.0 * s * np.abs(_diff_reference(tables, x.ravel())
-                                .reshape(s.shape)) ** p
+        # rows sorted by block, so each power's rows are one run: the
+        # difference is evaluated once per power, then raised to each
+        # exponent with a scalar power
+        blk = block_of[owner]
+        order = np.argsort(blk, kind="stable")
+        bounds = np.searchsorted(blk[order], np.arange(len(blocks) + 1))
+        out = np.empty_like(s)
+        for tables, exps in groups:
+            lo, hi = bounds[exps[0][0]], bounds[exps[-1][0] + 1]
+            if lo == hi:
+                continue
+            rows = order[lo:hi]
+            diff = np.abs(_diff_reference(tables, x[rows].ravel())
+                          .reshape(rows.size, s.shape[1]))
+            for k, p in exps:
+                mine = slice(bounds[k] - lo, bounds[k + 1] - lo)
+                out[rows[mine]] = 2.0 * s[rows[mine]] * diff[mine] ** p
+        return out
 
     val, err = _gk21_integrals(integrand, np.array(widths))
     bad = ~np.isfinite(val) | (err > 1e-8 + 1e-6 * np.abs(val))
-    if np.any(bad):
-        raise QuadratureError("L^p panel integral did not converge",
-                              residual=float(np.max(err[bad])))
-    return float(np.sum(val) ** (1.0 / p))
+    starts = np.searchsorted(block_of, np.arange(len(blocks) + 1))
+    for k, (i, j) in enumerate(blocks):
+        mine = slice(starts[k], starts[k + 1])
+        if np.any(bad[mine]):
+            raise QuadratureError("L^p panel integral did not converge",
+                                  residual=float(np.max(err[mine][bad[mine]])))
+        values[i][j] = float(np.sum(val[mine]) ** (1.0 / ps[j]))
+    return values
 
 
 # Gauss-Kronrod 21-point rule on [-1, 1], constants of QUADPACK's qk21:
@@ -320,10 +391,14 @@ def _gk21_rule(f, owner: np.ndarray, lo: np.ndarray, hi: np.ndarray
     centr = 0.5 * (lo + hi)
     hlgth = 0.5 * (hi - lo)
     fv = f(owner, centr[:, None] + hlgth[:, None] * _GK_X[None, :])
-    resk = fv @ _GK_WK
-    resg = fv @ _GK_WG
-    resabs = np.abs(fv) @ _GK_WK * hlgth
-    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _GK_WK * hlgth
+    # einsum sums each row alike wherever it sits in the array, which a
+    # BLAS matrix-vector product does not, so an integral's value does not
+    # depend on what else is integrated with it
+    resk = np.einsum("ij,j->i", fv, _GK_WK)
+    resg = np.einsum("ij,j->i", fv, _GK_WG)
+    resabs = np.einsum("ij,j->i", np.abs(fv), _GK_WK) * hlgth
+    resasc = np.einsum("ij,j->i", np.abs(fv - 0.5 * resk[:, None]),
+                       _GK_WK) * hlgth
     err = np.abs((resk - resg) * hlgth)
     scale = (resasc != 0.0) & (err != 0.0)
     err[scale] = resasc[scale] * np.minimum(
@@ -463,9 +538,11 @@ class ConvergenceReport:
 
 
 def _report_row(mu, n: int, p_list: Sequence[float],
-                dens: Optional[CltDensity] = None) -> dict:
-    if dens is None:
-        dens = clt_density_flow(mu, n)
+                dens: CltDensity) -> dict:
+    """A report row with its ``lp`` left empty for ``_add_lp``, which
+    takes the L^p distances of many rows in one call; the row's
+    ``lp_divergent`` flag is set here, by the edge test that makes those
+    distances infinite."""
     tables = dens.tables
     flags: List[str] = []
     sup = sup_distance(tables)
@@ -491,13 +568,12 @@ def _report_row(mu, n: int, p_list: Sequence[float],
         flags.append("chi_above_semicircle_bound")
     if not phi.divergent and gap.value < -TOL_GAP:
         flags.append("gap_negative")
-    lp_values = {str(p): float(lp_distance(tables, p)) for p in p_list}
-    if any(math.isinf(v) for v in lp_values.values()):
+    if any(_lp_diverges(tables, p) for p in p_list):
         flags.append("lp_divergent")
     return {
         "n": n,
         "sup_dist": float(sup),
-        "lp": lp_values,
+        "lp": {},
         "chi": float(chi.value),
         "phi": float(phi.value),
         "gap": float(gap.value),
@@ -505,28 +581,48 @@ def _report_row(mu, n: int, p_list: Sequence[float],
     }
 
 
+def _add_lp(rows: Sequence[Tuple[CltDensity, dict]],
+            ps: Sequence[float]) -> None:
+    """Fill each row's ``lp`` with its power's L^p distances at ``ps``,
+    all rows in one ``lp_distance`` call."""
+    if not ps:
+        return
+    values = lp_distance([dens for dens, _ in rows], *ps)
+    for (_, row), vals in zip(rows, values):
+        row["lp"] = {str(p): v for p, v in zip(ps, vals)}
+
+
 def report_row(mu, n: int, p_list: Sequence[float] = (0.6, 1.0, 2.0),
                dens: Optional[CltDensity] = None) -> dict:
     """One convergence-report row; accepts a precomputed density to avoid
     recomputing it when the caller already has one."""
-    return _report_row(mu, int(n), [float(p) for p in p_list], dens=dens)
+    n = int(n)
+    ps = [float(p) for p in p_list]
+    if dens is None:
+        dens = clt_density_flow(mu, n)
+    row = _report_row(mu, n, ps, dens=dens)
+    _add_lp([(dens, row)], ps)
+    return row
 
 
 def _report_rows(mu, ns: Sequence[int], ps: Sequence[float],
                  density: Callable[..., CltDensity]
                  ) -> List[Tuple[CltDensity, dict]]:
     """(density, row) for each power of ``ns`` (ascending), the density
-    taken from ``density(mu, n)``; a row whose entropy falls below an
-    earlier row's is flagged ``chi_not_monotone`` rather than raised."""
+    taken from ``density(mu, n)``.  Each row's density, sup, chi and Phi
+    are computed in turn, then the L^p distances of all rows in one call;
+    a row whose entropy falls below an earlier row's is flagged
+    ``chi_not_monotone`` rather than raised."""
     out = []
-    prev_chi = -math.inf
     for n in ns:
         dens = density(mu, n)
-        row = _report_row(mu, n, ps, dens=dens)
+        out.append((dens, _report_row(mu, n, ps, dens=dens)))
+    _add_lp(out, ps)
+    prev_chi = -math.inf
+    for _, row in out:
         if row["chi"] < prev_chi - 1e-12:
             row["flags"].append("chi_not_monotone")
         prev_chi = max(prev_chi, row["chi"])
-        out.append((dens, row))
     return out
 
 

@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from freeclt import cli, convergence_report, errors, functionals, make_measure
+from freeclt import (cli, clt_density_flow, convergence_report, errors,
+                     functionals, lp_distance, make_measure, report_row)
 from freeclt.cli import _jsonable, main
 
 from conftest import ASYM_SPEC, BERNOULLI_SPEC, FOUR_GAP_SPEC, SEMICIRCLE_SPEC
-from conftest import _constant_table_spec
+from conftest import ARCSINE_SPEC, MIXTURE_SPEC
+from conftest import _constant_table_spec, three_atom_spec
 from conftest import kesten_density
 
 
@@ -176,6 +178,43 @@ class TestReportRows:
         report = convergence_report(make_measure(ASYM_SPEC), (2, 4, 16))
         assert json.loads(out.read_text())["rows"] == \
             _jsonable(report.to_dict())["rows"]
+
+    @pytest.mark.parametrize(
+        "spec", [BERNOULLI_SPEC, ASYM_SPEC, MIXTURE_SPEC]
+        + [three_atom_spec(s) for s in range(1, 8)],
+        ids=["coin", "asym", "mixture"] + [f"three{s}" for s in range(1, 8)])
+    def test_lp_equal_in_every_place(self, tmp_path, spec):
+        # a report takes the L^p distances of all its rows and exponents in
+        # one call; each value is bit for bit that of its own call
+        ns, ps = [2, 3, 4, 16, 64], [0.6, 1.0, 1.1, 2.0]
+        mu = make_measure(spec)
+        out = tmp_path / "report.json"
+        assert main(["sweep", "--measure", json.dumps(spec),
+                     "--n", "2,3,4,16,64", "--p", "0.6,1,1.1,2",
+                     "--grid=-2:2:5", "--out", str(out)]) == 0
+        swept = json.loads(out.read_text())["rows"]
+        report = convergence_report(mu, ns, ps).to_dict()["rows"]
+        for n, from_sweep, from_report in zip(ns, swept, report):
+            dens = clt_density_flow(mu, n)
+            want = {str(p): lp_distance(dens, p) for p in ps}
+            assert report_row(mu, n, ps, dens=dens)["lp"] == want
+            assert from_report["lp"] == want
+            assert from_sweep["lp"] == _jsonable(want)
+
+    def test_divergent_and_finite_exponents_in_one_call(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["sweep", "--measure", json.dumps(ARCSINE_SPEC),
+                     "--n", "1,4,16", "--p", "0.6,2", "--grid=-2:2:5",
+                     "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert rows[0]["lp"]["2.0"] == "inf"
+        assert "lp_divergent" in rows[0]["flags"]
+        mu = make_measure(ARCSINE_SPEC)
+        for row in rows:
+            dens = clt_density_flow(mu, row["n"])
+            for p in (0.6, 2.0):
+                if (row["n"], p) != (1, 2.0):
+                    assert row["lp"][str(p)] == lp_distance(dens, p)
 
     def test_power_one_allowed_in_sweep_only(self, tmp_path):
         spec = json.dumps(SEMICIRCLE_SPEC)

@@ -123,6 +123,30 @@ def uniform_table():
 
 
 class TestSupDistance:
+    def test_every_exponent_checked_before_any_integral(
+            self, semicircle_table, monkeypatch):
+        def never(*args):
+            raise AssertionError("integrated before every exponent passed")
+
+        monkeypatch.setattr(functionals, "_lp_pieces", never)
+        monkeypatch.setattr(functionals, "_gk21_integrals", never)
+        for ps in [(1.0, 0.5), (0.4, 2.0), (2.0, 1.0, math.nan)]:
+            with pytest.raises(InvalidArgumentError):
+                lp_distance(semicircle_table, *ps)
+            with pytest.raises(InvalidArgumentError):
+                lp_distance([(semicircle_table,)] * 2, *ps)
+
+    def test_one_call_for_many_powers_and_exponents(self):
+        # divergent and finite values side by side, each bit for bit the
+        # value of its own call
+        powers = [flow_power("coin", n) for n in (2, 4, 16)]
+        ps = (0.6, 1.0, 2.0)
+        want = [[lp_distance(dens, p) for p in ps] for dens in powers]
+        assert want[0][2] == math.inf
+        assert lp_distance(powers, *ps) == want
+        assert lp_distance(powers[1], *ps) == want[1]
+        assert lp_distance(powers[1].tables, 2.0) == want[1][2]
+
     def test_distance_to_itself_vanishes(self, semicircle_table):
         assert sup_distance(semicircle_table) < 1e-10
 
@@ -256,7 +280,6 @@ class TestLpCuts:
            for n in (4, 64)]))
     def test_cuts_are_scalar_brentq(self, seed, n):
         tables = tuple(flow_power(seed, n).tables)
-        functionals._lp_pieces.cache_clear()
         assert functionals._lp_pieces(tables) == _scalar_pieces(tables)
 
     def test_brentq_lanes_is_scipy_brentq(self):
@@ -309,7 +332,6 @@ class TestLpCuts:
             return density_sum(tabs, x)
 
         monkeypatch.setattr(functionals, "_density_sum", counted)
-        functionals._lp_pieces.cache_clear()
         functionals._lp_pieces(tables)
         assert len(calls) <= 10
 
