@@ -245,26 +245,25 @@ def _lp_values(powers: Sequence[Tuple[DensityTable, ...]],
     values = [[math.inf if _lp_diverges(tables, p) else None for p in ps]
               for tables in powers]
     # one block of integrals, one per half-piece, for each finite (power,
-    # exponent); blocks are numbered power by power
-    groups = []      # (tables, [(block, p), ...]) per power with a block
-    blocks = []      # (power, exponent)
-    ends, signs, widths, block_of = [], [], [], []
+    # exponent), kept as its range [lo, hi) of the integrals; every integral
+    # is tagged with its power and its exponent
+    blocks = []      # (power, exponent, lo, hi)
+    ends, signs, widths, power_of, exponent_of = [], [], [], [], []
     for i, tables in enumerate(powers):
         todo = [j for j, v in enumerate(values[i]) if v is None]
         if not todo:
             continue
         piece_ends, piece_signs, piece_widths = _lp_pieces(tables)
-        groups.append((tables, [(len(blocks) + k, ps[j])
-                                for k, j in enumerate(todo)]))
         for j in todo:
-            block_of.extend([len(blocks)] * len(piece_ends))
-            blocks.append((i, j))
+            blocks.append((i, j, len(ends), len(ends) + len(piece_ends)))
             ends.extend(piece_ends)
             signs.extend(piece_signs)
             widths.extend(piece_widths)
+            power_of.extend([i] * len(piece_ends))
+            exponent_of.extend([j] * len(piece_ends))
     if not blocks:
         return values
-    block_of = np.array(block_of)
+    power_of, exponent_of = np.array(power_of), np.array(exponent_of)
     ends_a = np.array(ends)[:, None]
     signs_a = np.array(signs)[:, None]
     # deep refinement rounds nodes next to an end onto it, where a singular
@@ -275,30 +274,22 @@ def _lp_values(powers: Sequence[Tuple[DensityTable, ...]],
         end = ends_a[owner]
         x = end + signs_a[owner] * s * s
         x = np.where(x == end, inner_a[owner], x)
-        # rows sorted by block, so each power's rows are one run: the
-        # difference is evaluated once per power, then raised to each
-        # exponent with a scalar power
-        blk = block_of[owner]
-        order = np.argsort(blk, kind="stable")
-        bounds = np.searchsorted(blk[order], np.arange(len(blocks) + 1))
+        # the difference is evaluated once per power, then raised to each
+        # of its exponents with a scalar power
+        power, exponent = power_of[owner], exponent_of[owner]
         out = np.empty_like(s)
-        for tables, exps in groups:
-            lo, hi = bounds[exps[0][0]], bounds[exps[-1][0] + 1]
-            if lo == hi:
-                continue
-            rows = order[lo:hi]
-            diff = np.abs(_diff_reference(tables, x[rows].ravel())
-                          .reshape(rows.size, s.shape[1]))
-            for k, p in exps:
-                mine = slice(bounds[k] - lo, bounds[k + 1] - lo)
-                out[rows[mine]] = 2.0 * s[rows[mine]] * diff[mine] ** p
+        for i in np.flatnonzero(np.bincount(power)):
+            rows = power == i
+            diff = np.abs(_diff_reference(powers[i], x[rows]))
+            for j in np.flatnonzero(np.bincount(exponent[rows])):
+                mine = rows & (exponent == j)
+                out[mine] = 2.0 * s[mine] * diff[mine[rows]] ** ps[j]
         return out
 
     val, err = _gk21_integrals(integrand, np.array(widths))
     bad = ~np.isfinite(val) | (err > 1e-8 + 1e-6 * np.abs(val))
-    starts = np.searchsorted(block_of, np.arange(len(blocks) + 1))
-    for k, (i, j) in enumerate(blocks):
-        mine = slice(starts[k], starts[k + 1])
+    for i, j, lo, hi in blocks:
+        mine = slice(lo, hi)
         if np.any(bad[mine]):
             raise QuadratureError("L^p panel integral did not converge",
                                   residual=float(np.max(err[mine][bad[mine]])))
@@ -539,8 +530,8 @@ class ConvergenceReport:
 
 def _report_row(mu, n: int, p_list: Sequence[float],
                 dens: CltDensity) -> dict:
-    """A report row with its ``lp`` left empty for ``_add_lp``, which
-    takes the L^p distances of many rows in one call; the row's
+    """A report row with its ``lp`` left empty for ``_report_rows``,
+    which takes the L^p distances of all its rows in one call; the row's
     ``lp_divergent`` flag is set here, by the edge test that makes those
     distances infinite."""
     tables = dens.tables
@@ -581,28 +572,14 @@ def _report_row(mu, n: int, p_list: Sequence[float],
     }
 
 
-def _add_lp(rows: Sequence[Tuple[CltDensity, dict]],
-            ps: Sequence[float]) -> None:
-    """Fill each row's ``lp`` with its power's L^p distances at ``ps``,
-    all rows in one ``lp_distance`` call."""
-    if not ps:
-        return
-    values = lp_distance([dens for dens, _ in rows], *ps)
-    for (_, row), vals in zip(rows, values):
-        row["lp"] = {str(p): v for p, v in zip(ps, vals)}
-
-
 def report_row(mu, n: int, p_list: Sequence[float] = (0.6, 1.0, 2.0),
                dens: Optional[CltDensity] = None) -> dict:
-    """One convergence-report row; accepts a precomputed density to avoid
-    recomputing it when the caller already has one."""
-    n = int(n)
+    """One convergence-report row, the one-power case of a report; accepts
+    a precomputed density to avoid recomputing it when the caller already
+    has one."""
+    density = clt_density_flow if dens is None else (lambda _mu, _n: dens)
     ps = [float(p) for p in p_list]
-    if dens is None:
-        dens = clt_density_flow(mu, n)
-    row = _report_row(mu, n, ps, dens=dens)
-    _add_lp([(dens, row)], ps)
-    return row
+    return _report_rows(mu, [int(n)], ps, density)[0][1]
 
 
 def _report_rows(mu, ns: Sequence[int], ps: Sequence[float],
@@ -617,7 +594,10 @@ def _report_rows(mu, ns: Sequence[int], ps: Sequence[float],
     for n in ns:
         dens = density(mu, n)
         out.append((dens, _report_row(mu, n, ps, dens=dens)))
-    _add_lp(out, ps)
+    if ps:
+        values = lp_distance([dens for dens, _ in out], *ps)
+        for (_, row), vals in zip(out, values):
+            row["lp"] = {str(p): v for p, v in zip(ps, vals)}
     prev_chi = -math.inf
     for _, row in out:
         if row["chi"] < prev_chi - 1e-12:

@@ -8,8 +8,10 @@ integration can apply the matching substitution at soft or singular edges.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -639,32 +641,35 @@ def _check_mass(m: Measure, tol: float) -> None:
 
 
 _SPEC_KEYS = {"atoms", "density", "standardize"}
-_FAMILY_PARAMS = {
-    "semicircle": {"variance", "center"},
-    "arcsine": {"a", "b"},
-    "uniform": {"a", "b"},
-}
+_FAMILIES = {"semicircle": SemicircleFamily, "arcsine": ArcsineFamily,
+             "uniform": UniformFamily}
+
+
+def _spec_number(value, what: str) -> float:
+    """A number of a spec: a JSON number, never a string, null or boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidSpecError("%s must be a number, not %r" % (what, value))
+    return float(value)
 
 
 def _family_from_spec(d: dict) -> AcPart:
+    """The family a spec names, its params those of the class's fields."""
     kind = d.get("family")
     params = d.get("params", {})
-    if kind not in _FAMILY_PARAMS:
+    cls = _FAMILIES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise InvalidSpecError("unknown density family %r" % (kind,))
     if not isinstance(params, dict):
         raise InvalidSpecError("density params must be an object")
-    unknown = set(params) - _FAMILY_PARAMS[kind]
+    fields = dataclasses.fields(cls)
+    unknown = set(params) - {f.name for f in fields}
     if unknown:
         raise InvalidSpecError("unknown %s params: %s" % (kind, sorted(unknown)))
-    try:
-        if kind == "semicircle":
-            return SemicircleFamily(float(params["variance"]),
-                                    float(params.get("center", 0.0)))
-        if kind == "arcsine":
-            return ArcsineFamily(float(params["a"]), float(params["b"]))
-        return UniformFamily(float(params["a"]), float(params["b"]))
-    except KeyError as e:
-        raise InvalidSpecError("missing density param %s" % (e,)) from None
+    for f in fields:
+        if f.name not in params and f.default is dataclasses.MISSING:
+            raise InvalidSpecError("missing density param %r" % (f.name,))
+    return cls(**{name: _spec_number(value, "density param %r" % (name,))
+                  for name, value in params.items()})
 
 
 def make_measure(spec: dict, mass_tol: float = TOL_MASS) -> Measure:
@@ -684,10 +689,14 @@ def make_measure(spec: dict, mass_tol: float = TOL_MASS) -> Measure:
     if unknown:
         raise InvalidSpecError("unknown measure spec fields: %s" % sorted(unknown))
     atoms = []
-    for entry in spec.get("atoms", []):
+    entries = spec.get("atoms", [])
+    if not isinstance(entries, list):
+        raise InvalidSpecError("atoms must be a list")
+    for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"x", "w"}:
             raise InvalidSpecError("each atom must be an object with exactly x and w")
-        atoms.append(Atom(float(entry["x"]), float(entry["w"])))
+        atoms.append(Atom(_spec_number(entry["x"], "atom x"),
+                          _spec_number(entry["w"], "atom w")))
     ac = None
     dens = spec.get("density")
     if dens is not None:
@@ -702,9 +711,11 @@ def make_measure(spec: dict, mass_tol: float = TOL_MASS) -> Measure:
             unknown = set(dens) - {"table"}
             if unknown:
                 raise InvalidSpecError("unknown density fields: %s" % sorted(unknown))
-            rows = np.asarray(dens["table"], dtype=float)
+            rows = np.asarray(dens["table"], dtype=object)
             if rows.ndim != 2 or rows.shape[1] != 2:
                 raise InvalidSpecError("table must be a list of [x, p] pairs")
+            rows = np.array([[_spec_number(v, "table entry") for v in row]
+                             for row in rows])
             # no gate of the table's own: the measure's mass is gated below
             ac = build_table(rows[:, 0], rows[:, 1], expected_mass=None)
         else:
@@ -714,7 +725,10 @@ def make_measure(spec: dict, mass_tol: float = TOL_MASS) -> Measure:
         _check_mass(m, max(mass_tol, TABLE_MASS_TOL))
     else:
         _check_mass(m, mass_tol)
-    if spec.get("standardize", False):
+    scale = spec.get("standardize", False)
+    if not isinstance(scale, bool):
+        raise InvalidSpecError("standardize must be true or false")
+    if scale:
         m = standardize(m)
     return m
 

@@ -3,6 +3,10 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +282,24 @@ class TestExitCodes:
         spec = json.dumps({"atoms": [{"x": 0.0, "w": 1.0}]})
         assert main(["density", "--measure", spec, "--n", "4",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_malformed_spec_is_invalid_config(self):
+        # a family param that is not a number: a typed error, no traceback
+        spec = json.dumps({"density": {"family": "uniform",
+                                       "params": {"a": "x", "b": 1}}})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if p])
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from freeclt.cli import main; sys.exit(main())",
+             "compare", "--measure", spec, "--n", "4"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
 
     def test_bad_power_is_invalid_config(self, tmp_path):
         assert main(["functionals", "--measure", INLINE_BERN, "--n", "0,4",

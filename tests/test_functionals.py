@@ -147,6 +147,45 @@ class TestSupDistance:
         assert lp_distance(powers[1], *ps) == want[1]
         assert lp_distance(powers[1].tables, 2.0) == want[1][2]
 
+    @pytest.mark.parametrize("seed", ["coin", "asym", "mixture"])
+    def test_repeated_and_unordered_exponents(self, seed):
+        # an exponent given twice, and out of order, is integrated as often
+        # as it is given, each value bit for bit that of its own call
+        powers = [flow_power(seed, n) for n in (2, 4, 64)]
+        ps = (2.0, 0.6, 2.0)
+        want = [[lp_distance(dens, p) for p in ps] for dens in powers]
+        assert lp_distance(powers, *ps) == want
+
+    @pytest.mark.parametrize("spec", [BERNOULLI_SPEC, ASYM_SPEC],
+                             ids=["coin", "asym"])
+    def test_one_difference_per_power_per_level(self, spec, monkeypatch):
+        # a report's L^p pass evaluates each power's difference at most
+        # once per refinement level, for all of its exponents together
+        real_rule = functionals._gk21_rule
+        real_diff = functionals._diff_reference
+        levels = []
+        inside = [False]
+
+        def rule(f, owner, lo, hi):
+            levels.append([])
+            inside[0] = True
+            try:
+                return real_rule(f, owner, lo, hi)
+            finally:
+                inside[0] = False
+
+        def diff(tables, x):
+            if inside[0]:
+                levels[-1].append(id(tables))
+            return real_diff(tables, x)
+
+        monkeypatch.setattr(functionals, "_gk21_rule", rule)
+        monkeypatch.setattr(functionals, "_diff_reference", diff)
+        convergence_report(make_measure(spec), (4, 8, 16, 32, 64))
+        assert levels
+        for calls in levels:
+            assert 0 < len(calls) == len(set(calls)) <= 5
+
     def test_distance_to_itself_vanishes(self, semicircle_table):
         assert sup_distance(semicircle_table) < 1e-10
 

@@ -425,10 +425,33 @@ class TestMakeMeasure:
         {"density": {"family": "semicircle", "params": {"variance": 1.0},
                      "extra": True}},
         {"density": {"table": [[0.0, 1.0]]}},
+        {"atoms": [{"x": "a", "w": 0.5}, {"x": 1.0, "w": 0.5}]},
+        {"atoms": [{"x": 0.0, "w": None}]},
+        {"atoms": 5},
+        {"density": {"family": "uniform", "params": {"a": "x", "b": 1}}},
+        {"density": {"family": "semicircle", "params": {"variance": None}}},
+        {"density": {"family": "semicircle", "params": {"variance": "1"}}},
+        {"density": {"family": ["uniform"], "params": {}}},
+        {"density": {"table": [[-1.0, 0.5], [0.0, "a"], [1.0, 0.5]]}},
+        {"density": {"table": [[-1.0, 0.5], [0.0], [1.0, 0.5]]}},
+        {"atoms": [{"x": -1.0, "w": 0.5}, {"x": 1.0, "w": 0.5}],
+         "standardize": "no"},
     ])
     def test_rejects_invalid_specs(self, spec):
         with pytest.raises(InvalidSpecError):
             make_measure(spec)
+
+    @pytest.mark.parametrize("density,message", [
+        ({"family": "lorentz"}, "unknown density family 'lorentz'"),
+        ({"family": "uniform", "params": {"a": -1.0, "b": 1.0, "c": 0.0}},
+         "unknown uniform params: ['c']"),
+        ({"family": "semicircle", "params": {"center": 0.0}},
+         "missing density param 'variance'"),
+        ({"family": "arcsine", "params": {}}, "missing density param 'a'")])
+    def test_family_spec_messages(self, density, message):
+        with pytest.raises(InvalidSpecError) as info:
+            make_measure({"density": density})
+        assert str(info.value) == message
 
     def test_json_round_trip(self, measure_file_factory):
         path = measure_file_factory(
