@@ -203,9 +203,9 @@ def lp_distance(obj: Union[TableLike, Sequence[TableLike]], p: float,
     tables) or a list of powers, and ``p, *more`` are one or more
     exponents.  One power with one exponent gives a float; one power with
     several gives a list of floats, one per exponent; a list of powers
-    gives one such list per power.  Every exponent must be above 1/2 (below
-    that the difference of two half-power edge densities need not be
-    integrable; the convergence statement being checked also starts
+    gives one such list per power.  Every exponent must be finite and above
+    1/2 (below that the difference of two half-power edge densities need
+    not be integrable; the convergence statement being checked also starts
     there), and all are checked before any integral is run.
 
     The supports' endpoints split the line into panels, and each panel is
@@ -224,8 +224,8 @@ def lp_distance(obj: Union[TableLike, Sequence[TableLike]], p: float,
     non-integrable as soon as ``p * alpha <= -1``.
     """
     ps = [float(q) for q in (p,) + more]
-    if not all(q > 0.5 for q in ps):
-        raise InvalidArgumentError("L^p distance requires p > 1/2")
+    if not all(0.5 < q < math.inf for q in ps):
+        raise InvalidArgumentError("L^p distance requires a finite p > 1/2")
     if isinstance(obj, (DensityTable, CltDensity)):
         powers, one = [obj], True
     else:
@@ -587,13 +587,14 @@ def _report_rows(mu, ns: Sequence[int], ps: Sequence[float],
                  ) -> List[Tuple[CltDensity, dict]]:
     """(density, row) for each power of ``ns`` (ascending), the density
     taken from ``density(mu, n)``.  Each row's density, sup, chi and Phi
-    are computed in turn, then the L^p distances of all rows in one call;
-    a row whose entropy falls below an earlier row's is flagged
-    ``chi_not_monotone`` rather than raised."""
+    are computed in turn, then the L^p distances of all rows in one call,
+    at each distinct exponent once; a row whose entropy falls below an
+    earlier row's is flagged ``chi_not_monotone`` rather than raised."""
     out = []
     for n in ns:
         dens = density(mu, n)
         out.append((dens, _report_row(mu, n, ps, dens=dens)))
+    ps = list(dict.fromkeys(ps))  # a repeated exponent is one key
     if ps:
         values = lp_distance([dens for dens, _ in out], *ps)
         for (_, row), vals in zip(out, values):
@@ -620,7 +621,7 @@ def convergence_report(mu, n_list: Iterable[int],
     if any(n < 2 for n in ns):
         raise InvalidArgumentError("convergence report requires n >= 2")
     ps = [float(p) for p in p_list]
-    if any(p <= 0.5 for p in ps):
-        raise InvalidArgumentError("L^p distance requires p > 1/2")
+    if not all(0.5 < p < math.inf for p in ps):
+        raise InvalidArgumentError("L^p distance requires a finite p > 1/2")
     rows = _report_rows(mu, ns, ps, clt_density_flow)
     return ConvergenceReport({row["n"]: row for _, row in rows})

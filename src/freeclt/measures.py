@@ -3,8 +3,10 @@
 A measure is a finite list of atoms plus at most one absolutely continuous
 component.  The ac component is either a named family (semicircle, arcsine,
 uniform) with closed-form density, or a tabulated density on a compact
-interval.  Tabulated densities carry endpoint-exponent annotations so that
-integration can apply the matching substitution at soft or singular edges.
+interval.  Each ac part owns its Cauchy transform G and G' (``_cauchy``): a
+family's closed form, else the node sum of the shared base.  Tabulated
+densities carry endpoint-exponent annotations so that integration can apply
+the matching substitution at soft or singular edges.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import numpy as np
 from .errors import (
     DegenerateMeasureError,
     DivergenceError,
+    DomainError,
     InvalidArgumentError,
     InvalidSpecError,
 )
@@ -120,13 +123,17 @@ def _snap_edge_order(alpha: Optional[float]) -> Optional[float]:
 
 
 class _AcPart:
-    """Shared base of the ac parts: their Gauss-theta node sets.
+    """Shared base of the ac parts: their Gauss-theta node sets, and the
+    Cauchy transform summed on them, which a family overrides with its
+    closed form.
 
     A part's nodes, jacobians and density values there are built once per
     node count, on first use, and kept on the (frozen) part: its mass and
     moments, its Cauchy transform, a flow kernel on it and the functionals
     all read the same set.
     """
+
+    _subtracts_density = True  # _cauchy subtracts the density at Re z
 
     def _node_set(self, n: int):
         """(x, jacobians, density at x) of the n-node Gauss-theta rule."""
@@ -155,10 +162,50 @@ class _AcPart:
         mean = m1 / m0
         return m0, mean, m2 / m0 - mean ** 2
 
+    def _cauchy(self, z: np.ndarray, derivative: bool) -> np.ndarray:
+        """G of the part at z (Im z > 0), or G' if derivative, summed on its
+        own node set.  The density at the projected real part is subtracted,
+        so the integrand stays bounded as z nears the support, and added back
+        in closed form.  The blocks of 256 points share two buffers, so a
+        call allocates them once: a fresh 16 MB temporary per block can be
+        handed back to the OS when freed and faulted in again, page by page,
+        in the next block."""
+        a, b = self.support
+        xq, jac, pq = self._node_set(_AC_NODES)
+        flat = z.ravel()
+        out = np.empty(flat.shape, dtype=complex)
+        xstar = np.clip(flat.real, a, b)
+        pstar = self.density(xstar) if self._subtracts_density else 0.0 * xstar
+        rows = min(256, flat.size)
+        num = np.empty((rows, xq.size))
+        den = np.empty((rows, xq.size), dtype=complex)
+        for lo in range(0, flat.size, 256):
+            sl = slice(lo, min(lo + 256, flat.size))
+            k = sl.stop - lo
+            np.subtract(pq, pstar[sl, None], out=num[:k])
+            np.multiply(jac, num[:k], out=num[:k])
+            np.subtract(flat[sl, None], xq, out=den[:k])
+            if derivative:
+                np.square(den[:k], out=den[:k])
+            np.divide(num[:k], den[:k], out=den[:k])
+            total = np.sum(den[:k], axis=1)
+            out[sl] = -total if derivative else total
+        if derivative:
+            out += pstar * (1.0 / (flat - a) - 1.0 / (flat - b))
+        else:
+            out += pstar * np.log((flat - a) / (flat - b))
+        return out.reshape(z.shape)
+
+    def _cauchy_at_nodes(self) -> np.ndarray:
+        """G(x + i0) of a family at its own nodes x, from just above them."""
+        return self._cauchy(self._node_set(_AC_NODES)[0] + 1e-30j, False)
+
 
 class _NodeSet(_AcPart):
     """An ac part known only at one Gauss-theta node set: (x, jacobians,
     density at x).  Dilation and translation map the nodes exactly."""
+
+    _subtracts_density = False  # it has no values off its nodes
 
     def __init__(self, support: Tuple[float, float], x, jac, p):
         self.support = support
@@ -397,6 +444,18 @@ class DensityTable(_AcPart):
         dlog = (alpha_l or 0.0) / (x - a) - (alpha_r or 0.0) / (b - x)
         return (spline(x, 1) + spline(x) * dlog) * self._edge_factor(x)
 
+    def _cauchy_at_nodes(self) -> np.ndarray:
+        """G(x + i0) at the table's own nodes x: Im G = -pi p, and Re G the
+        real sum of _cauchy plus each node's own term, jac * (-p')."""
+        a, b = self.support
+        x, jac, p = self._node_set(_AC_NODES)
+        re = p * np.log((x - a) / (b - x)) - jac * self._slope(x)
+        for lo in range(0, x.size, 256):
+            d = x[lo:lo + 256, None] - x
+            np.fill_diagonal(d[:, lo:], np.inf)  # the own term, taken above
+            re[lo:lo + 256] += np.sum(jac * (p - p[lo:lo + 256, None]) / d, axis=1)
+        return re - 1j * np.pi * p
+
     # -- transforms of the table as a set -------------------------------
 
     def dilated(self, a: float) -> "DensityTable":
@@ -428,6 +487,54 @@ def build_table(grid, values, support=None, edge_orders="fit",
 
 
 # -- named families ------------------------------------------------------
+
+def sqrt_upper(w):
+    """Square root with values in the closed upper half-plane.
+
+    Branch cut along [0, inf): sqrt_upper(-1) = i, and for w approaching the
+    positive real axis from below the value approaches -sqrt(|w|).
+    """
+    w = np.asarray(w, dtype=complex)
+    s = np.sqrt(w)
+    return np.where(s.imag < 0.0, -s, s)
+
+
+def semicircle_cauchy(variance: float, z, center: float = 0.0):
+    """Cauchy transform of the semicircle law, on the closed upper half-plane.
+
+    Real arguments get the boundary value: inside the support the imaginary
+    part equals -pi times the density; outside it the value is real.
+    """
+    if not (variance > 0 and np.isfinite(variance)):
+        raise InvalidArgumentError("semicircle variance must be positive")
+    t = float(variance)
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.imag < 0.0):
+        raise DomainError("semicircle transform requires Im z >= 0")
+    y = z - center
+    edge = 2.0 * math.sqrt(t)
+    out = np.empty_like(y)
+    on_axis = y.imag == 0.0
+    if np.any(on_axis):
+        x = y[on_axis].real
+        val = np.empty(x.shape, dtype=complex)
+        inside = np.abs(x) <= edge
+        val[inside] = (x[inside] - 1j * np.sqrt(4.0 * t - x[inside] ** 2)) / (2.0 * t)
+        # rationalized forms: the naive (x -+ sqrt(x^2 - 4t))/2t cancels
+        # catastrophically for |x| >> sqrt(t), these denominators never do
+        right = x > edge
+        val[right] = 2.0 / (x[right] + np.sqrt(x[right] ** 2 - 4.0 * t))
+        left = x < -edge
+        val[left] = 2.0 / (x[left] - np.sqrt(x[left] ** 2 - 4.0 * t))
+        out[on_axis] = val
+    off = ~on_axis
+    if np.any(off):
+        w = y[off]
+        # Re sqrt_upper(w^2 - 4t) carries the sign of Re w on Im w > 0, so
+        # the sum below never cancels; equals (w - sqrt_upper(...))/2t exactly
+        out[off] = 2.0 / (w + sqrt_upper(w * w - 4.0 * t))
+    return out if out.ndim else complex(out)
+
 
 @dataclass(frozen=True)
 class SemicircleFamily(_AcPart):
@@ -463,6 +570,12 @@ class SemicircleFamily(_AcPart):
 
     def translated(self, c: float) -> "SemicircleFamily":
         return SemicircleFamily(self.variance, self.center + c)
+
+    def _cauchy(self, z: np.ndarray, derivative: bool) -> np.ndarray:
+        if not derivative:
+            return semicircle_cauchy(self.variance, z, center=self.center)
+        t, y = self.variance, z - self.center
+        return (1.0 - y / sqrt_upper(y * y - 4.0 * t)) / (2.0 * t)
 
     def to_table(self, n: int = 2001) -> DensityTable:
         a, b = self.support
@@ -510,6 +623,14 @@ class ArcsineFamily(_IntervalFamily):
         out[m] = 1.0 / (np.pi * np.sqrt((x[m] - self.a) * (self.b - x[m])))
         return out
 
+    def _cauchy(self, z: np.ndarray, derivative: bool) -> np.ndarray:
+        # principal-branch factors each map the upper half-plane into the
+        # first quadrant, so the product has positive imaginary part
+        g = 1.0 / (np.sqrt(z - self.a) * np.sqrt(z - self.b))
+        if not derivative:
+            return g
+        return -0.5 * g * (1.0 / (z - self.a) + 1.0 / (z - self.b))
+
     def to_table(self, n: int = 2001) -> DensityTable:
         # exclude the exact endpoints where the density diverges
         c, r = 0.5 * (self.a + self.b), 0.5 * (self.b - self.a)
@@ -534,6 +655,11 @@ class UniformFamily(_IntervalFamily):
         out = np.zeros_like(x)
         out[(x >= self.a) & (x <= self.b)] = 1.0 / (self.b - self.a)
         return out
+
+    def _cauchy(self, z: np.ndarray, derivative: bool) -> np.ndarray:
+        if derivative:
+            return (1.0 / (z - self.a) - 1.0 / (z - self.b)) / (self.b - self.a)
+        return np.log((z - self.a) / (z - self.b)) / (self.b - self.a)
 
     def to_table(self, n: int = 2001) -> DensityTable:
         grid = np.linspace(self.a, self.b, n)

@@ -522,9 +522,8 @@ def _fold_h(mu: Measure, n: int, w: np.ndarray) -> np.ndarray:
         g += a.w * (1.0 / d)
         gp -= a.w * (1.0 / (d * d))
     if mu.ac is not None:
-        ac, z = Measure((), mu.ac), w + 1e-30j
-        g += cauchy(ac, z).real
-        gp += cauchy_derivative(ac, z).real
+        g += mu.ac._cauchy(w + 1e-30j, False).real
+        gp += mu.ac._cauchy(w + 1e-30j, True).real
     ng = n * g
     return ng * g + (n - 1) * gp
 

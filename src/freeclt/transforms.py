@@ -3,7 +3,8 @@
 Conventions: the Cauchy transform of a probability measure is
 G(z) = int d mu(x) / (z - x), analytic on the open upper half-plane with
 Im G < 0 there and z*G(z) -> 1 at infinity.  Densities are recovered from
-boundary values via p(x) = -Im G(x + i0) / pi.
+boundary values via p(x) = -Im G(x + i0) / pi.  G of a measure is its atoms'
+sum plus its ac part's own G, which the part's class in ``measures`` gives.
 """
 from __future__ import annotations
 
@@ -22,170 +23,44 @@ from .errors import (
 )
 from .measures import (
     Atom,
-    ArcsineFamily,
-    DensityTable,
     Measure,
-    SemicircleFamily,
-    UniformFamily,
     _AC_NODES,
     _NodeSet,
+    semicircle_cauchy,  # both re-exported: public names of this module
+    sqrt_upper,
 )
 
 _COMPANION_MASS_TOL = 2e-6  # recovered-component mass budget
 _COMPANION_LOCK = threading.Lock()
 
 
-def sqrt_upper(w):
-    """Square root with values in the closed upper half-plane.
-
-    Branch cut along [0, inf): sqrt_upper(-1) = i, and for w approaching the
-    positive real axis from below the value approaches -sqrt(|w|).
-    """
-    w = np.asarray(w, dtype=complex)
-    s = np.sqrt(w)
-    return np.where(s.imag < 0.0, -s, s)
-
-
-def _require_upper(z: np.ndarray) -> None:
-    if np.any(z.imag <= 0.0):
-        raise DomainError("Cauchy transform requires Im z > 0")
-
-
-def semicircle_cauchy(variance: float, z, center: float = 0.0):
-    """Cauchy transform of the semicircle law, on the closed upper half-plane.
-
-    Real arguments get the boundary value: inside the support the imaginary
-    part equals -pi times the density; outside it the value is real.
-    """
-    if not (variance > 0 and np.isfinite(variance)):
-        raise InvalidArgumentError("semicircle variance must be positive")
-    t = float(variance)
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag < 0.0):
-        raise DomainError("semicircle transform requires Im z >= 0")
-    y = z - center
-    edge = 2.0 * math.sqrt(t)
-    out = np.empty_like(y)
-    on_axis = y.imag == 0.0
-    if np.any(on_axis):
-        x = y[on_axis].real
-        val = np.empty(x.shape, dtype=complex)
-        inside = np.abs(x) <= edge
-        val[inside] = (x[inside] - 1j * np.sqrt(4.0 * t - x[inside] ** 2)) / (2.0 * t)
-        # rationalized forms: the naive (x -+ sqrt(x^2 - 4t))/2t cancels
-        # catastrophically for |x| >> sqrt(t), these denominators never do
-        right = x > edge
-        val[right] = 2.0 / (x[right] + np.sqrt(x[right] ** 2 - 4.0 * t))
-        left = x < -edge
-        val[left] = 2.0 / (x[left] - np.sqrt(x[left] ** 2 - 4.0 * t))
-        out[on_axis] = val
-    off = ~on_axis
-    if np.any(off):
-        w = y[off]
-        # Re sqrt_upper(w^2 - 4t) carries the sign of Re w on Im w > 0, so
-        # the sum below never cancels; equals (w - sqrt_upper(...))/2t exactly
-        out[off] = 2.0 / (w + sqrt_upper(w * w - 4.0 * t))
-    return out if out.ndim else complex(out)
-
-
-def _atoms_cauchy(atoms: Sequence[Atom], z: np.ndarray) -> np.ndarray:
+def _atoms_cauchy(atoms: Sequence[Atom], z: np.ndarray,
+                  derivative: bool = False) -> np.ndarray:
     out = np.zeros_like(z)
     for a in atoms:
-        out += a.w / (z - a.x)
+        out += -a.w / (z - a.x) ** 2 if derivative else a.w / (z - a.x)
     return out
 
 
-def _table_cauchy(tab, z: np.ndarray, derivative: bool = False) -> np.ndarray:
-    """Cauchy transform of a tabulated part, or its z-derivative.
-
-    Subtracts the density value at the projected real part so that the
-    quadrature integrand stays bounded when z approaches the support; the
-    subtracted constant is added back in closed form.  It integrates on
-    the part's own Gauss-theta node set; a companion's node set has no
-    values off it and is summed plainly, for Im z > 0 only.  The blocks of
-    256 points share two buffers, so a call allocates them once: a fresh
-    16 MB temporary per block can be handed back to the OS when freed and
-    faulted in again, page by page, in the next block.
-    """
-    a, b = tab.support
-    xq, jac, pq = tab._node_set(_AC_NODES)
-    flat = z.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    xstar = np.clip(flat.real, a, b)
-    pstar = 0.0 * xstar if isinstance(tab, _NodeSet) else tab.density(xstar)
-    rows = min(256, flat.size)
-    num = np.empty((rows, xq.size))
-    den = np.empty((rows, xq.size), dtype=complex)
-    for lo in range(0, flat.size, 256):
-        sl = slice(lo, min(lo + 256, flat.size))
-        k = sl.stop - lo
-        np.subtract(pq, pstar[sl, None], out=num[:k])
-        np.multiply(jac, num[:k], out=num[:k])
-        np.subtract(flat[sl, None], xq, out=den[:k])
-        if derivative:
-            np.square(den[:k], out=den[:k])
-        np.divide(num[:k], den[:k], out=den[:k])
-        total = np.sum(den[:k], axis=1)
-        out[sl] = -total if derivative else total
-    if derivative:
-        out += pstar * (1.0 / (flat - a) - 1.0 / (flat - b))
-    else:
-        out += pstar * np.log((flat - a) / (flat - b))
-    return out.reshape(z.shape)
-
-
-def _table_at_own_nodes(tab: DensityTable) -> np.ndarray:
-    """G(x + i0) of a table at its own nodes: Im G = -pi p, and Re G the
-    real sum of _table_cauchy plus each node's own term, jac * (-p')."""
-    a, b = tab.support
-    x, jac, p = tab._node_set(_AC_NODES)
-    re = p * np.log((x - a) / (b - x)) - jac * tab._slope(x)
-    for lo in range(0, x.size, 256):
-        d = x[lo:lo + 256, None] - x
-        np.fill_diagonal(d[:, lo:], np.inf)  # the own term, taken above
-        re[lo:lo + 256] += np.sum(jac * (p - p[lo:lo + 256, None]) / d, axis=1)
-    return re - 1j * np.pi * p
+def _transform(m: Measure, z, derivative: bool):
+    """G_m or G_m' at z: the atom sum, then the ac part's own transform."""
+    z_arr = np.asarray(z, dtype=complex)
+    if np.any(z_arr.imag <= 0.0):
+        raise DomainError("Cauchy transform requires Im z > 0")
+    out = _atoms_cauchy(m.atoms, z_arr, derivative)
+    if m.ac is not None:
+        out = out + m.ac._cauchy(z_arr, derivative)
+    return out if out.ndim else complex(out)
 
 
 def cauchy(m: Measure, z):
     """Cauchy transform of a measure on the open upper half-plane."""
-    z_arr = np.asarray(z, dtype=complex)
-    _require_upper(z_arr)
-    out = _atoms_cauchy(m.atoms, z_arr)
-    ac = m.ac
-    if isinstance(ac, SemicircleFamily):
-        out = out + semicircle_cauchy(ac.variance, z_arr, center=ac.center)
-    elif isinstance(ac, ArcsineFamily):
-        # principal-branch factors each map the upper half-plane into the
-        # first quadrant, so the product has positive imaginary part
-        out = out + 1.0 / (np.sqrt(z_arr - ac.a) * np.sqrt(z_arr - ac.b))
-    elif isinstance(ac, UniformFamily):
-        out = out + np.log((z_arr - ac.a) / (z_arr - ac.b)) / (ac.b - ac.a)
-    elif isinstance(ac, (DensityTable, _NodeSet)):
-        out = out + _table_cauchy(ac, z_arr)
-    return out if out.ndim else complex(out)
+    return _transform(m, z, False)
 
 
 def cauchy_derivative(m: Measure, z):
     """d/dz of the Cauchy transform, same domain conventions as cauchy()."""
-    z_arr = np.asarray(z, dtype=complex)
-    _require_upper(z_arr)
-    out = np.zeros_like(z_arr)
-    for a in m.atoms:
-        out -= a.w / (z_arr - a.x) ** 2
-    ac = m.ac
-    if isinstance(ac, SemicircleFamily):
-        t = ac.variance
-        y = z_arr - ac.center
-        out = out + (1.0 - y / sqrt_upper(y * y - 4.0 * t)) / (2.0 * t)
-    elif isinstance(ac, ArcsineFamily):
-        g = 1.0 / (np.sqrt(z_arr - ac.a) * np.sqrt(z_arr - ac.b))
-        out = out - 0.5 * g * (1.0 / (z_arr - ac.a) + 1.0 / (z_arr - ac.b))
-    elif isinstance(ac, UniformFamily):
-        out = out + (1.0 / (z_arr - ac.a) - 1.0 / (z_arr - ac.b)) / (ac.b - ac.a)
-    elif isinstance(ac, (DensityTable, _NodeSet)):
-        out = out + _table_cauchy(ac, z_arr, derivative=True)
-    return out if out.ndim else complex(out)
+    return _transform(m, z, True)
 
 
 # -- boundary-value inversion ---------------------------------------------
@@ -357,21 +232,20 @@ def _companion_atoms(mu: Measure) -> Tuple[Atom, ...]:
     """
     xs = np.array([a.x for a in mu.atoms])
     ws = np.array([a.w for a in mu.atoms])
-    ac = None if mu.ac is None else Measure((), mu.ac)
 
     def g_lanes(x):
         # G_mu at each point of the list x, one row of the atom sum each
         x = np.array(x)
         val = np.sum(ws / (x[:, None] - xs), axis=1)
-        return (val if ac is None else val + cauchy(ac, x + 1e-30j).real
-                ).tolist()
+        return (val if mu.ac is None
+                else val + mu.ac._cauchy(x + 1e-30j, False).real).tolist()
 
     g = lambda x: g_lanes([x])[0]
 
     def gprime(x):
         val = float(-np.sum(ws / (x - xs) ** 2))
-        return val if ac is None else \
-            val + float(cauchy_derivative(ac, x + 1e-30j).real)
+        return val if mu.ac is None else \
+            val + float(mu.ac._cauchy(np.asarray(x + 1e-30j), True).real)
 
     comps = mu.support_components()
     xa, xb, fa, fb = [], [], [], []
@@ -478,10 +352,7 @@ def _recover_companion(mu: Measure) -> Measure:
         return Measure(atoms, None)
 
     x, jac, p = mu.ac._node_set(_AC_NODES)
-    if isinstance(mu.ac, DensityTable):
-        g = _atoms_cauchy(mu.atoms, x + 0j) + _table_at_own_nodes(mu.ac)
-    else:
-        g = cauchy(mu, x + 1e-30j)  # G(x + i0)
+    g = _atoms_cauchy(mu.atoms, x + 0j) + mu.ac._cauchy_at_nodes()  # G(x + i0)
     ac = _NodeSet(mu.ac.support, x, jac, p / np.abs(g) ** 2)
     mass = ac.mass()
     if abs(atom_mass + mass - 1.0) > _COMPANION_MASS_TOL:

@@ -228,6 +228,14 @@ class TestReportRows:
         assert main(["functionals", "--measure", spec, "--n", "1,4",
                      "--out", str(tmp_path / "fun.json")]) == 1
 
+    def test_infinite_lp_exponent_exits_1(self, tmp_path, capsys):
+        # L^inf is the sup distance; no value is written for it
+        out = tmp_path / "fun.json"
+        assert main(["functionals", "--measure", INLINE_BERN, "--n", "4",
+                     "--p", "inf,600", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_small_lp_exponent_fails_before_any_csv(self, tmp_path):
         code = main(["sweep", "--measure", INLINE_BERN, "--n", "4,8",
                      "--p", "0.4", "--out", str(tmp_path / "report.json")])

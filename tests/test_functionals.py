@@ -130,7 +130,10 @@ class TestSupDistance:
 
         monkeypatch.setattr(functionals, "_lp_pieces", never)
         monkeypatch.setattr(functionals, "_gk21_integrals", never)
-        for ps in [(1.0, 0.5), (0.4, 2.0), (2.0, 1.0, math.nan)]:
+        # p = inf is the sup distance, which no integral of |difference|^p
+        # gives: the integral's 1/p-th root would read 1 or 0
+        for ps in [(1.0, 0.5), (0.4, 2.0), (2.0, 1.0, math.nan),
+                   (2.0, math.inf)]:
             with pytest.raises(InvalidArgumentError):
                 lp_distance(semicircle_table, *ps)
             with pytest.raises(InvalidArgumentError):
@@ -636,8 +639,32 @@ class TestReports:
         assert row["flags"] == ["atoms_excluded", "phi_divergent",
                                 "gap_vacuous"]
 
-    def test_report_argument_domain(self, bernoulli):
+    def test_a_repeated_exponent_is_integrated_once(self, asym, monkeypatch):
+        # each distinct exponent once, in first-occurrence order, which is
+        # also the order of the row's keys
+        calls = []
+        real = functionals.lp_distance
+
+        def counted(obj, *ps):
+            calls.append(ps)
+            return real(obj, *ps)
+
+        monkeypatch.setattr(functionals, "lp_distance", counted)
+        rows = convergence_report(asym, (4, 16), p_list=(2, 0.6, 2)
+                                  ).to_dict()["rows"]
+        assert calls == [(2.0, 0.6)]
+        want = real([clt_density_flow(asym, n) for n in (4, 16)], 2.0, 0.6)
+        assert [row["lp"] for row in rows] == [
+            {"2.0": l2, "0.6": l06} for l2, l06 in want]
+
+    def test_report_argument_domain(self, bernoulli, monkeypatch):
+        def never(*args):
+            raise AssertionError("a power computed before the arguments "
+                                 "were checked")
+
+        monkeypatch.setattr(functionals, "clt_density_flow", never)
         with pytest.raises(InvalidArgumentError):
             convergence_report(bernoulli, (1, 4))
-        with pytest.raises(InvalidArgumentError):
-            convergence_report(bernoulli, (2, 4), p_list=(0.4,))
+        for ps in [(0.4,), (math.inf, 600.0), (math.nan,)]:
+            with pytest.raises(InvalidArgumentError):
+                convergence_report(bernoulli, (2, 4), p_list=ps)

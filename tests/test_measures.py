@@ -27,7 +27,7 @@ from freeclt import (
     translate,
 )
 
-from freeclt.measures import _NotAKnotSpline, _leggauss
+from freeclt.measures import _AcPart, _NotAKnotSpline, _leggauss
 
 from conftest import (ARCSINE_SPEC, SEMICIRCLE_SPEC, SQRT2, UNIFORM_SPEC,
                       kesten_density, semicircle_density)
@@ -182,6 +182,30 @@ class TestFamilies:
             ArcsineFamily(1.0, 1.0)
         with pytest.raises(InvalidSpecError):
             UniformFamily(2.0, -2.0)
+
+    @pytest.mark.parametrize("family", [
+        SemicircleFamily(1.0),
+        SemicircleFamily(2.0, 0.5),
+        ArcsineFamily(-SQRT2, SQRT2),
+        ArcsineFamily(0.0, 3.0),
+        UniformFamily(-math.sqrt(3.0), math.sqrt(3.0)),
+    ], ids=["semicircle", "semicircle_off_center", "arcsine",
+            "arcsine_0_3", "uniform"])
+    @pytest.mark.parametrize("height", [0.1, 1.0])
+    @pytest.mark.parametrize("derivative", [False, True],
+                             ids=["g", "g_prime"])
+    def test_closed_form_transform_matches_its_node_sum(
+            self, family, height, derivative):
+        # each family's closed-form G and G' against the node sum of the
+        # ac base on its own 4096-node set, the sum a family without a
+        # closed form inherits: nine points across the support, its ends
+        # among them, and four on each side beyond it
+        a, b = family.support
+        x = 0.5 * (a + b) + 0.5 * (b - a) * np.linspace(-2.0, 2.0, 17)
+        z = x + 1j * height
+        got = family._cauchy(z, derivative)
+        want = _AcPart._cauchy(family, z, derivative)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-8
 
 
 class TestDensityTable:
